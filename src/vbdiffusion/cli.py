@@ -107,8 +107,8 @@ def _setup(config):
     config = harness._resolved(config)
     cloud = harness.generate_cloud(config)
     alpha, beta = harness._resolve_alpha_beta(config, cloud.intrinsic_dim)
-    graph, profile, support = harness._pipeline_setup(config, cloud, beta)
-    return config, cloud, alpha, beta, graph, profile, support
+    profile, support = harness._pipeline_setup(config, cloud, beta)
+    return config, cloud, alpha, beta, profile, support
 
 
 def _single_eps(config, cloud, rho, support):
@@ -130,7 +130,7 @@ def _cmd_generate(config):
 
 
 def _cmd_density(config):
-    config, cloud, alpha, beta, graph, profile, support = _setup(config)
+    config, cloud, alpha, beta, profile, support = _setup(config)
     out = _out_dir(config)
     density.save_csv(profile, out / "bandwidth.csv")
     _write_meta(config, out, {"alpha": alpha, "beta": beta,
@@ -140,7 +140,7 @@ def _cmd_density(config):
 
 
 def _cmd_build(config):
-    config, cloud, alpha, beta, graph, profile, support = _setup(config)
+    config, cloud, alpha, beta, profile, support = _setup(config)
     out = _out_dir(config)
     eps, _ = _single_eps(config, cloud, profile.rho, support)
     gm = kernel.build_generator(cloud, profile.rho, eps, alpha,
@@ -152,7 +152,7 @@ def _cmd_build(config):
 
 
 def _cmd_eigs(config):
-    config, cloud, alpha, beta, graph, profile, support = _setup(config)
+    config, cloud, alpha, beta, profile, support = _setup(config)
     out = _out_dir(config)
     eps, _ = _single_eps(config, cloud, profile.rho, support)
     gm = kernel.build_generator(cloud, profile.rho, eps, alpha,
@@ -169,7 +169,7 @@ def _cmd_eigs(config):
 
 
 def _cmd_tune(config):
-    config, cloud, alpha, beta, graph, profile, support = _setup(config)
+    config, cloud, alpha, beta, profile, support = _setup(config)
     out = _out_dir(config)
     curve = tuning.s_curve(cloud, profile.rho, support=support)
     tuning.save_csv(curve, out / "tuning.csv")

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicatePoints
-from .neighbors import pair_sq_dists, symmetrized_support
+from .kernel import support_kernel
 
 # all-pairs sums are exact and affordable up to this many points
 _DENSE_MAX = 5000
@@ -50,7 +50,7 @@ def pilot_bandwidth(graph, k0=8):
     return rho0
 
 
-def kde_pilot(cloud, rho0, d, graph=None):
+def kde_pilot(cloud, rho0, d, support=None):
     """Variable-bandwidth Gaussian density estimate at the sample points.
 
     Returns ``(q0, eps0)`` where eps0 is the squared mean pilot bandwidth.
@@ -58,14 +58,14 @@ def kde_pilot(cloud, rho0, d, graph=None):
 
         q0_i = (2 pi)^(-d/2) / (rho0_i^d N) * sum_l exp(-r_il^2 / (2 rho0_i rho0_l))
 
-    with the l = i term included. Up to ``_DENSE_MAX`` points the sum runs
-    over all pairs; beyond that it is truncated to the symmetrized neighbor
-    support of ``graph`` (plus the diagonal), which the caller must provide.
+    with the l = i term included. Up to ``_DENSE_MAX`` points, or without a
+    ``support`` (:class:`neighbors.SupportPairs`), the sum runs over all
+    pairs; beyond that it is truncated to the support.
     """
     pts = cloud.points
     n = pts.shape[0]
     eps0 = float(np.mean(rho0)) ** 2
-    if n <= _DENSE_MAX or graph is None:
+    if n <= _DENSE_MAX or support is None:
         sums = np.empty(n)
         block = max(1, int(2e7) // n)
         for start in range(0, n, block):
@@ -75,11 +75,9 @@ def kde_pilot(cloud, rho0, d, graph=None):
             arg = r2 / (2.0 * rho0[start:stop, None] * rho0[None, :])
             sums[start:stop] = np.exp(-arg).sum(axis=1)
     else:
-        support = symmetrized_support(graph).tocoo()
-        rows, cols = support.row, support.col
-        r2 = pair_sq_dists(pts, rows, cols)
-        vals = np.exp(-r2 / (2.0 * rho0[rows] * rho0[cols]))
-        sums = np.bincount(rows, weights=vals, minlength=n)
+        # exp(-r^2 / (2 rho0_i rho0_l)) is the generator kernel at eps = 1/2
+        vals = support_kernel(support, rho0, 0.5)
+        sums = support.matrix(vals) @ np.ones(n)
     q0 = (2.0 * np.pi) ** (-d / 2.0) / (rho0**d * n) * sums
     return q0, eps0
 
@@ -100,14 +98,18 @@ def c_constants(alpha, beta, d):
     return c1, c2
 
 
-def bandwidth_profile(cloud, graph, beta, k0=8, d=None):
-    """Run the full pilot -> KDE -> power-law cascade for one cloud."""
+def bandwidth_profile(cloud, graph, beta, k0=8, d=None, support=None):
+    """Run the full pilot -> KDE -> power-law cascade for one cloud.
+
+    ``support`` (:class:`neighbors.SupportPairs`) truncates the KDE on large
+    clouds; see :func:`kde_pilot`.
+    """
     if d is None:
         d = cloud.intrinsic_dim
     if d is None:
         raise ValueError("intrinsic dimension unknown; pass d explicitly")
     rho0 = pilot_bandwidth(graph, k0=k0)
-    q0, eps0 = kde_pilot(cloud, rho0, d, graph=graph)
+    q0, eps0 = kde_pilot(cloud, rho0, d, support=support)
     rho = bandwidth_from_density(q0, beta)
     return BandwidthProfile(rho0=rho0, eps0=eps0, rho0_tilde=rho0 / np.sqrt(eps0),
                             q0=q0, beta=beta, rho=rho, d=d)

@@ -3,7 +3,7 @@
 Each experiment fixes a dataset generator, a default (alpha, beta) pair, a
 set of analytic reference eigenfunctions (or a reference operator), and a
 primary quantity whose error goes into the result table. The per-epsilon
-pipeline shares one neighbor graph and one bandwidth profile; only the
+pipeline shares one set of support pairs and one bandwidth profile; only the
 kernel and everything after it depend on epsilon.
 """
 
@@ -215,20 +215,28 @@ def run_experiment(config):
 
 
 def _pipeline_setup(config, cloud, beta):
-    """Graph, bandwidth profile and support shared by every epsilon."""
+    """Bandwidth profile and support pairs shared by every epsilon.
+
+    The support pairs are None on the dense path. The neighbor graph is
+    needed only until both exist and is not kept.
+    """
     n = cloud.n_points
     if config.k_support is not None:
-        k = min(n, max(config.k_support, config.k0))
-        graph = neighbors.knn(cloud, k)
-        support = neighbors.symmetrized_support(graph)
+        graph = neighbors.knn(cloud, min(n, max(config.k_support, config.k0)))
     elif n > _DENSE_MAX:
         graph = neighbors.knn(cloud, min(n, max(128, config.k0)))
-        support = neighbors.symmetrized_support(graph)
     else:
         graph = neighbors.knn(cloud, min(n, max(config.k0, 8)))
-        support = None
-    profile = density.bandwidth_profile(cloud, graph, beta, k0=config.k0)
-    return graph, profile, support
+    pairs = None
+    if config.k_support is not None or n > _DENSE_MAX:
+        pairs = _support_pairs(cloud, graph)
+    profile = density.bandwidth_profile(cloud, graph, beta, k0=config.k0,
+                                        support=pairs)
+    return profile, pairs
+
+
+def _support_pairs(cloud, graph):
+    return neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
 
 
 def _resolve_eps(config, cloud, rho, support, out):
@@ -250,7 +258,7 @@ def _eigen_experiment(config):
     cloud = generate_cloud(config)
     d = cloud.intrinsic_dim
     alpha, beta = _resolve_alpha_beta(config, d)
-    graph, profile, support = _pipeline_setup(config, cloud, beta)
+    profile, support = _pipeline_setup(config, cloud, beta)
     sweep, curve = _resolve_eps(config, cloud, profile.rho, support, out)
     targets = experiment_targets(config.experiment, config.eigenfunctions)
     reference, ref_vals = reference_matrix(targets, cloud)
@@ -289,13 +297,6 @@ def _eigen_experiment(config):
     return table
 
 
-_OPERATOR_REFS = {
-    # (kind, needs) per operator experiment; expressions in the angular latent
-    "torus_operator": "bandwidth_drift",
-    "circle_operator": "gradient_flow",
-}
-
-
 def _operator_experiment(config):
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -315,8 +316,8 @@ def _operator_experiment(config):
                 "bandwidth_drift", f_expr, cloud, (analytic.THETA, analytic.PHI),
                 rho_expr=sym.exp(sym.cos(analytic.THETA)))
         support_k = config.k_support if config.k_support is not None else 500
-        graph = neighbors.knn(cloud, min(cloud.n_points, support_k))
-        support = neighbors.symmetrized_support(graph)
+        support = _support_pairs(
+            cloud, neighbors.knn(cloud, min(cloud.n_points, support_k)))
     else:
         rho = np.exp(np.cos(theta)) ** beta
         c1, _ = density.c_constants(alpha, beta, d)
@@ -421,15 +422,15 @@ def outlier_study(N, seed, eps=None, k_support=None, output_dir=None, k0=8):
         graph = neighbors.knn(cloud, min(n, max(k0, 128)))
         rho0 = density.pilot_bandwidth(graph, k0=k0)
         q0, _ = density.kde_pilot(cloud, rho0, 1,
-                                  graph=graph if n > 5000 else None)
+                                  support=_support_pairs(cloud, graph))
+        del graph
         drop = int(np.floor(np.sqrt(n)))
         keep = np.sort(np.argsort(q0, kind="stable")[drop:])
         removed.append(drop)
         kept = pointcloud.PointCloud(cloud.points[keep], latent=cloud.latent[keep],
                                      intrinsic_dim=1, label=cloud.label)
-        graph2 = neighbors.knn(kept, min(kept.n_points, max(k, k0)))
-        support = neighbors.symmetrized_support(graph2)
-        del graph, graph2
+        support = _support_pairs(
+            kept, neighbors.knn(kept, min(kept.n_points, max(k, k0))))
         rho = np.ones(kept.n_points)
         target = analytic.hermite_target(3).evaluate(kept)
         target *= np.sqrt(kept.n_points) / np.linalg.norm(target)

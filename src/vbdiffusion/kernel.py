@@ -6,18 +6,19 @@ estimate removes sampling bias from the kernel; and a diagonal conjugation
 turns the resulting Markov generator into a symmetric matrix whose
 eigenvectors are recovered by an un-conjugation.
 
-Matrices are dense ndarrays when no support pattern is given and CSR when
-the kernel is truncated to a neighbor support. Evaluating the kernel on a
-symmetric support pattern yields an exactly symmetric matrix because each
-(i, j) and (j, i) entry is computed by identical arithmetic.
+Matrices are dense ndarrays when no support is given and CSR when the
+kernel is truncated to a neighbor support. A support is passed as
+:class:`neighbors.SupportPairs`, which caches the squared distance of every
+support entry once per cloud; each epsilon then costs one elementwise pass
+over the cached distances plus CSR matrix-vector products for the row sums.
+The cached (i, j) and (j, i) distances are bitwise equal, so the sparse
+kernel is exactly symmetric.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-
-from .neighbors import pair_sq_dists
 
 _FORMULATIONS = ("left", "right", "symmetric")
 
@@ -64,7 +65,6 @@ class GeneratorMatrices:
 
     eps: float
     alpha: float
-    K: object
     qS: np.ndarray
     Kalpha: object
     q_eps_alpha: np.ndarray
@@ -77,26 +77,43 @@ class GeneratorMatrices:
 def kernel_matrix(cloud, rho, eps, support=None):
     """Variable-bandwidth Gaussian kernel K_ij = exp(-r_ij^2/(4 eps rho_i rho_j)).
 
-    ``support`` is an optional symmetric boolean CSR pattern (diagonal
-    included); without it the full dense matrix is computed. Entries that
-    underflow to zero are dropped from the sparse structure so that
-    connectivity checks see the numerical graph.
+    ``support`` is an optional :class:`neighbors.SupportPairs` over a
+    symmetric pattern with the diagonal included; without it the full dense
+    matrix is computed. Entries that underflow to zero are dropped from the
+    sparse structure so that connectivity checks see the numerical graph.
     """
-    pts = cloud.points
     rho = np.asarray(rho, dtype=float)
     if support is None:
-        k = _dense_sq_dists(pts)
+        k = _dense_sq_dists(cloud.points)
         k /= -4.0 * eps * np.outer(rho, rho)
         np.exp(k, out=k)
         return k
-    pattern = support.tocoo()
-    rows, cols = pattern.row, pattern.col
-    vals = pair_sq_dists(pts, rows, cols)
-    vals /= -4.0 * eps * rho[rows] * rho[cols]
-    np.exp(vals, out=vals)
-    out = sparse.csr_matrix((vals, (rows, cols)), shape=support.shape)
+    vals = support_kernel(support, rho, eps)
+    # eliminate_zeros compacts the index arrays in place, so the kernel gets
+    # its own copies rather than the ones the cached pairs share
+    out = sparse.csr_matrix((vals, support.indices.copy(), support.indptr.copy()),
+                            shape=(support.n, support.n))
     out.eliminate_zeros()
     return out
+
+
+def support_kernel(support, rho, eps, formulation="symmetric"):
+    """Kernel values on the entries of ``support`` (a SupportPairs), in CSR order.
+
+    The argument r_ij^2 / (4 eps b_ij) has b_ij = rho_i rho_j for the
+    symmetric formulation, rho_i for 'left' and rho_j for 'right'.
+    """
+    scale = 4.0 * eps * rho
+    if formulation == "left":
+        den = support.rows(scale)
+    elif formulation == "right":
+        den = scale[support.indices]
+    else:
+        den = support.rows(scale)
+        den *= rho[support.indices]
+    np.divide(support.r2, den, out=den)
+    np.negative(den, out=den)
+    return np.exp(den, out=den)
 
 
 def _dense_sq_dists(pts, block=256):
@@ -131,7 +148,7 @@ def alpha_normalize(K, qS, alpha):
     return ka, _row_sums(ka)
 
 
-def generator_symmetric(Kalpha, q_eps_alpha, rho, eps, alpha=0.0, K=None, qS=None):
+def generator_symmetric(Kalpha, q_eps_alpha, rho, eps, alpha=0.0, qS=None):
     """Conjugated symmetric generator Lhat = (S^-1 Kalpha S^-1 - P^-2)/eps.
 
     The conjugation diagonal is S = rho * sqrt(q_eps_alpha); eigenvectors of
@@ -150,7 +167,7 @@ def generator_symmetric(Kalpha, q_eps_alpha, rho, eps, alpha=0.0, K=None, qS=Non
         lhat = Kalpha * np.outer(inv_s, inv_s)
         np.fill_diagonal(lhat, lhat.diagonal() - shift)
         lhat /= eps
-    return GeneratorMatrices(eps=eps, alpha=alpha, K=K, qS=qS, Kalpha=Kalpha,
+    return GeneratorMatrices(eps=eps, alpha=alpha, qS=qS, Kalpha=Kalpha,
                              q_eps_alpha=q_eps_alpha, Lhat=lhat, P=rho,
                              D=q_eps_alpha, S=s)
 
@@ -164,7 +181,8 @@ def build_generator(cloud, rho, eps, alpha, d=None, support=None):
     k = kernel_matrix(cloud, rho, eps, support=support)
     qs = qS_normalization(k, rho, d)
     kalpha, q_eps_alpha = alpha_normalize(k, qs, alpha)
-    return generator_symmetric(kalpha, q_eps_alpha, rho, eps, alpha=alpha, K=k, qS=qs)
+    del k  # not kept: the conjugation below needs memory for its own copy
+    return generator_symmetric(kalpha, q_eps_alpha, rho, eps, alpha=alpha, qS=qs)
 
 
 def generator_dense_nonsymmetric(gm):
@@ -201,24 +219,15 @@ def apply_generator(cloud, rho, eps, alpha, formulation, f, d=None, support=None
         d = cloud.intrinsic_dim
     if alpha != 0.0 and d is None:
         raise ValueError("alpha-normalization needs the intrinsic dimension")
-    pts = cloud.points
     rho = np.asarray(rho, dtype=float)
     f = np.asarray(f, dtype=float)
     m = gaussian_shape_constants(d if d is not None else 1).m
     if support is None:
-        num, den = _ratio_dense(pts, rho, eps, alpha, formulation, f, d)
+        num, den = _ratio_dense(cloud.points, rho, eps, alpha, formulation, f, d)
     else:
-        num, den = _ratio_sparse(pts, rho, eps, alpha, formulation, f, d, support)
+        num, den = _ratio_sparse(rho, eps, alpha, formulation, f, d, support)
     p = 2 if formulation == "symmetric" else 1
     return (num / den - f) / (eps * m * rho**p)
-
-
-def _kernel_args(r2, rho, eps, formulation, rows, cols):
-    if formulation == "left":
-        return r2 / (4.0 * eps * rho[rows])
-    if formulation == "right":
-        return r2 / (4.0 * eps * rho[cols])
-    return r2 / (4.0 * eps * rho[rows] * rho[cols])
 
 
 def _ratio_dense(pts, rho, eps, alpha, formulation, f, d, block=256):
@@ -253,19 +262,12 @@ def _ratio_dense(pts, rho, eps, alpha, formulation, f, d, block=256):
     return num, den
 
 
-def _ratio_sparse(pts, rho, eps, alpha, formulation, f, d, support):
-    n = pts.shape[0]
-    pattern = support.tocoo()
-    rows, cols = pattern.row, pattern.col
-    r2 = pair_sq_dists(pts, rows, cols)
-    vals = np.exp(-_kernel_args(r2, rho, eps, formulation, rows, cols))
-    weights = np.ones(n)
+def _ratio_sparse(rho, eps, alpha, formulation, f, d, support):
+    k = support.matrix(support_kernel(support, rho, eps, formulation))
+    weights = np.ones(support.n)
     if alpha != 0.0:
-        sums = np.bincount(rows, weights=vals, minlength=n)
-        weights = (sums / rho**d) ** (-alpha)
-    num = np.bincount(rows, weights=vals * weights[cols] * f[cols], minlength=n)
-    den = np.bincount(rows, weights=vals * weights[cols], minlength=n)
-    return num, den
+        weights = (k @ weights / rho**d) ** (-alpha)
+    return k @ (weights * f), k @ weights
 
 
 def save_sparse_csv(mat, path):

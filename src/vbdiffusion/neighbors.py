@@ -8,7 +8,7 @@ reproducible even in the presence of exact ties.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .errors import KTooLarge
@@ -36,8 +36,9 @@ class NeighborGraph:
 def knn(cloud, k):
     """Exact k nearest neighbors (the point itself counts as the first).
 
-    Ties at equal distance are broken toward the smaller index; the self
-    entry is always listed first regardless.
+    Neighbors at equal distance are listed by increasing index; the self
+    entry is always listed first regardless. When more points tie at the
+    k-th distance than fit in the row, the kd-tree picks which are kept.
     """
     pts = cloud.points
     n = pts.shape[0]
@@ -50,14 +51,23 @@ def knn(cloud, k):
     else:
         dist, idx = _knn_brute(pts, k)
     rows = np.arange(n)
-    # with more than k coincident points the query may drop the self entry
+    # with more than k coincident points the query may drop the self entry;
+    # such a row holds k points at distance zero, so patching it keeps it
+    # sorted by distance
     missing = ~np.any(idx == rows[:, None], axis=1)
     if np.any(missing):
         idx[missing, -1] = rows[missing]
         dist[missing, -1] = 0.0
-    order = np.lexsort((idx, dist), axis=1)
+    # rows are sorted by distance, so the (distance, index) order only has
+    # to sort indices inside each run of equal distances; distances are
+    # constant along a run and need no reordering
+    key = np.zeros((n, k), dtype=np.int64)
+    np.cumsum(dist[:, 1:] != dist[:, :-1], axis=1, out=key[:, 1:])
+    key *= n
+    key += idx
+    order = np.argsort(key, axis=1, kind="stable")
+    del key
     idx = np.take_along_axis(idx, order, axis=1)
-    dist = np.take_along_axis(dist, order, axis=1)
     self_pos = np.argmax(idx == rows[:, None], axis=1)
     if np.any(self_pos > 0):
         cols = np.arange(k)[None, :]
@@ -102,15 +112,65 @@ def pair_sq_dists(points, rows, cols, chunk=4_000_000):
 def symmetrized_support(graph):
     """Union of the directed kNN edge set with its transpose, as a boolean CSR.
 
-    The diagonal is always present because every row contains its own point.
+    The result is canonical (sorted column indices, no duplicates), so
+    kernel matrices built on its pattern are too. The diagonal is always
+    present because every row contains its own point.
     """
     n, k = graph.indices.shape
-    rows = np.repeat(np.arange(n, dtype=np.int32), k)
-    cols = graph.indices.ravel().astype(np.int32)
-    pattern = coo_matrix((np.ones(n * k, dtype=np.int8), (rows, cols)), shape=(n, n))
-    sym = (pattern + pattern.T).tocsr()
-    sym.data = np.ones_like(sym.data)
-    return sym.astype(bool)
+    # rows sorted by column make the pattern canonical, so the sum with its
+    # transpose merges sorted rows and stays canonical
+    cols = np.sort(graph.indices, axis=1).ravel()
+    pattern = sparse.csr_matrix((np.ones(n * k, dtype=bool), cols,
+                                 np.arange(0, n * k + 1, k)), shape=(n, n))
+    return pattern + pattern.T
+
+
+@dataclass(frozen=True)
+class SupportPairs:
+    """Squared distances of every pair in a symmetric support, in CSR order.
+
+    ``indptr`` and ``indices`` are the support's canonical CSR pattern and
+    ``r2[e]`` is the squared distance of entry e. The distances do not depend
+    on epsilon or on the bandwidth, so one instance serves every kernel
+    evaluation on the same cloud and support. Instances share their index
+    arrays with the support and with the matrices from :meth:`matrix`;
+    nothing may modify them in place.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    r2: np.ndarray
+
+    @property
+    def n(self):
+        return self.indptr.shape[0] - 1
+
+    @property
+    def nnz(self):
+        return self.r2.shape[0]
+
+    def rows(self, x):
+        """The per-point array ``x`` gathered at the row of every entry."""
+        return np.repeat(x, np.diff(self.indptr))
+
+    def matrix(self, vals):
+        """CSR matrix with ``vals`` on the support, sharing its index arrays."""
+        return sparse.csr_matrix((vals, self.indices, self.indptr),
+                                 shape=(self.n, self.n))
+
+
+def support_pairs(cloud, support):
+    """Cache the squared distances over a canonical symmetric CSR ``support``.
+
+    The distances use the same difference arithmetic as
+    :func:`pair_sq_dists`, so entries (i, j) and (j, i) are bitwise equal and
+    the diagonal is exactly zero.
+    """
+    indptr, indices = support.indptr, support.indices
+    rows = np.repeat(np.arange(support.shape[0], dtype=indices.dtype),
+                     np.diff(indptr))
+    return SupportPairs(indptr=indptr, indices=indices,
+                        r2=pair_sq_dists(cloud.points, rows, indices))
 
 
 def save_csv(graph, path):

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoLinearRegion
-from .neighbors import pair_sq_dists
 
 _DEFAULT_EXPONENTS = np.arange(-30, 11)
 _FLAT_TOL = 1e-8
@@ -34,9 +33,10 @@ def s_curve(cloud, rho, grid=None, support=None):
     """Kernel sums S(2^i) for each dyadic exponent i in ``grid``.
 
     Uses the same Gaussian kernel (4 eps denominator) as the generator
-    cascade. Without a support pattern all pairs are summed, which is exact;
-    with one, the sum is truncated, which distorts the large-eps saturation
-    but not the scaling region the selection looks at.
+    cascade. Without a support all pairs are summed, which is exact; with
+    one (:class:`neighbors.SupportPairs`), the sum is truncated, which
+    distorts the large-eps saturation but not the scaling region the
+    selection looks at.
     """
     if grid is None:
         grid = _DEFAULT_EXPONENTS
@@ -56,9 +56,7 @@ def s_curve(cloud, rho, grid=None, support=None):
             for g, eps in enumerate(eps_values):
                 sums[g] += np.exp(r2 / (-4.0 * eps)).sum()
     else:
-        pattern = support.tocoo()
-        r2 = pair_sq_dists(pts, pattern.row, pattern.col)
-        r2 /= rho[pattern.row] * rho[pattern.col]
+        r2 = support.r2 / (support.rows(rho) * rho[support.indices])
         for g, eps in enumerate(eps_values):
             sums[g] = np.exp(r2 / (-4.0 * eps)).sum()
     s_vals = sums / float(n) ** 2

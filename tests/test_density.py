@@ -66,7 +66,8 @@ def test_kde_sparse_path_matches_dense(monkeypatch):
     rho0 = density.pilot_bandwidth(g)
     dense_q0, _ = density.kde_pilot(cloud, rho0, 1)
     monkeypatch.setattr(density, "_DENSE_MAX", 10)
-    sparse_q0, _ = density.kde_pilot(cloud, rho0, 1, graph=g)
+    support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(g))
+    sparse_q0, _ = density.kde_pilot(cloud, rho0, 1, support=support)
     np.testing.assert_allclose(sparse_q0, dense_q0, rtol=1e-12)
 
 

@@ -58,6 +58,10 @@ def test_two_point_cascade_oracle():
     assert gm.Lhat[1, 0] == gm.Lhat[0, 1]
 
 
+def _pairs(cloud, graph):
+    return neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
+
+
 def _gaussian_line(n, seed=5):
     cloud = pointcloud.gen_gaussian_random(n, 1, seed=seed)
     rho = 1.0 + 0.2 * cloud.points[:, 0] ** 2
@@ -67,7 +71,7 @@ def _gaussian_line(n, seed=5):
 def test_sparse_kernel_matches_dense_on_support():
     cloud, rho = _gaussian_line(80)
     graph = neighbors.knn(cloud, 20)
-    support = neighbors.symmetrized_support(graph)
+    support = _pairs(cloud, graph)
     dense = kernel.kernel_matrix(cloud, rho, 0.05)
     sp = kernel.kernel_matrix(cloud, rho, 0.05, support=support)
     coo = sp.tocoo()
@@ -79,7 +83,7 @@ def test_sparse_kernel_matches_dense_on_support():
 def test_sparse_generator_matches_dense_with_full_support():
     cloud, rho = _gaussian_line(40)
     graph = neighbors.knn(cloud, 40)
-    support = neighbors.symmetrized_support(graph)
+    support = _pairs(cloud, graph)
     dense = kernel.build_generator(cloud, rho, 0.05, 0.3)
     sp = kernel.build_generator(cloud, rho, 0.05, 0.3, support=support)
     scale = np.abs(dense.Lhat).max()
@@ -92,7 +96,7 @@ def test_sparse_generator_matches_dense_with_full_support():
 def test_underflowed_entries_are_dropped():
     pts = np.array([[0.0], [2000.0]])
     cloud = PointCloud(points=pts, intrinsic_dim=1, label="far-pair")
-    support = sparse.csr_matrix(np.ones((2, 2), dtype=bool))
+    support = neighbors.support_pairs(cloud, sparse.csr_matrix(np.ones((2, 2), dtype=bool)))
     k = kernel.kernel_matrix(cloud, np.ones(2), 1e-3, support=support)
     # exp underflows for the distant pair; only the diagonal survives
     assert k.nnz == 2
@@ -153,12 +157,85 @@ def test_apply_generator_sparse_full_support_matches_dense():
     cloud, rho = _gaussian_line(40)
     f = np.sin(cloud.points[:, 0])
     graph = neighbors.knn(cloud, 40)
-    support = neighbors.symmetrized_support(graph)
+    support = _pairs(cloud, graph)
     for formulation, alpha in [("left", 0.0), ("symmetric", 0.3)]:
         dense = kernel.apply_generator(cloud, rho, 0.05, alpha, formulation, f)
         sp = kernel.apply_generator(cloud, rho, 0.05, alpha, formulation, f,
                                     support=support)
         assert np.allclose(sp, dense, atol=1e-11 * np.abs(dense).max())
+
+
+def _support_sets(graph):
+    # the union of each point's kNN list with the lists that contain it,
+    # derived from the graph without the CSR pattern under test
+    n = graph.indices.shape[0]
+    sets = [set(map(int, row)) for row in graph.indices]
+    for i in range(n):
+        for j in graph.indices[i]:
+            sets[int(j)].add(i)
+    return [sorted(s) for s in sets]
+
+
+def _naive_support_apply(pts, rho, eps, alpha, formulation, f, d, sets):
+    def k(i, j, form):
+        r2 = float(np.sum((pts[i] - pts[j]) ** 2))
+        b = {"left": rho[i], "right": rho[j], "symmetric": rho[i] * rho[j]}[form]
+        return np.exp(-r2 / (4.0 * eps * b))
+
+    n = pts.shape[0]
+    w = np.ones(n)
+    if alpha != 0.0:
+        w = np.array([sum(k(i, j, "symmetric") for j in sets[i]) / rho[i] ** d
+                      for i in range(n)]) ** (-alpha)
+    p = 2 if formulation == "symmetric" else 1
+    est = np.empty(n)
+    for i in range(n):
+        num = sum(k(i, j, formulation) * w[j] * f[j] for j in sets[i])
+        den = sum(k(i, j, formulation) * w[j] for j in sets[i])
+        est[i] = (num / den - f[i]) / (eps * rho[i] ** p)
+    return est
+
+
+def test_partial_support_matches_per_row_oracle():
+    cloud, rho = _gaussian_line(60)
+    f = np.sin(cloud.points[:, 0])
+    graph = neighbors.knn(cloud, 9)
+    sets = _support_sets(graph)
+    support = _pairs(cloud, graph)
+    assert support.nnz < 60 * 30
+    eps = 0.02
+    km = kernel.kernel_matrix(cloud, rho, eps, support=support)
+    assert km.nnz == sum(len(s) for s in sets)
+    for i in range(60):
+        row = km.getrow(i)
+        assert list(row.indices) == sets[i]
+        want = [np.exp(-float(np.sum((cloud.points[i] - cloud.points[j]) ** 2))
+                       / (4.0 * eps * rho[i] * rho[j])) for j in sets[i]]
+        np.testing.assert_allclose(row.data, want, rtol=1e-13, atol=0.0)
+    cases = [("left", 0.0), ("right", 0.0), ("symmetric", 0.0), ("symmetric", 0.3)]
+    for formulation, alpha in cases:
+        got = kernel.apply_generator(cloud, rho, eps, alpha, formulation, f,
+                                     support=support)
+        want = _naive_support_apply(cloud.points, rho, eps, alpha, formulation,
+                                    f, 1, sets)
+        assert np.allclose(got, want, atol=1e-10 * np.abs(want).max()), formulation
+
+
+def test_cached_pairs_survive_underflow():
+    cloud, rho = _gaussian_line(80)
+    graph = neighbors.knn(cloud, 20)
+    support = _pairs(cloud, graph)
+    tiny = kernel.build_generator(cloud, rho, 1e-7, 0.3, support=support)
+    # the small epsilon drops underflowed entries from the kernel pattern
+    assert tiny.Kalpha.nnz < support.nnz
+    got = kernel.build_generator(cloud, rho, 0.05, 0.3, support=support)
+    want = kernel.build_generator(cloud, rho, 0.05, 0.3,
+                                  support=_pairs(cloud, graph))
+    assert got.Kalpha.nnz == support.nnz
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(got.Lhat, name),
+                                      getattr(want.Lhat, name))
+    np.testing.assert_array_equal(got.qS, want.qS)
 
 
 def test_apply_generator_constant_function_is_annihilated():

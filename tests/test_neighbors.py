@@ -57,6 +57,37 @@ def test_knn_handles_duplicate_points():
     assert g.distances[0, 1] == 0.0
 
 
+def _tied_lattice():
+    # integer grid: exact distance ties in every row; three sites carry six
+    # coincident points each, more than some k below
+    grid = np.stack(np.meshgrid(np.arange(7.0), np.arange(6.0), indexing="ij"),
+                    axis=-1).reshape(-1, 2)
+    pts = np.concatenate([grid, np.repeat(grid[:3], 5, axis=0)])
+    return pts[np.random.default_rng(3).permutation(pts.shape[0])]
+
+
+@pytest.mark.parametrize("k", [3, 4, 9, 13])
+def test_knn_orders_exact_ties_by_index(k):
+    pts = _tied_lattice()
+    n = pts.shape[0]
+    g = neighbors.knn(pointcloud.PointCloud(pts), k)
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    for i in range(n):
+        ref = sorted(range(n), key=lambda j: (j != i, d2[i, j], j))[:k]
+        row = g.indices[i]
+        assert row[0] == i
+        np.testing.assert_array_equal(g.distances[i], np.sqrt(d2[i, ref]))
+        # shells inside the k-th distance are complete and must match the
+        # oracle exactly; the kd-tree picks which points of the last shell
+        # are kept, and those must still come in increasing index order
+        last = d2[i, ref[-1]]
+        inner = d2[i, row[1:]] < last
+        np.testing.assert_array_equal(row[1:][inner], np.array(ref[1:])[inner])
+        shell = row[1:][~inner]
+        assert np.all(d2[i, shell] == last) and i not in shell
+        assert np.all(np.diff(shell) > 0)
+
+
 def test_knn_rejects_k_above_n():
     cloud = pointcloud.gen_circle_uniform(5)
     with pytest.raises(KTooLarge):
@@ -88,22 +119,46 @@ def test_pair_sq_dists_chunked():
                                ref, atol=1e-12)
 
 
+def _assert_canonical(sup):
+    for i in range(sup.shape[0]):
+        cols = sup.indices[sup.indptr[i]:sup.indptr[i + 1]]
+        assert np.all(np.diff(cols) > 0), f"row {i} not sorted or duplicated"
+
+
 def test_symmetrized_support_is_union_with_diagonal():
     # directed edges i -> j; the support must contain both (i, j) and (j, i)
-    pts = np.array([[0.0], [0.1], [0.2], [5.0]])
-    g = neighbors.knn(pointcloud.PointCloud(pts), 2)
-    sup = neighbors.symmetrized_support(g)
-    dense = sup.toarray()
-    assert dense.dtype == bool
-    np.testing.assert_array_equal(dense, dense.T)
-    assert np.all(np.diag(dense))
-    directed = set()
-    for i in range(4):
-        for j in g.indices[i]:
-            directed.add((i, int(j)))
-    expected = directed | {(j, i) for i, j in directed}
-    got = {(i, j) for i, j in zip(*np.nonzero(dense))}
-    assert got == expected
+    small = np.array([[0.0], [0.1], [0.2], [5.0]])
+    scattered = np.random.default_rng(4).standard_normal((60, 2))
+    for pts, k in ((small, 2), (scattered, 5)):
+        g = neighbors.knn(pointcloud.PointCloud(pts), k)
+        sup = neighbors.symmetrized_support(g)
+        # cached pairs follow the CSR order, so it must be canonical
+        _assert_canonical(sup)
+        dense = sup.toarray()
+        assert dense.dtype == bool
+        np.testing.assert_array_equal(dense, dense.T)
+        assert np.all(np.diag(dense))
+        directed = set()
+        for i in range(pts.shape[0]):
+            for j in g.indices[i]:
+                directed.add((i, int(j)))
+        expected = directed | {(j, i) for i, j in directed}
+        got = {(i, j) for i, j in zip(*np.nonzero(dense))}
+        assert got == expected
+
+
+def test_support_pairs_follow_csr_order():
+    pts = np.random.default_rng(8).standard_normal((50, 3))
+    cloud = pointcloud.PointCloud(pts)
+    sup = neighbors.symmetrized_support(neighbors.knn(cloud, 6))
+    pairs = neighbors.support_pairs(cloud, sup)
+    assert pairs.nnz == sup.nnz and pairs.n == 50
+    coo = sup.tocoo()
+    np.testing.assert_array_equal(
+        pairs.r2, neighbors.pair_sq_dists(pts, coo.row, coo.col))
+    mat = pairs.matrix(pairs.r2).toarray()
+    np.testing.assert_array_equal(mat, mat.T)
+    assert np.all(np.diag(mat) == 0.0)
 
 
 def test_save_csv_layout(tmp_path):

@@ -12,7 +12,7 @@ from vbdiffusion.pointcloud import PointCloud
 
 def _fake_gm(lhat, n):
     ones = np.ones(n)
-    return GeneratorMatrices(eps=0.1, alpha=0.0, K=None, qS=None,
+    return GeneratorMatrices(eps=0.1, alpha=0.0, qS=None,
                              Kalpha=np.ones((n, n)), q_eps_alpha=ones,
                              Lhat=lhat, P=ones, D=ones, S=ones)
 
@@ -35,7 +35,7 @@ def test_dense_path_recovers_planted_spectrum():
 def _line_generator(n, k, eps):
     cloud = pointcloud.gen_gaussian_nice_1d(n)
     graph = neighbors.knn(cloud, k)
-    support = neighbors.symmetrized_support(graph)
+    support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
     return kernel.build_generator(cloud, np.ones(n), eps, 0.0, support=support)
 
 
@@ -79,7 +79,7 @@ def test_banded_opinv_declines_unprofitable_patterns():
     # wrap-around support on a circle spans the whole index range
     cloud = pointcloud.gen_circle_uniform(200)
     graph = neighbors.knn(cloud, 8)
-    support = neighbors.symmetrized_support(graph)
+    support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
     gm = kernel.build_generator(cloud, np.ones(200), 0.01, 0.0, support=support)
     assert spectral._banded_opinv(gm.Lhat, 1e-3) is None
     # an empty row cannot be factored

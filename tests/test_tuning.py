@@ -56,7 +56,7 @@ def test_truncated_sum_matches_dense_with_full_support():
     cloud = pointcloud.gen_circle_uniform(50)
     rho = 1.0 + 0.1 * cloud.points[:, 0]
     graph = neighbors.knn(cloud, 50)
-    support = neighbors.symmetrized_support(graph)
+    support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
     dense = tuning.s_curve(cloud, rho, grid=[-6, -5, -4])
     trunc = tuning.s_curve(cloud, rho, grid=[-6, -5, -4], support=support)
     assert np.allclose(trunc.S, dense.S, rtol=1e-13)
