@@ -8,9 +8,11 @@ density estimate q0, and the final kernel bandwidth is rho = q0**beta.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .errors import DuplicatePoints
 from .kernel import support_kernel
+from .neighbors import scaled_pairs
 
 # all-pairs sums are exact and affordable up to this many points
 _DENSE_MAX = 5000
@@ -60,20 +62,14 @@ def kde_pilot(cloud, rho0, d, support=None):
 
     with the l = i term included. Up to ``_DENSE_MAX`` points, or without a
     ``support`` (:class:`neighbors.SupportPairs`), the sum runs over all
-    pairs; beyond that it is truncated to the support.
+    pairs, each computed once and added to both of its points' sums; beyond
+    that it is truncated to the support.
     """
-    pts = cloud.points
-    n = pts.shape[0]
+    n = cloud.n_points
     eps0 = float(np.mean(rho0)) ** 2
     if n <= _DENSE_MAX or support is None:
-        sums = np.empty(n)
-        block = max(1, int(2e7) // n)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            diff = pts[start:stop, None, :] - pts[None, :, :]
-            r2 = np.einsum("ijk,ijk->ij", diff, diff)
-            arg = r2 / (2.0 * rho0[start:stop, None] * rho0[None, :])
-            sums[start:stop] = np.exp(-arg).sum(axis=1)
+        vals = np.exp(scaled_pairs(cloud, rho0) / -2.0)
+        sums = squareform(vals).sum(axis=1) + 1.0  # + the l = i term
     else:
         # exp(-r^2 / (2 rho0_i rho0_l)) is the generator kernel at eps = 1/2
         vals = support_kernel(support, rho0, 0.5)

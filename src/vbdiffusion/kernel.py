@@ -7,18 +7,19 @@ turns the resulting Markov generator into a symmetric matrix whose
 eigenvectors are recovered by an un-conjugation.
 
 Matrices are dense ndarrays when no support is given and CSR when the
-kernel is truncated to a neighbor support. A support is passed as
+kernel is truncated to a neighbor support, passed as
 :class:`neighbors.SupportPairs`, which caches the squared distance of every
 support entry once per cloud; each epsilon then costs one elementwise pass
 over the cached distances plus CSR matrix-vector products for the row sums.
-The cached (i, j) and (j, i) distances are bitwise equal, so the sparse
-kernel is exactly symmetric.
+Both are exactly symmetric: a dense kernel is the ``squareform`` of one
+condensed ``pdist`` array, and cached (i, j) and (j, i) distances are equal.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial.distance import cdist, pdist, squareform
 
 _FORMULATIONS = ("left", "right", "symmetric")
 
@@ -84,10 +85,9 @@ def kernel_matrix(cloud, rho, eps, support=None):
     """
     rho = np.asarray(rho, dtype=float)
     if support is None:
-        k = _dense_sq_dists(cloud.points)
+        k = squareform(pdist(cloud.points, "sqeuclidean"))
         k /= -4.0 * eps * np.outer(rho, rho)
-        np.exp(k, out=k)
-        return k
+        return np.exp(k, out=k)
     vals = support_kernel(support, rho, eps)
     # eliminate_zeros compacts the index arrays in place, so the kernel gets
     # its own copies rather than the ones the cached pairs share
@@ -114,18 +114,6 @@ def support_kernel(support, rho, eps, formulation="symmetric"):
     np.divide(support.r2, den, out=den)
     np.negative(den, out=den)
     return np.exp(den, out=den)
-
-
-def _dense_sq_dists(pts, block=256):
-    # differences, not the a^2+b^2-2ab identity: keeps the matrix exactly
-    # symmetric and the diagonal exactly zero
-    n = pts.shape[0]
-    out = np.empty((n, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
 
 
 def _row_sums(mat):
@@ -185,18 +173,6 @@ def build_generator(cloud, rho, eps, alpha, d=None, support=None):
     return generator_symmetric(kalpha, q_eps_alpha, rho, eps, alpha=alpha, qS=qs)
 
 
-def generator_dense_nonsymmetric(gm):
-    """Markov generator L = diag(1/(eps P^2)) (diag(1/D) Kalpha - I), densely.
-
-    For verification on small instances: L is similar to Lhat via S.
-    """
-    ka = gm.Kalpha.toarray() if sparse.issparse(gm.Kalpha) else np.array(gm.Kalpha)
-    lout = ka / gm.D[:, None]
-    np.fill_diagonal(lout, lout.diagonal() - 1.0)
-    lout /= gm.eps * gm.P[:, None] ** 2
-    return lout
-
-
 def apply_generator(cloud, rho, eps, alpha, formulation, f, d=None, support=None):
     """Apply one kernel-ratio generator estimate to a function sample.
 
@@ -232,33 +208,28 @@ def apply_generator(cloud, rho, eps, alpha, formulation, f, d=None, support=None
 
 def _ratio_dense(pts, rho, eps, alpha, formulation, f, d, block=256):
     n = pts.shape[0]
-    weights = np.ones(n)
+    ones = np.ones(n)
+
+    def kernel_blocks(b_row, b_col):
+        for start in range(0, n, block):
+            rows = slice(start, min(start + block, n))
+            k = cdist(pts[rows], pts, "sqeuclidean")
+            k /= -4.0 * eps * np.outer(b_row[rows], b_col)
+            yield rows, np.exp(k, out=k)
+
+    weights = ones
     if alpha != 0.0:
         # first pass: kernel row sums give the density estimate behind w_j
         sums = np.empty(n)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            diff = pts[start:stop, None, :] - pts[None, :, :]
-            r2 = np.einsum("ijk,ijk->ij", diff, diff)
-            r2 /= -4.0 * eps * np.outer(rho[start:stop], rho)
-            np.exp(r2, out=r2)
-            sums[start:stop] = r2.sum(axis=1)
+        for rows, k in kernel_blocks(rho, rho):
+            sums[rows] = k.sum(axis=1)
         weights = (sums / rho**d) ** (-alpha)
     num = np.empty(n)
     den = np.empty(n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        if formulation == "left":
-            r2 /= -4.0 * eps * rho[start:stop, None]
-        elif formulation == "right":
-            r2 /= -4.0 * eps * rho[None, :]
-        else:
-            r2 /= -4.0 * eps * np.outer(rho[start:stop], rho)
-        np.exp(r2, out=r2)
-        num[start:stop] = r2 @ (weights * f)
-        den[start:stop] = r2 @ weights
+    for rows, k in kernel_blocks(ones if formulation == "right" else rho,
+                                 ones if formulation == "left" else rho):
+        num[rows] = k @ (weights * f)
+        den[rows] = k @ weights
     return num, den
 
 

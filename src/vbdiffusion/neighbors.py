@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
 from .errors import KTooLarge
 
@@ -171,6 +172,21 @@ def support_pairs(cloud, support):
                      np.diff(indptr))
     return SupportPairs(indptr=indptr, indices=indices,
                         r2=pair_sq_dists(cloud.points, rows, indices))
+
+
+def scaled_pairs(cloud, x, support=None):
+    """r_ij^2 / (x_i x_j) over the unordered pairs i < j: all of them in
+    ``pdist`` order, or a :class:`SupportPairs`' entries above the diagonal."""
+    if support is None:
+        t = pdist(cloud.points, "sqeuclidean")
+        stop = 0
+        for i in range(cloud.n_points - 1):
+            start, stop = stop, stop + cloud.n_points - 1 - i
+            t[start:stop] /= x[i] * x[i + 1:]
+        return t
+    rows = support.rows(np.arange(support.n))
+    upper = support.indices > rows
+    return support.r2[upper] / (x[rows[upper]] * x[support.indices[upper]])
 
 
 def save_csv(graph, path):

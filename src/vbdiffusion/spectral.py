@@ -51,8 +51,8 @@ def eigs_near_zero(gm, n_eig, method="auto", tol=1e-10):
                              or n_eig >= n - 1) else "shift-invert"
     if method == "dense":
         dense = lhat.toarray() if sparse.issparse(lhat) else lhat
-        vals, vecs = eigh(dense)
-        vals, vecs = vals[::-1][:n_eig], vecs[:, ::-1][:, :n_eig]
+        # only the largest n_eig; no overwrite_a: callers read gm.Lhat afterwards
+        vals, vecs = eigh(dense, subset_by_index=[max(n - n_eig, 0), n - 1])
     else:
         vals, vecs = _eigs_sparse(lhat, n_eig, method, tol)
     order = np.argsort(vals)[::-1]
@@ -62,12 +62,28 @@ def eigs_near_zero(gm, n_eig, method="auto", tol=1e-10):
 
 def _check_connected(kalpha):
     if sparse.issparse(kalpha):
-        pattern = kalpha
+        labels = connected_components(kalpha, directed=False)[1]
     else:
-        pattern = sparse.csr_matrix(kalpha > 0.0)
-    n_comp, labels = connected_components(pattern, directed=False)
-    if n_comp > 1:
+        labels = _dense_components(kalpha)
+    if labels.max() > 0:
         raise DisconnectedGraph(np.bincount(labels).tolist())
+
+
+def _dense_components(mat, block=256):
+    """Components of a dense symmetric positive pattern, numbered by lowest
+    point; breadth-first, reading the frontier's rows a block at a time."""
+    labels = np.full(mat.shape[0], -1)
+    for seed in range(labels.size):
+        if labels[seed] >= 0:
+            continue
+        frontier, comp = np.array([seed]), labels.max() + 1
+        while frontier.size:
+            labels[frontier] = comp
+            reached = np.zeros(labels.size, dtype=bool)
+            for start in range(0, frontier.size, block):
+                reached |= (mat[frontier[start:start + block]] > 0.0).any(axis=0)
+            frontier = np.flatnonzero(reached & (labels < 0))
+    return labels
 
 
 def _eigs_sparse(lhat, n_eig, method, tol):

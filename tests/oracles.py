@@ -1,0 +1,16 @@
+"""Reference computations shared by the tests (not collected as tests)."""
+
+import numpy as np
+from scipy import sparse
+
+
+def generator_dense_nonsymmetric(gm):
+    """Markov generator L = diag(1/(eps P^2)) (diag(1/D) Kalpha - I), densely.
+
+    For verification on small instances: L is similar to Lhat via S.
+    """
+    ka = gm.Kalpha.toarray() if sparse.issparse(gm.Kalpha) else np.array(gm.Kalpha)
+    lout = ka / gm.D[:, None]
+    np.fill_diagonal(lout, lout.diagonal() - 1.0)
+    lout /= gm.eps * gm.P[:, None] ** 2
+    return lout

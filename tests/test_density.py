@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,20 @@ def test_kde_two_point_with_pilot_bandwidth():
     q0, eps0 = density.kde_pilot(cloud, rho0, 1)
     np.testing.assert_allclose(q0, 0.22659696596499324, atol=1e-15)
     np.testing.assert_allclose(eps0, 2.0, atol=1e-15)
+
+
+def test_kde_matches_per_point_naive_sum():
+    rng = np.random.default_rng(23)
+    pts = rng.standard_normal((50, 2))
+    rho0 = np.exp(0.4 * rng.standard_normal(50))
+    q0, _ = density.kde_pilot(pointcloud.PointCloud(pts), rho0, 2)
+    want = []
+    for i in range(50):
+        total = math.fsum(
+            math.exp(-float(np.sum((pts[i] - pts[j]) ** 2)) / (2.0 * rho0[i] * rho0[j]))
+            for j in range(50))
+        want.append(total / (2.0 * math.pi * rho0[i] ** 2 * 50))
+    np.testing.assert_allclose(q0, want, rtol=1e-13, atol=0.0)
 
 
 def test_kde_sparse_path_matches_dense(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import qr
+from scipy.sparse.csgraph import connected_components
 
 from vbdiffusion import kernel, neighbors, pointcloud, spectral
 from vbdiffusion.errors import (AlignmentAmbiguous, DegenerateEigenvector,
@@ -96,6 +97,27 @@ def test_disconnected_support_is_reported_with_sizes():
     with pytest.raises(DisconnectedGraph) as exc:
         spectral.eigs_near_zero(gm, 2)
     assert exc.value.component_sizes == [3, 2]
+
+
+def test_dense_components_match_sparse_oracle():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 40, 90):
+        # up to five groups of random edges; small groups stay isolated points
+        group = rng.integers(0, 5, n)
+        pattern = (rng.random((n, n)) < 0.08) & (group[:, None] == group[None, :])
+        pattern |= pattern.T
+        np.fill_diagonal(pattern, True)
+        mat = np.where(pattern, rng.random((n, n)) + 0.5, 0.0)
+        mat = 0.5 * (mat + mat.T)
+        want = connected_components(sparse.csr_matrix(pattern), directed=False)[1]
+        np.testing.assert_array_equal(spectral._dense_components(mat, block=3), want)
+        sizes = sorted(np.bincount(want).tolist(), reverse=True)
+        if len(sizes) == 1:
+            spectral._check_connected(mat)
+            continue
+        with pytest.raises(DisconnectedGraph) as exc:
+            spectral._check_connected(mat)
+        assert exc.value.component_sizes == sizes
 
 
 def test_scale_sqrtN_norms_and_sign():

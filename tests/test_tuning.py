@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,40 @@ def test_truncated_sum_matches_dense_with_full_support():
     dense = tuning.s_curve(cloud, rho, grid=[-6, -5, -4])
     trunc = tuning.s_curve(cloud, rho, grid=[-6, -5, -4], support=support)
     assert np.allclose(trunc.S, dense.S, rtol=1e-13)
+
+
+def _naive_s(points, rho, exponents):
+    # independent oracle: every ordered pair, one math.exp each, exact sum
+    n = len(points)
+    out = []
+    for expo in exponents:
+        eps = 2.0 ** expo
+        terms = []
+        for i in range(n):
+            for j in range(n):
+                r2 = sum((a - b) ** 2 for a, b in zip(points[i], points[j]))
+                terms.append(math.exp(-r2 / (4.0 * eps * rho[i] * rho[j])))
+        out.append(math.fsum(terms) / n**2)
+    return np.array(out)
+
+
+def test_curve_matches_naive_double_loop():
+    rng = np.random.default_rng(17)
+    pts = rng.standard_normal((40, 2))
+    rho = np.exp(0.3 * rng.standard_normal(40))
+    cloud = PointCloud(points=pts, intrinsic_dim=2, label="random")
+    # -40..10 runs from a diagonal-only kernel, across the underflow edge
+    # of exp, to saturation
+    grid = np.arange(-40, 11)
+    want = _naive_s(pts.tolist(), rho.tolist(), grid)
+    support = neighbors.support_pairs(
+        cloud, neighbors.symmetrized_support(neighbors.knn(cloud, 40)))
+    perm = rng.permutation(40)
+    shuffled = PointCloud(points=pts[perm], intrinsic_dim=2, label="shuffled")
+    for got in (tuning.s_curve(cloud, rho, grid=grid),
+                tuning.s_curve(cloud, rho, grid=grid, support=support),
+                tuning.s_curve(shuffled, rho[perm], grid=grid)):
+        np.testing.assert_allclose(got.S, want, rtol=1e-13, atol=0.0)
 
 
 def test_circle_slope_estimates_dimension():
