@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import density, harness, kernel, neighbors, pointcloud, spectral, tuning
+from . import density, harness, kernel, pointcloud, spectral, tuning
 from .errors import PipelineError
 
 
@@ -89,92 +89,69 @@ def load_config(config_path=None, sets=()):
     return config
 
 
-def _out_dir(config):
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_meta(config, out, extra=None):
-    with open(out / "meta.txt", "w") as fh:
-        for key in _COERCE:
-            fh.write(f"{key} = {getattr(config, key)}\n")
-        for key, value in (extra or {}).items():
-            fh.write(f"{key} = {value}\n")
-
-
-def _setup(config):
-    config = harness._resolved(config)
-    cloud = harness.generate_cloud(config)
-    alpha, beta = harness._resolve_alpha_beta(config, cloud.intrinsic_dim)
-    profile, support = harness._pipeline_setup(config, cloud, beta)
-    return config, cloud, alpha, beta, profile, support
-
-
-def _single_eps(config, cloud, rho, support):
-    if isinstance(config.eps, str):
-        curve = tuning.s_curve(cloud, rho, support=support)
-        return curve.eps_star * config.eps_multiplier, curve
-    eps = config.eps[0] if np.iterable(config.eps) else float(config.eps)
-    return eps * config.eps_multiplier, None
+def _generator(config):
+    """Shared setup plus the generator at the run's single epsilon."""
+    # one matrix takes one epsilon; a list or 'sweep' would be cut silently
+    if config.eps == "sweep" or np.size(config.eps) > 1:
+        raise _UsageError("build and eigs take one eps value or 'auto'")
+    config, cloud, alpha, beta, profile, support = harness.setup(config)
+    (eps,), _ = harness.epsilons(config, cloud, profile.rho, support)
+    gm = kernel.build_generator(cloud, profile.rho, eps, alpha,
+                                d=cloud.intrinsic_dim, support=support)
+    return config, cloud, {"alpha": alpha, "beta": beta, "eps_used": eps}, gm
 
 
 def _cmd_generate(config):
-    config = harness._resolved(config)
-    out = _out_dir(config)
+    config, _ = harness.resolve(config)
+    out = harness.ensure_dir(config.output_dir)
     cloud = harness.generate_cloud(config)
     pointcloud.save_csv(cloud, out / "cloud.csv")
-    _write_meta(config, out, {"n_points": cloud.n_points})
+    harness.write_meta(out / "meta.txt", vars(config),
+                       {"n_points": cloud.n_points})
     print(f"wrote {out / 'cloud.csv'} ({cloud.n_points} points)")
     return 0
 
 
 def _cmd_density(config):
-    config, cloud, alpha, beta, profile, support = _setup(config)
-    out = _out_dir(config)
+    config, cloud, alpha, beta, profile, support = harness.setup(config)
+    out = harness.ensure_dir(config.output_dir)
     density.save_csv(profile, out / "bandwidth.csv")
-    _write_meta(config, out, {"alpha": alpha, "beta": beta,
-                              "eps0": profile.eps0})
+    harness.write_meta(out / "meta.txt", vars(config), {
+        "alpha": alpha, "beta": beta, "eps0": profile.eps0})
     print(f"wrote {out / 'bandwidth.csv'} (eps0={profile.eps0:.6g})")
     return 0
 
 
 def _cmd_build(config):
-    config, cloud, alpha, beta, profile, support = _setup(config)
-    out = _out_dir(config)
-    eps, _ = _single_eps(config, cloud, profile.rho, support)
-    gm = kernel.build_generator(cloud, profile.rho, eps, alpha,
-                                d=cloud.intrinsic_dim, support=support)
+    config, cloud, used, gm = _generator(config)
+    out = harness.ensure_dir(config.output_dir)
     kernel.save_sparse_csv(gm.Lhat, out / "lhat.csv")
-    _write_meta(config, out, {"alpha": alpha, "beta": beta, "eps_used": eps})
-    print(f"wrote {out / 'lhat.csv'} (eps={eps:.6g})")
+    harness.write_meta(out / "meta.txt", vars(config), used)
+    print(f"wrote {out / 'lhat.csv'} (eps={used['eps_used']:.6g})")
     return 0
 
 
 def _cmd_eigs(config):
-    config, cloud, alpha, beta, profile, support = _setup(config)
-    out = _out_dir(config)
-    eps, _ = _single_eps(config, cloud, profile.rho, support)
-    gm = kernel.build_generator(cloud, profile.rho, eps, alpha,
-                                d=cloud.intrinsic_dim, support=support)
+    config, cloud, used, gm = _generator(config)
+    out = harness.ensure_dir(config.output_dir)
     spec = spectral.scale_sqrtN(
         spectral.eigs_near_zero(gm, config.eigenfunctions))
-    path = out / f"eigvecs_{harness._eps_str(eps)}.csv"
+    path = harness.eigvecs_path(out, used["eps_used"])
     spectral.save_csv(spec, path, latent=cloud.latent)
-    _write_meta(config, out, {"alpha": alpha, "beta": beta, "eps_used": eps,
-                              "eigenvalues": list(spec.eigenvalues)})
+    harness.write_meta(out / "meta.txt", vars(config), used,
+                       {"eigenvalues": list(spec.eigenvalues)})
     print(f"wrote {path}")
     print("eigenvalues:", " ".join("%.6g" % v for v in spec.eigenvalues))
     return 0
 
 
 def _cmd_tune(config):
-    config, cloud, alpha, beta, profile, support = _setup(config)
-    out = _out_dir(config)
+    config, cloud, alpha, beta, profile, support = harness.setup(config)
+    out = harness.ensure_dir(config.output_dir)
     curve = tuning.s_curve(cloud, profile.rho, support=support)
     tuning.save_csv(curve, out / "tuning.csv")
-    _write_meta(config, out, {"eps_star": curve.eps_star,
-                              "a_max": curve.a_max, "d_hat": curve.d_hat})
+    harness.write_meta(out / "meta.txt", vars(config), {
+        "eps_star": curve.eps_star, "a_max": curve.a_max, "d_hat": curve.d_hat})
     print(f"wrote {out / 'tuning.csv'}")
     print(f"eps_star={curve.eps_star:.6g} a_max={curve.a_max:.4f} "
           f"d_hat={curve.d_hat:.4f}")
@@ -185,16 +162,18 @@ def _cmd_operator_check(config):
     table = harness.operator_check(config)
     for eps, err, _, wall in table.rows:
         print(f"eps={eps:.6g} rms={np.sqrt(err):.6g} ({wall:.2f}s)")
-    print(f"wrote {Path(config.output_dir) / 'results.csv'}")
-    return 0
+    return _report_end(config, table)
 
 
 def _cmd_experiment(config):
     table = harness.run_experiment(config)
     for eps, err, eig_err, wall in table.rows:
         print(f"eps={eps:.6g} mse={err:.6g} eig_err={eig_err:.6g} ({wall:.2f}s)")
-    errors = table.metadata.get("errors", {})
-    for eps, message in errors.items():
+    return _report_end(config, table)
+
+
+def _report_end(config, table):
+    for eps, message in table.metadata.get("errors", {}).items():
         print(f"eps={eps:.6g} failed: {message}")
     print(f"wrote {Path(config.output_dir) / 'results.csv'}")
     return 0
@@ -221,7 +200,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         config = load_config(args.config, args.set)
         return _COMMANDS[args.command](config)
-    except _UsageError as exc:
+    except (_UsageError, harness.ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except PipelineError as exc:

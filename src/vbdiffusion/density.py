@@ -14,9 +14,6 @@ from .errors import DuplicatePoints
 from .kernel import support_kernel
 from .neighbors import scaled_pairs
 
-# all-pairs sums are exact and affordable up to this many points
-_DENSE_MAX = 5000
-
 
 @dataclass(frozen=True)
 class BandwidthProfile:
@@ -60,14 +57,14 @@ def kde_pilot(cloud, rho0, d, support=None):
 
         q0_i = (2 pi)^(-d/2) / (rho0_i^d N) * sum_l exp(-r_il^2 / (2 rho0_i rho0_l))
 
-    with the l = i term included. Up to ``_DENSE_MAX`` points, or without a
-    ``support`` (:class:`neighbors.SupportPairs`), the sum runs over all
-    pairs, each computed once and added to both of its points' sums; beyond
-    that it is truncated to the support.
+    with the l = i term included. Without a ``support``
+    (:class:`neighbors.SupportPairs`) the sum runs over all pairs, each
+    computed once and added to both of its points' sums; with one it is
+    truncated to the support.
     """
     n = cloud.n_points
     eps0 = float(np.mean(rho0)) ** 2
-    if n <= _DENSE_MAX or support is None:
+    if support is None:
         vals = np.exp(scaled_pairs(cloud, rho0) / -2.0)
         sums = squareform(vals).sum(axis=1) + 1.0  # + the l = i term
     else:
@@ -97,8 +94,8 @@ def c_constants(alpha, beta, d):
 def bandwidth_profile(cloud, graph, beta, k0=8, d=None, support=None):
     """Run the full pilot -> KDE -> power-law cascade for one cloud.
 
-    ``support`` (:class:`neighbors.SupportPairs`) truncates the KDE on large
-    clouds; see :func:`kde_pilot`.
+    ``support`` (:class:`neighbors.SupportPairs`) truncates the KDE; see
+    :func:`kde_pilot`.
     """
     if d is None:
         d = cloud.intrinsic_dim

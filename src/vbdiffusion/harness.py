@@ -1,15 +1,19 @@
 """End-to-end experiments: sweeps, alignment against analytic answers, output.
 
-Each experiment fixes a dataset generator, a default (alpha, beta) pair, a
-set of analytic reference eigenfunctions (or a reference operator), and a
-primary quantity whose error goes into the result table. The per-epsilon
-pipeline shares one set of support pairs and one bandwidth profile; only the
-kernel and everything after it depend on epsilon.
+``EXPERIMENTS`` holds one frozen :class:`Experiment` per name: defaults,
+dataset, and either analytic target eigenfunctions with a scoring rule or
+a reference operator with the figure's epsilon values. ``circle`` has both
+roles: its operator spec (a uniform grid) runs under :func:`operator_check`.
+Eigen runs and the CLI stage commands start from :func:`setup`, which
+shares one set of support pairs and one bandwidth profile across epsilon;
+operator runs have an analytic bandwidth and skip the KDE.
 """
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import sympy as sym
@@ -17,14 +21,12 @@ import sympy as sym
 from . import analytic, density, kernel, neighbors, pointcloud, spectral, tuning
 from .errors import PipelineError
 
-# dense all-pairs kernels are exact and affordable up to this many points;
-# beyond it the kernel is truncated to the symmetrized k_support pattern
+# the one dense/support decision: up to this many points, without a set
+# k_support, the KDE, tuning curve and kernel sum over all pairs; beyond it,
+# or with k_support, they are truncated to the symmetrized kNN support
 _DENSE_MAX = 4000
 
 DEFAULT_SWEEP = tuple(np.logspace(-5.0, 0.0, 65))
-
-EXPERIMENTS = ("ou1d_nice", "ou1d_random", "ou2d", "circle", "circle_random",
-               "sphere", "torus_operator", "circle_operator", "outlier_study")
 
 # alpha may depend on the intrinsic dimension, so presets store (fn(d), beta)
 PRESETS = {
@@ -34,20 +36,33 @@ PRESETS = {
     "gradientflow-fixed": (lambda d: 0.5, 0.0),
 }
 
-# per-experiment defaults: size, (alpha, beta), eigenfunction count
-_DEFAULT_N = {"ou1d_nice": 2000, "ou1d_random": 20000, "ou2d": 10000,
-              "circle": 1500, "circle_random": 1500, "sphere": 3000,
-              "torus_operator": 62500, "circle_operator": 8000,
-              "outlier_study": 100000}
-_DEFAULT_AB = {"ou1d_nice": (-0.25, -0.5), "ou1d_random": (-0.25, -0.5),
-               "ou2d": (-0.5, -0.5), "circle": (0.25, -0.5),
-               "circle_random": (0.25, -0.5), "sphere": (0.0, -0.5),
-               "torus_operator": (0.0, 0.0), "circle_operator": (0.25, -0.5),
-               "outlier_study": (0.5, 0.0)}
-_DEFAULT_M = {"ou1d_nice": 5, "ou1d_random": 5, "ou2d": 6, "circle": 5,
-              "circle_random": 5, "sphere": 4}
-_OPERATOR_SWEEPS = {"torus_operator": (0.001, 0.01, 0.1),
-                    "circle_operator": (0.005, 0.01, 0.1)}
+
+class ConfigError(ValueError):
+    """A config that the chosen experiment cannot run as written."""
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Defaults, dataset and scoring of one registered experiment.
+
+    ``cloud`` maps (N, seed) to the dataset. Eigen experiments set
+    ``targets`` (count -> analytic eigenfunctions, eigenvalues descending)
+    and ``score`` ((spectrum, cloud, reference, eigenvalues) -> (mse,
+    eig_err)). Operator experiments set ``reference``, the
+    ``analytic.reference_operator`` kind, with the figure's ``eps`` (taken
+    for eps = auto) and a default ``k_support`` (None sums all pairs).
+    """
+
+    N: int
+    alpha_beta: tuple
+    cloud: Callable
+    eigenfunctions: int = 5
+    targets: Callable | None = None
+    score: Callable | None = None
+    reference: str | None = None
+    eps: tuple = ()
+    k_support: int | None = None
+    operator: "Experiment | None" = None  # an eigen experiment's own check
 
 
 @dataclass(frozen=True)
@@ -70,116 +85,146 @@ class ExperimentConfig:
 
     def validate(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.preset is not None and self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}")
+            raise ConfigError(f"unknown preset {self.preset!r}")
+        if self.formulation not in kernel.FORMULATIONS:
+            raise ConfigError(f"formulation must be one of {kernel.FORMULATIONS}")
         if self.N is not None and self.N < 2:
-            raise ValueError("N must be at least 2")
+            raise ConfigError("N must be at least 2")
         for name in ("k_support", "eigenfunctions"):
             value = getattr(self, name)
             if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
         if self.k0 < 2:
-            raise ValueError("k0 must be at least 2")
+            raise ConfigError("k0 must be at least 2")
         if self.eps_multiplier <= 0.0:
-            raise ValueError("eps_multiplier must be positive")
+            raise ConfigError("eps_multiplier must be positive")
         eps = self.eps
         if isinstance(eps, str):
             if eps not in ("auto", "sweep"):
-                raise ValueError("eps must be a number, a list, 'auto' "
-                                 "or 'sweep'")
+                raise ConfigError("eps must be a number, a list, 'auto' "
+                                  "or 'sweep'")
         elif np.iterable(eps):
             arr = np.asarray(list(eps), dtype=float)
             if arr.size == 0 or np.any(arr <= 0.0) or np.any(np.diff(arr) <= 0.0):
-                raise ValueError("eps sweep must be strictly increasing and positive")
+                raise ConfigError("eps sweep must be strictly increasing and positive")
         elif not float(eps) > 0.0:
-            raise ValueError("eps must be positive")
+            raise ConfigError("eps must be positive")
         return self
 
 
 @dataclass(frozen=True)
 class ResultTable:
-    """Rows of (eps, mse, eigenvalue_error, wall_time_s) plus run metadata."""
+    """Rows of (eps, mse, eig_err, wall_time_s) plus run metadata."""
 
     rows: np.ndarray
     metadata: dict = field(default_factory=dict)
 
 
-def _resolved(config):
-    """Fill in experiment-dependent defaults, returning a concrete config."""
+def resolve(config, operator=False):
+    """Validated config with its spec's defaults filled in, and the spec.
+
+    ``operator`` selects the experiment's operator check.
+    """
     config.validate()
-    exp = config.experiment
+    spec = EXPERIMENTS[config.experiment]
+    if operator:
+        spec = spec.operator or spec
+        if spec.reference is None:
+            raise ConfigError("operator checks exist for circle, "
+                              "circle_operator and torus_operator")
+    if spec.reference is not None and config.eps == "sweep":
+        raise ConfigError("operator checks take eps = auto (the figure's "
+                          "values) or a list, not 'sweep'")
     updates = {}
     if config.N is None:
-        updates["N"] = _DEFAULT_N[exp]
+        updates["N"] = spec.N
     if config.eigenfunctions is None:
-        updates["eigenfunctions"] = _DEFAULT_M.get(exp, 5)
-    if isinstance(config.eps, str):
-        pass  # resolved against the tuning curve later
-    elif np.iterable(config.eps):
-        updates["eps"] = tuple(float(e) for e in config.eps)
-    else:
-        updates["eps"] = (float(config.eps),)
-    return replace(config, **updates) if updates else config
+        updates["eigenfunctions"] = spec.eigenfunctions
+    if not isinstance(config.eps, str):  # 'auto' and 'sweep' resolve later
+        updates["eps"] = tuple(float(e) for e in np.atleast_1d(config.eps))
+    return (replace(config, **updates) if updates else config), spec
 
 
-def _resolve_alpha_beta(config, d):
+def _alpha_beta(config, spec, d):
+    """(alpha, beta): the preset, else the config over the spec's defaults."""
     if config.preset is not None:
         fn, beta = PRESETS[config.preset]
-        return float(fn(d)), float(beta)
-    alpha, beta = _DEFAULT_AB[config.experiment]
-    if config.alpha is not None:
-        alpha = float(config.alpha)
-    if config.beta is not None:
-        beta = float(config.beta)
+        alpha, beta = float(fn(d)), float(beta)
+    else:
+        alpha, beta = spec.alpha_beta
+        if config.alpha is not None:
+            alpha = float(config.alpha)
+        if config.beta is not None:
+            beta = float(config.beta)
+    if config.formulation != "symmetric" and alpha != 0.0:  # no alpha step
+        raise ConfigError(f"formulation {config.formulation!r} takes alpha 0, "
+                          f"not {alpha:g}")
     return alpha, beta
 
 
-def generate_cloud(config):
-    """Dataset for a config; deterministic grids ignore the seed."""
-    exp, n, seed = config.experiment, config.N, config.seed
-    if exp in ("ou1d_nice", "outlier_study"):
-        return pointcloud.gen_gaussian_nice_1d(n)
-    if exp == "ou1d_random":
-        return pointcloud.gen_gaussian_random(n, 1, seed=seed)
-    if exp == "ou2d":
-        return pointcloud.gen_gaussian_random(n, 2, seed=seed)
-    if exp == "circle":
-        return pointcloud.gen_circle_nonuniform(n)
-    if exp == "circle_random":
-        return pointcloud.perturb_circle(pointcloud.gen_circle_nonuniform(n),
-                                         0.5, seed=seed)
-    if exp == "sphere":
-        return pointcloud.gen_sphere_nonuniform(n, seed=seed)
-    if exp == "torus_operator":
-        per_dim = int(round(np.sqrt(n)))
-        return pointcloud.gen_torus_grid(per_dim)
-    if exp == "circle_operator":
-        return pointcloud.gen_circle_from_density(n, np.cos)
-    raise ValueError(f"unknown experiment {exp!r}")
+def generate_cloud(config, spec=None):
+    """Dataset of a resolved config; ``spec`` defaults to the experiment's."""
+    spec = spec or EXPERIMENTS[config.experiment]
+    return spec.cloud(config.N, config.seed)
 
 
-def experiment_targets(experiment, count):
-    """Analytic eigenfunctions in descending-eigenvalue order."""
-    if experiment in ("ou1d_nice", "ou1d_random", "outlier_study"):
-        return [analytic.hermite_target(k) for k in range(count)]
-    if experiment == "ou2d":
-        orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
-                  (3, 0), (2, 1), (1, 2), (0, 3)]
-        return [analytic.ou2d_target(*o) for o in orders[:count]]
-    if experiment in ("circle", "circle_random"):
-        pairs = [("cos", 0)] + [(p, k) for k in range(1, (count + 2) // 2 + 1)
-                                for p in ("sin", "cos")]
-        return [analytic.circle_target(k, p) for p, k in pairs[:count]]
-    if experiment == "sphere":
-        return ([analytic.AnalyticTarget("const", 0.0,
-                                         lambda c: np.ones(c.n_points))]
-                + [analytic.sphere_coordinate_target(a) for a in range(3)])[:count]
-    raise ValueError(f"no analytic eigenfunctions for {experiment!r}")
+def _support(cloud, graph):
+    return neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
 
 
-_PRIMARY_INDEX = {"ou1d_nice": 3, "ou1d_random": 3, "ou2d": 4,
-                  "circle": 1, "circle_random": 1}
+def _bandwidth(cloud, beta, k_support, k0):
+    """Bandwidth profile and support pairs (None: all pairs) of one cloud."""
+    n = cloud.n_points
+    dense = k_support is None and n <= _DENSE_MAX
+    k = 8 if dense else (128 if k_support is None else k_support)
+    graph = neighbors.knn(cloud, min(n, max(k, k0)))
+    support = None if dense else _support(cloud, graph)
+    profile = density.bandwidth_profile(cloud, graph, beta, k0=k0,
+                                        support=support)
+    return profile, support
+
+
+def setup(config):
+    """What the epsilons of an eigen run share.
+
+    Returns ``(config, cloud, alpha, beta, profile, support)``, resolved;
+    ``support`` is None on the all-pairs path.
+    """
+    config, spec = resolve(config)
+    cloud = generate_cloud(config)
+    alpha, beta = _alpha_beta(config, spec, cloud.intrinsic_dim)
+    profile, support = _bandwidth(cloud, beta, config.k_support, config.k0)
+    return config, cloud, alpha, beta, profile, support
+
+
+def epsilons(config, cloud, rho, support, out=None):
+    """Epsilons of a resolved config, scaled by eps_multiplier, and the curve.
+
+    'auto' runs the tuning curve (None otherwise) and writes ``tuning.csv``
+    into ``out`` when given.
+    """
+    if config.eps == "sweep":
+        return [e * config.eps_multiplier for e in DEFAULT_SWEEP], None
+    if not isinstance(config.eps, str):
+        return [e * config.eps_multiplier for e in config.eps], None
+    curve = tuning.s_curve(cloud, rho, support=support)
+    if out is not None:
+        tuning.save_csv(curve, out / "tuning.csv")
+    return [curve.eps_star * config.eps_multiplier], curve
+
+
+def ensure_dir(path):
+    """The directory ``path``, created when missing."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def eigvecs_path(out, eps):
+    """Where the eigenvectors of one epsilon go."""
+    return Path(out) / f"eigvecs_{eps:.6g}.csv"
 
 
 def reference_matrix(targets, cloud):
@@ -198,158 +243,22 @@ def align_to_targets(spectrum, reference, ref_eigenvalues):
     return est
 
 
-def _eps_str(eps):
-    return "%.6g" % eps
-
-
 def run_experiment(config):
     """Run a full experiment sweep, writing CSV output to the output dir."""
-    config = _resolved(config)
+    config, spec = resolve(config)
     if config.experiment == "outlier_study":
+        if (config.eps == "sweep" or config.preset is not None
+                or config.alpha is not None or config.beta is not None):
+            raise ConfigError("outlier_study is fixed-bandwidth with alpha "
+                              "1/2 and its own epsilon grid: it takes no "
+                              "preset, alpha, beta or eps = sweep")
         return outlier_study(config.N, config.seed, k_support=config.k_support,
-                             eps=None if isinstance(config.eps, str) else config.eps,
+                             eps=None if config.eps == "auto" else config.eps,
+                             eps_multiplier=config.eps_multiplier,
                              output_dir=config.output_dir, k0=config.k0)
-    if config.experiment in ("torus_operator", "circle_operator"):
-        return _operator_experiment(config)
-    return _eigen_experiment(config)
-
-
-def _pipeline_setup(config, cloud, beta):
-    """Bandwidth profile and support pairs shared by every epsilon.
-
-    The support pairs are None on the dense path. The neighbor graph is
-    needed only until both exist and is not kept.
-    """
-    n = cloud.n_points
-    if config.k_support is not None:
-        graph = neighbors.knn(cloud, min(n, max(config.k_support, config.k0)))
-    elif n > _DENSE_MAX:
-        graph = neighbors.knn(cloud, min(n, max(128, config.k0)))
-    else:
-        graph = neighbors.knn(cloud, min(n, max(config.k0, 8)))
-    pairs = None
-    if config.k_support is not None or n > _DENSE_MAX:
-        pairs = _support_pairs(cloud, graph)
-    profile = density.bandwidth_profile(cloud, graph, beta, k0=config.k0,
-                                        support=pairs)
-    return profile, pairs
-
-
-def _support_pairs(cloud, graph):
-    return neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
-
-
-def _resolve_eps(config, cloud, rho, support, out):
-    """Sweep list, running the tuning module when eps is 'auto'."""
-    if config.eps == "sweep":
-        return [e * config.eps_multiplier for e in DEFAULT_SWEEP], None
-    if not isinstance(config.eps, str):
-        sweep = [e * config.eps_multiplier for e in config.eps]
-        return sweep, None
-    curve = tuning.s_curve(cloud, rho, support=support)
-    if out is not None:
-        tuning.save_csv(curve, out / "tuning.csv")
-    return [curve.eps_star * config.eps_multiplier], curve
-
-
-def _eigen_experiment(config):
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cloud = generate_cloud(config)
-    d = cloud.intrinsic_dim
-    alpha, beta = _resolve_alpha_beta(config, d)
-    profile, support = _pipeline_setup(config, cloud, beta)
-    sweep, curve = _resolve_eps(config, cloud, profile.rho, support, out)
-    targets = experiment_targets(config.experiment, config.eigenfunctions)
-    reference, ref_vals = reference_matrix(targets, cloud)
-    primary = _PRIMARY_INDEX.get(config.experiment)
-    rows, errors = [], {}
-    for eps in sweep:
-        t0 = time.perf_counter()
-        try:
-            gm = kernel.build_generator(cloud, profile.rho, eps, alpha, d=d,
-                                        support=support)
-            spec = spectral.scale_sqrtN(
-                spectral.eigs_near_zero(gm, len(targets)))
-            if config.experiment == "sphere":
-                block = spec.eigenvectors[:, 1:4]
-                coords = cloud.points
-                bmap = spectral.least_squares_map(block, coords)
-                fitted = block @ bmap
-                err = float(np.mean([(spectral.mse(fitted[:, j], coords[:, j]))
-                                     for j in range(3)]))
-                eig_err = float(np.mean(np.abs(spec.eigenvalues[1:4] + 2.0) / 2.0))
-            else:
-                est = align_to_targets(spec, reference, ref_vals)
-                err = spectral.mse(est[:, primary], reference[:, primary])
-                lam = ref_vals[primary]
-                eig_err = float(abs(spec.eigenvalues[primary] - lam) / abs(lam))
-            spectral.save_csv(spec, out / f"eigvecs_{_eps_str(eps)}.csv",
-                              latent=cloud.latent)
-        except PipelineError as exc:
-            errors[eps] = f"{type(exc).__name__}: {exc}"
-            continue
-        rows.append((eps, err, eig_err, time.perf_counter() - t0))
-    table = ResultTable(np.array(rows, dtype=float).reshape(-1, 4),
-                        metadata=_metadata(config, alpha, beta, d, sweep, curve,
-                                           errors, cloud))
-    _write_outputs(table, out)
-    return table
-
-
-def _operator_experiment(config):
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cloud = generate_cloud(config)
-    d = cloud.intrinsic_dim
-    alpha, beta = _resolve_alpha_beta(config, d)
-    theta = cloud.latent[:, 0]
-    f = np.sin(theta)
-    f_expr = sym.sin(analytic.THETA)
-    if config.experiment == "torus_operator":
-        rho = np.exp(np.cos(theta))
-        if config.formulation == "left":
-            ref = analytic.reference_operator(
-                "laplacian", f_expr, cloud, (analytic.THETA, analytic.PHI))
-        else:
-            ref = analytic.reference_operator(
-                "bandwidth_drift", f_expr, cloud, (analytic.THETA, analytic.PHI),
-                rho_expr=sym.exp(sym.cos(analytic.THETA)))
-        support_k = config.k_support if config.k_support is not None else 500
-        support = _support_pairs(
-            cloud, neighbors.knn(cloud, min(cloud.n_points, support_k)))
-    else:
-        rho = np.exp(np.cos(theta)) ** beta
-        c1, _ = density.c_constants(alpha, beta, d)
-        ref = analytic.reference_operator(
-            "gradient_flow", f_expr, cloud, (analytic.THETA,), c1=c1,
-            q_expr=sym.exp(sym.cos(analytic.THETA)))
-        support = None
-    if isinstance(config.eps, str):
-        # operator checks come with the figure's epsilon values, not tuning
-        base = _OPERATOR_SWEEPS[config.experiment]
-    else:
-        base = config.eps
-    sweep = [float(e) * config.eps_multiplier for e in base]
-    rows, errors = [], {}
-    for eps in sweep:
-        t0 = time.perf_counter()
-        try:
-            est = kernel.apply_generator(cloud, rho, eps, alpha,
-                                         config.formulation, f, d=d,
-                                         support=support)
-        except PipelineError as exc:
-            errors[eps] = f"{type(exc).__name__}: {exc}"
-            continue
-        err = spectral.mse(est, ref)
-        _write_operator_csv(out / f"operator_{_eps_str(eps)}.csv", cloud, f,
-                            est, ref)
-        rows.append((eps, err, 0.0, time.perf_counter() - t0))
-    table = ResultTable(np.array(rows, dtype=float).reshape(-1, 4),
-                        metadata=_metadata(config, alpha, beta, d, sweep, None,
-                                           errors, cloud))
-    _write_outputs(table, out)
-    return table
+    if spec.reference is not None:
+        return _operator_experiment(config, spec)
+    return _eigen_experiment(config, spec)
 
 
 def operator_check(config):
@@ -357,56 +266,90 @@ def operator_check(config):
 
     ``circle_operator`` and ``torus_operator`` run their usual protocol;
     ``circle`` runs the uniform-grid variant with the fixed bandwidth
-    function rho = exp(cos theta), which isolates the bandwidth-induced
-    drift term from sampling effects.
+    function rho = exp(cos theta) and alpha 0 by default, which isolates
+    the bandwidth-induced drift term from sampling effects.
     """
-    config = _resolved(config)
-    if config.experiment in ("torus_operator", "circle_operator"):
-        return _operator_experiment(config)
-    if config.experiment != "circle":
-        raise ValueError("operator checks exist for circle, circle_operator "
-                         "and torus_operator")
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cloud = pointcloud.gen_circle_uniform(config.N)
+    return _operator_experiment(*resolve(config, operator=True))
+
+
+def _eigen_experiment(config, spec):
+    config, cloud, alpha, beta, profile, support = setup(config)
+    out = ensure_dir(config.output_dir)
+    sweep, curve = epsilons(config, cloud, profile.rho, support, out)
+    targets = spec.targets(config.eigenfunctions)
+    reference, ref_vals = reference_matrix(targets, cloud)
+
+    def one_eps(eps):
+        gm = kernel.build_generator(cloud, profile.rho, eps, alpha,
+                                    d=cloud.intrinsic_dim, support=support)
+        spectrum = spectral.scale_sqrtN(
+            spectral.eigs_near_zero(gm, len(targets)))
+        scores = spec.score(spectrum, cloud, reference, ref_vals)
+        spectral.save_csv(spectrum, eigvecs_path(out, eps), latent=cloud.latent)
+        return scores
+
+    return _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps)
+
+
+def _operator_experiment(config, spec):
+    cloud = generate_cloud(config, spec)
+    d = cloud.intrinsic_dim
+    alpha, beta = _alpha_beta(config, spec, d)
+    out = ensure_dir(config.output_dir)
     theta = cloud.latent[:, 0]
-    rho = np.exp(np.cos(theta))
     f = np.sin(theta)
-    f_expr = sym.sin(analytic.THETA)
-    if config.formulation == "left":
-        ref = analytic.reference_operator("laplacian", f_expr, cloud,
-                                          (analytic.THETA,))
-    else:
-        ref = analytic.reference_operator("bandwidth_drift", f_expr, cloud,
-                                          (analytic.THETA,),
-                                          rho_expr=sym.exp(sym.cos(analytic.THETA)))
-    if isinstance(config.eps, str):
-        base = (0.001, 0.01, 0.1)
-    else:
-        base = config.eps
-    sweep = [float(e) * config.eps_multiplier for e in base]
-    rows = []
+    # drift checks fix rho = exp(cos theta), and their left formulation sees
+    # lap f alone; gradient-flow checks sample q = exp(cos theta), rho = q^beta
+    drift = spec.reference == "bandwidth_drift"
+    rho = np.exp(np.cos(theta)) ** (1.0 if drift else beta)
+    q = sym.exp(sym.cos(analytic.THETA))
+    ref = analytic.reference_operator(
+        "laplacian" if drift and config.formulation == "left" else spec.reference,
+        sym.sin(analytic.THETA), cloud,
+        (analytic.THETA, analytic.PHI)[:cloud.latent.shape[1]],
+        c1=density.c_constants(alpha, beta, d)[0], rho_expr=q, q_expr=q)
+    k = spec.k_support if config.k_support is None else config.k_support
+    support = None if k is None else _support(
+        cloud, neighbors.knn(cloud, min(cloud.n_points, k)))
+    base = spec.eps if config.eps == "auto" else config.eps
+
+    def one_eps(eps):
+        est = kernel.apply_generator(cloud, rho, eps, alpha, config.formulation,
+                                     f, d=d, support=support)
+        _write_operator_csv(out / f"operator_{eps:.6g}.csv", cloud, f, est, ref)
+        return spectral.mse(est, ref), 0.0
+
+    return _sweep(config, cloud, alpha, beta,
+                  [float(e) * config.eps_multiplier for e in base], None, out,
+                  one_eps)
+
+
+def _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps):
+    """Rows of ``one_eps(eps) -> (mse, eig_err)``; failures go to the metadata."""
+    rows, errors = [], {}
     for eps in sweep:
         t0 = time.perf_counter()
-        est = kernel.apply_generator(cloud, rho, eps, 0.0, config.formulation,
-                                     f, d=1)
-        err = spectral.mse(est, ref)
-        _write_operator_csv(out / f"operator_{_eps_str(eps)}.csv", cloud, f,
-                            est, ref)
-        rows.append((eps, err, 0.0, time.perf_counter() - t0))
+        try:
+            err, eig_err = one_eps(eps)
+        except PipelineError as exc:
+            errors[eps] = f"{type(exc).__name__}: {exc}"
+            continue
+        rows.append((eps, err, eig_err, time.perf_counter() - t0))
     table = ResultTable(np.array(rows, dtype=float).reshape(-1, 4),
-                        metadata=_metadata(config, 0.0, 0.0, 1, sweep, None,
-                                           {}, cloud))
+                        metadata=_metadata(config, alpha, beta, sweep, curve,
+                                           errors, cloud))
     _write_outputs(table, out)
     return table
 
 
-def outlier_study(N, seed, eps=None, k_support=None, output_dir=None, k0=8):
+def outlier_study(N, seed, eps=None, k_support=None, output_dir=None, k0=8,
+                  eps_multiplier=1.0):
     """Fixed-bandwidth pipeline with density-based outlier removal.
 
     For each decade size up to N: estimate the density, drop the
     floor(sqrt(n)) lowest-density points, rebuild the pipeline on the rest
-    with a fixed bandwidth, sweep epsilon, and keep the best masked error of
+    with a fixed bandwidth, sweep epsilon (``eps`` or a grid that follows
+    n, scaled by ``eps_multiplier``), and keep the best masked error of
     the fourth eigenvector against the fourth Hermite function on [-2, 2].
     Fits log(best mse) against log(n) across the sizes at the end.
     """
@@ -415,21 +358,18 @@ def outlier_study(N, seed, eps=None, k_support=None, output_dir=None, k0=8):
     rows, removed, per_size = [], [], {}
     for n in sizes:
         t0 = time.perf_counter()
-        eps_grid = tuple(eps) if eps is not None else _outlier_default_eps(n)
+        eps_grid = tuple(e * eps_multiplier for e in
+                         (eps if eps is not None else _outlier_default_eps(n)))
         cloud = pointcloud.gen_gaussian_nice_1d(n)
         k = min(n, k_support if k_support is not None else
                 _outlier_default_k(n))
-        graph = neighbors.knn(cloud, min(n, max(k0, 128)))
-        rho0 = density.pilot_bandwidth(graph, k0=k0)
-        q0, _ = density.kde_pilot(cloud, rho0, 1,
-                                  support=_support_pairs(cloud, graph))
-        del graph
+        q0 = _bandwidth(cloud, 0.0, None, k0)[0].q0
         drop = int(np.floor(np.sqrt(n)))
         keep = np.sort(np.argsort(q0, kind="stable")[drop:])
         removed.append(drop)
         kept = pointcloud.PointCloud(cloud.points[keep], latent=cloud.latent[keep],
                                      intrinsic_dim=1, label=cloud.label)
-        support = _support_pairs(
+        support = _support(
             kept, neighbors.knn(kept, min(kept.n_points, max(k, k0))))
         rho = np.ones(kept.n_points)
         target = analytic.hermite_target(3).evaluate(kept)
@@ -471,9 +411,7 @@ def outlier_study(N, seed, eps=None, k_support=None, output_dir=None, k0=8):
         meta["power_law_intercept"] = float(intercept)
     table = ResultTable(rows, metadata=meta)
     if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_outputs(table, out)
+        _write_outputs(table, ensure_dir(output_dir))
     return table
 
 
@@ -491,9 +429,10 @@ def _outlier_default_eps(n):
     return (base, float(np.sqrt(10.0)) * base, 10.0 * base)
 
 
-def _metadata(config, alpha, beta, d, sweep, curve, errors, cloud):
+def _metadata(config, alpha, beta, sweep, curve, errors, cloud):
     meta = {"experiment": config.experiment, "N": cloud.n_points,
-            "alpha": alpha, "beta": beta, "d": d, "seed": config.seed,
+            "alpha": alpha, "beta": beta, "d": cloud.intrinsic_dim,
+            "seed": config.seed,
             "k0": config.k0, "k_support": config.k_support,
             "eigenfunctions": config.eigenfunctions,
             "formulation": config.formulation, "preset": config.preset,
@@ -516,11 +455,17 @@ def save_results_csv(table, path):
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
+def write_meta(path, *sections):
+    """Write every entry of each mapping as a ``key = value`` line, in order."""
+    with open(path, "w") as fh:
+        for section in sections:
+            for key, value in section.items():
+                fh.write(f"{key} = {value}\n")
+
+
 def _write_outputs(table, out):
     save_results_csv(table, out / "results.csv")
-    with open(out / "meta.txt", "w") as fh:
-        for key, value in table.metadata.items():
-            fh.write(f"{key} = {value}\n")
+    write_meta(out / "meta.txt", table.metadata)
 
 
 def _write_operator_csv(path, cloud, f, est, ref):
@@ -530,3 +475,79 @@ def _write_operator_csv(path, cloud, f, est, ref):
     np.savetxt(path, data, fmt="%.17g", delimiter=",",
                header=",".join(names + ["f", "estimate", "reference"]),
                comments="")
+
+
+def _hermite_targets(count):
+    return [analytic.hermite_target(k) for k in range(count)]
+
+
+def _circle_targets(count):
+    pairs = [("cos", 0)] + [(p, k) for k in range(1, (count + 2) // 2 + 1)
+                            for p in ("sin", "cos")]
+    return [analytic.circle_target(k, p) for p, k in pairs[:count]]
+
+
+_OU2D_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+                (3, 0), (2, 1), (1, 2), (0, 3)]
+_CONSTANT = analytic.AnalyticTarget("const", 0.0, lambda c: np.ones(c.n_points))
+
+
+def _score_target(index, spectrum, cloud, reference, ref_vals):
+    """Errors of one aligned target eigenfunction and of its eigenvalue."""
+    est = align_to_targets(spectrum, reference, ref_vals)
+    lam = ref_vals[index]
+    return (spectral.mse(est[:, index], reference[:, index]),
+            float(abs(spectrum.eigenvalues[index] - lam) / abs(lam)))
+
+
+def _score_coordinates(spectrum, cloud, reference, ref_vals):
+    """Least-squares fit of the coordinates (the sphere's -2 eigenspace)."""
+    block = spectrum.eigenvectors[:, 1:4]
+    coords = cloud.points
+    fitted = block @ spectral.least_squares_map(block, coords)
+    err = float(np.mean([spectral.mse(fitted[:, j], coords[:, j])
+                         for j in range(3)]))
+    return err, float(np.mean(np.abs(spectrum.eigenvalues[1:4] + 2.0) / 2.0))
+
+
+EXPERIMENTS = {
+    "ou1d_nice": Experiment(
+        2000, (-0.25, -0.5), lambda n, seed: pointcloud.gen_gaussian_nice_1d(n),
+        targets=_hermite_targets, score=partial(_score_target, 3)),
+    "ou1d_random": Experiment(
+        20000, (-0.25, -0.5),
+        lambda n, seed: pointcloud.gen_gaussian_random(n, 1, seed=seed),
+        targets=_hermite_targets, score=partial(_score_target, 3)),
+    "ou2d": Experiment(
+        10000, (-0.5, -0.5),
+        lambda n, seed: pointcloud.gen_gaussian_random(n, 2, seed=seed),
+        eigenfunctions=6, score=partial(_score_target, 4),
+        targets=lambda m: [analytic.ou2d_target(*o) for o in _OU2D_ORDERS[:m]]),
+    "circle": Experiment(
+        1500, (0.25, -0.5), lambda n, seed: pointcloud.gen_circle_nonuniform(n),
+        targets=_circle_targets, score=partial(_score_target, 1),
+        operator=Experiment(
+            1500, (0.0, 0.0), lambda n, seed: pointcloud.gen_circle_uniform(n),
+            reference="bandwidth_drift", eps=(0.001, 0.01, 0.1))),
+    "circle_random": Experiment(
+        1500, (0.25, -0.5),
+        lambda n, seed: pointcloud.perturb_circle(
+            pointcloud.gen_circle_nonuniform(n), 0.5, seed=seed),
+        targets=_circle_targets, score=partial(_score_target, 1)),
+    "sphere": Experiment(
+        3000, (0.0, -0.5),
+        lambda n, seed: pointcloud.gen_sphere_nonuniform(n, seed=seed),
+        eigenfunctions=4, score=_score_coordinates,
+        targets=lambda m: ([_CONSTANT] + [analytic.sphere_coordinate_target(a)
+                                          for a in range(3)])[:m]),
+    "torus_operator": Experiment(
+        62500, (0.0, 0.0),
+        lambda n, seed: pointcloud.gen_torus_grid(int(round(np.sqrt(n)))),
+        reference="bandwidth_drift", eps=(0.001, 0.01, 0.1), k_support=500),
+    "circle_operator": Experiment(
+        8000, (0.25, -0.5),
+        lambda n, seed: pointcloud.gen_circle_from_density(n, np.cos),
+        reference="gradient_flow", eps=(0.005, 0.01, 0.1)),
+    "outlier_study": Experiment(
+        100000, (0.5, 0.0), lambda n, seed: pointcloud.gen_gaussian_nice_1d(n)),
+}

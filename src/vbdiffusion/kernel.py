@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial.distance import cdist, pdist, squareform
 
-_FORMULATIONS = ("left", "right", "symmetric")
+FORMULATIONS = ("left", "right", "symmetric")
 
 
 @dataclass(frozen=True)
@@ -187,8 +187,8 @@ def apply_generator(cloud, rho, eps, alpha, formulation, f, d=None, support=None
     where w_j = qS_j^(-alpha) removes sampling-density bias (the i-side
     factor cancels in the ratio).
     """
-    if formulation not in _FORMULATIONS:
-        raise ValueError(f"formulation must be one of {_FORMULATIONS}")
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"formulation must be one of {FORMULATIONS}")
     if alpha != 0.0 and formulation != "symmetric":
         raise ValueError("alpha-normalization applies to the symmetric formulation only")
     if d is None:

@@ -20,7 +20,9 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
 from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
                      DisconnectedGraph, EmptyMask, SolverFailure)
 
-# full eigh is cheaper and more robust than iterative solvers this small
+# full eigh is cheaper and more robust than iterative solvers this small;
+# this is the eigensolver crossover for a sparse Lhat, not the harness's
+# choice between the all-pairs and the support path
 _DENSE_MAX = 600
 
 

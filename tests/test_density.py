@@ -74,14 +74,13 @@ def test_kde_matches_per_point_naive_sum():
     np.testing.assert_allclose(q0, want, rtol=1e-13, atol=0.0)
 
 
-def test_kde_sparse_path_matches_dense(monkeypatch):
+def test_kde_sparse_path_matches_dense():
     # entries beyond the k = 60 support are below exp(-60) here, so the
     # truncated sum agrees with the all-pairs sum to rounding
     cloud = pointcloud.gen_circle_uniform(300)
     g = neighbors.knn(cloud, 60)
     rho0 = density.pilot_bandwidth(g)
     dense_q0, _ = density.kde_pilot(cloud, rho0, 1)
-    monkeypatch.setattr(density, "_DENSE_MAX", 10)
     support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(g))
     sparse_q0, _ = density.kde_pilot(cloud, rho0, 1, support=support)
     np.testing.assert_allclose(sparse_q0, dense_q0, rtol=1e-12)

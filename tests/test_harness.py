@@ -1,25 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
-from vbdiffusion import cli, harness
+from vbdiffusion import cli, density, harness, neighbors
 
 
 def test_defaults_fill_in():
     config = harness.ExperimentConfig(experiment="ou1d_nice", eps=0.01)
-    resolved = harness._resolved(config)
+    resolved, _ = harness.resolve(config)
     assert resolved.N == 2000
     assert resolved.eigenfunctions == 5
     assert resolved.eps == (0.01,)
-    listed = harness._resolved(harness.ExperimentConfig(
+    listed, _ = harness.resolve(harness.ExperimentConfig(
         experiment="ou1d_nice", eps=[0.01, 0.02]))
     assert listed.eps == (0.01, 0.02)
 
 
 def test_alpha_beta_resolution():
+    spec = harness.EXPERIMENTS["ou1d_nice"]
     base = harness.ExperimentConfig(experiment="ou1d_nice")
-    assert harness._resolve_alpha_beta(base, 1) == (-0.25, -0.5)
+    assert harness._alpha_beta(base, spec, 1) == (-0.25, -0.5)
     override = harness.ExperimentConfig(experiment="ou1d_nice", alpha=0.1)
-    assert harness._resolve_alpha_beta(override, 1) == (0.1, -0.5)
+    assert harness._alpha_beta(override, spec, 1) == (0.1, -0.5)
     for preset, d, want in [("laplacian-vb", 1, (0.25, -0.5)),
                             ("laplacian-vb", 2, (0.0, -0.5)),
                             ("gradientflow-vb", 2, (-0.5, -0.5)),
@@ -28,7 +31,7 @@ def test_alpha_beta_resolution():
         cfg = harness.ExperimentConfig(experiment="ou1d_nice", preset=preset,
                                        alpha=9.0, beta=9.0)
         # a preset wins over explicit alpha/beta
-        assert harness._resolve_alpha_beta(cfg, d) == want
+        assert harness._alpha_beta(cfg, spec, d) == want
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -41,6 +44,7 @@ def test_alpha_beta_resolution():
     {"experiment": "ou1d_nice", "eps": [0.2, 0.1]},
     {"experiment": "ou1d_nice", "eps": -1.0},
     {"experiment": "ou1d_nice", "eigenfunctions": 0},
+    {"experiment": "ou1d_nice", "formulation": "bogus"},
 ])
 def test_validate_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -50,7 +54,7 @@ def test_validate_rejects(kwargs):
 def test_eps_sweep_keyword():
     config = harness.ExperimentConfig(experiment="ou1d_nice", eps="sweep",
                                       eps_multiplier=2.0)
-    sweep, curve = harness._resolve_eps(config, None, None, None, None)
+    sweep, curve = harness.epsilons(config, None, None, None)
     assert curve is None
     assert sweep == [2.0 * e for e in harness.DEFAULT_SWEEP]
 
@@ -121,6 +125,19 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--set", f"output_dir={tmp_path / 'cli2'}"])
     assert code == 2
     assert "pipeline error" in capsys.readouterr().err
+    # settings the chosen run cannot honour are usage errors, raised before
+    # any output is written
+    for command, sets in [("operator-check", ["experiment=ou1d_nice"]),
+                          ("experiment", ["experiment=ou1d_nice",
+                                          "formulation=bogus"]),
+                          ("operator-check", ["experiment=circle_operator",
+                                              "formulation=left"])]:
+        argv = [command, "--set", f"output_dir={tmp_path / 'bad'}", "--set", "N=300"]
+        for item in sets:
+            argv += ["--set", item]
+        assert cli.main(argv) == 1, sets
+        assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_load_config_file_and_overrides(tmp_path):
@@ -139,3 +156,137 @@ def test_load_config_file_and_overrides(tmp_path):
         cli.load_config(str(tmp_path / "missing.cfg"), [])
     with pytest.raises(cli._UsageError):
         cli.load_config(None, ["experiment=ou1d_nice", "eps=-1"])
+
+
+def test_single_matrix_commands_take_one_eps(tmp_path, capsys):
+    # build and eigs make one matrix: a list or 'sweep' is a usage error
+    # instead of a run at the first value or at the tuned epsilon
+    base = ["--set", "experiment=ou1d_nice", "--set", "N=300",
+            "--set", f"output_dir={tmp_path / 'one'}"]
+    for command in ("build", "eigs"):
+        for eps in ("0.01 0.02", "sweep"):
+            assert cli.main([command, *base, "--set", f"eps={eps}"]) == 1
+    assert "one eps value" in capsys.readouterr().err
+    assert not (tmp_path / "one").exists()
+    assert cli.main(["eigs", *base, "--set", "eps=0.01",
+                     "--set", "eps_multiplier=2"]) == 0
+    assert (tmp_path / "one" / "eigvecs_0.02.csv").is_file()
+    assert "eps_used = 0.02" in (tmp_path / "one" / "meta.txt").read_text()
+
+
+def test_operator_runs_reject_eps_sweep(tmp_path):
+    for name, run in [("circle_operator", harness.run_experiment),
+                      ("torus_operator", harness.operator_check),
+                      ("circle", harness.operator_check)]:
+        config = harness.ExperimentConfig(experiment=name, N=400, eps="sweep",
+                                          output_dir=str(tmp_path / name))
+        with pytest.raises(ValueError, match="sweep"):
+            run(config)
+    assert not any(tmp_path.iterdir())
+
+
+def test_outlier_study_scales_its_grid_and_rejects_bandwidth_settings(tmp_path):
+    def run(tag, **kwargs):
+        return harness.run_experiment(harness.ExperimentConfig(
+            experiment="outlier_study", N=100, output_dir=str(tmp_path / tag),
+            **kwargs))
+
+    for kwargs in ({"eps": "sweep"}, {"preset": "laplacian-vb"},
+                   {"alpha": 0.5}, {"beta": 0.0}):
+        with pytest.raises(ValueError, match="outlier_study"):
+            run("bad", **kwargs)
+    grid = run("base").metadata["per_size"][100]["eps_grid"]
+    scaled = run("scaled", eps_multiplier=4.0)
+    assert scaled.metadata["per_size"][100]["eps_grid"] == [4.0 * e for e in grid]
+    assert scaled.rows[0, 0] in [4.0 * e for e in grid]
+    listed = run("listed", eps=[1e-3, 2e-3], eps_multiplier=0.5)
+    assert listed.metadata["per_size"][100]["eps_grid"] == [5e-4, 1e-3]
+
+
+def test_small_cloud_with_k_support_truncates_the_kde():
+    config = harness.ExperimentConfig(experiment="ou1d_nice", N=300, k_support=10)
+    _, cloud, _, _, profile, support = harness.setup(config)
+    assert support is not None
+    # oracle: per-point sums over the symmetrized 10-nearest-neighbor sets
+    graph = neighbors.knn(cloud, 10)
+    sets = [set(row) for row in graph.indices.tolist()]
+    for i, row in enumerate(graph.indices.tolist()):
+        for j in row:
+            sets[j].add(i)
+    x, rho0 = cloud.points[:, 0], profile.rho0
+    want = [math.fsum(math.exp(-(x[i] - x[j]) ** 2 / (2.0 * rho0[i] * rho0[j]))
+                      for j in sets[i]) / (math.sqrt(2.0 * math.pi) * rho0[i] * 300)
+            for i in range(300)]
+    np.testing.assert_allclose(profile.q0, want, rtol=1e-13, atol=0.0)
+    all_pairs, _ = density.kde_pilot(cloud, rho0, 1)
+    assert np.abs(profile.q0 / all_pairs - 1.0).max() > 1e-3
+
+
+# tiny sizes, as in the benchmark self-test (a 500-point support would
+# cover the whole 900-point torus grid)
+_TINY = {"torus_operator": {"N": 900, "k_support": 60},
+         "outlier_study": {"N": 100}}
+_META_KEYS = {"experiment", "N", "alpha", "beta", "d", "seed", "k0",
+              "k_support", "eigenfunctions", "formulation", "preset",
+              "eps_multiplier", "eps_list"}
+
+
+def _check_sweep_outputs(out, table, prefix):
+    """Output contract of one sweep: rows, files and metadata keys."""
+    lines = (out / "results.csv").read_text().splitlines()
+    assert lines[0] == "eps,mse,eig_err,wall_time_s"
+    assert len(lines) == 1 + table.rows.shape[0] >= 2
+    assert np.all(np.isfinite(table.rows))
+    failed = table.metadata.get("errors", {})
+    assert list(table.rows[:, 0]) == [e for e in table.metadata["eps_list"]
+                                      if e not in failed]
+    meta = dict(line.split(" = ", 1)
+                for line in (out / "meta.txt").read_text().splitlines())
+    tuned = {"eps_star", "a_max", "d_hat"} if "eps_star" in table.metadata else set()
+    assert set(meta) == _META_KEYS | tuned | ({"errors"} if failed else set())
+    want = {"results.csv", "meta.txt"} | {f"{prefix}_{e:.6g}.csv"
+                                          for e in table.rows[:, 0]}
+    assert {p.name for p in out.iterdir()} == want | (
+        {"tuning.csv"} if tuned else set())
+
+
+@pytest.mark.parametrize("name", sorted(harness.EXPERIMENTS))
+def test_every_experiment_end_to_end(tmp_path, name):
+    config = harness.ExperimentConfig(experiment=name, output_dir=str(tmp_path),
+                                      **_TINY.get(name, {"N": 300}))
+    table = harness.run_experiment(config)
+    if name == "outlier_study":
+        assert table.rows.shape == (1, 4)
+        assert table.metadata["sizes"] == [100]
+        assert {p.name for p in tmp_path.iterdir()} == {"results.csv", "meta.txt"}
+        return
+    operator = harness.EXPERIMENTS[name].reference is not None
+    _check_sweep_outputs(tmp_path, table, "operator" if operator else "eigvecs")
+    assert ("eps_star" in table.metadata) != operator
+
+
+@pytest.mark.parametrize("name", ["circle", "circle_operator", "torus_operator"])
+def test_operator_check_end_to_end(tmp_path, name):
+    config = harness.ExperimentConfig(experiment=name, output_dir=str(tmp_path),
+                                      **_TINY.get(name, {"N": 300}))
+    table = harness.operator_check(config)
+    assert table.rows.shape[0] == 3
+    _check_sweep_outputs(tmp_path, table, "operator")
+
+
+def test_circle_operator_check_honours_alpha_and_k_support(tmp_path):
+    def run(tag, **kwargs):
+        return harness.operator_check(harness.ExperimentConfig(
+            experiment="circle", N=400, output_dir=str(tmp_path / tag), **kwargs))
+
+    base = run("base")
+    assert (base.metadata["alpha"], base.metadata["k_support"]) == (0.0, None)
+    weighted = run("alpha", alpha=0.25)
+    assert weighted.metadata["alpha"] == 0.25
+    assert not np.array_equal(weighted.rows[:, 1], base.rows[:, 1])
+    # a support holding every point sums the same terms as the dense path
+    full = run("full", k_support=400)
+    np.testing.assert_allclose(full.rows[:, 1], base.rows[:, 1], rtol=1e-9)
+    cut = run("cut", k_support=3)
+    assert cut.metadata["k_support"] == 3
+    assert np.all(np.abs(cut.rows[:, 1] / base.rows[:, 1] - 1.0) > 1e-3)
