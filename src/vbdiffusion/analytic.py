@@ -18,7 +18,7 @@ from .errors import NoLatent
 THETA, PHI = sym.symbols("theta phi")
 X, Y = sym.symbols("x y")
 
-_MAX_HERMITE = 6
+MAX_HERMITE = 6
 _KINDS = ("laplacian", "gradient_flow", "bandwidth_drift")
 
 
@@ -28,8 +28,8 @@ def hermite(n, x):
     He_n / sqrt(n!) for n up to 6: these are the Ornstein-Uhlenbeck
     eigenfunctions with eigenvalue -n.
     """
-    if not 0 <= n <= _MAX_HERMITE:
-        raise ValueError(f"hermite order must be in [0, {_MAX_HERMITE}]")
+    if not 0 <= n <= MAX_HERMITE:
+        raise ValueError(f"hermite order must be in [0, {MAX_HERMITE}]")
     x = np.asarray(x, dtype=float)
     prev, cur = np.ones_like(x), x.copy()
     if n == 0:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial.distance import squareform
 
 from .errors import DuplicatePoints
-from .kernel import support_kernel
+from .kernel import support_products
 from .neighbors import scaled_pairs
 
 
@@ -69,8 +69,7 @@ def kde_pilot(cloud, rho0, d, support=None):
         sums = squareform(vals).sum(axis=1) + 1.0  # + the l = i term
     else:
         # exp(-r^2 / (2 rho0_i rho0_l)) is the generator kernel at eps = 1/2
-        vals = support_kernel(support, rho0, 0.5)
-        sums = support.matrix(vals) @ np.ones(n)
+        sums, = support_products(support, rho0, 0.5, "symmetric", np.ones(n))
     q0 = (2.0 * np.pi) ** (-d / 2.0) / (rho0**d * n) * sums
     return q0, eps0
 

@@ -11,7 +11,6 @@ operator runs have an analytic bandwidth and skip the KDE.
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -46,9 +45,10 @@ class Experiment:
     """Defaults, dataset and scoring of one registered experiment.
 
     ``cloud`` maps (N, seed) to the dataset. Eigen experiments set
-    ``targets`` (count -> analytic eigenfunctions, eigenvalues descending)
-    and ``score`` ((spectrum, cloud, reference, eigenvalues) -> (mse,
-    eig_err)). Operator experiments set ``reference``, the
+    ``targets`` (count -> up to count analytic eigenfunctions, eigenvalues
+    descending), ``primary``, the highest index the ``score`` ((primary,
+    spectrum, cloud, reference, eigenvalues) -> (mse, eig_err)) reads.
+    Operator experiments set ``reference``, the
     ``analytic.reference_operator`` kind, with the figure's ``eps`` (taken
     for eps = auto) and a default ``k_support`` (None sums all pairs).
     """
@@ -59,6 +59,7 @@ class Experiment:
     eigenfunctions: int = 5
     targets: Callable | None = None
     score: Callable | None = None
+    primary: int = 0
     reference: str | None = None
     eps: tuple = ()
     k_support: int | None = None
@@ -137,6 +138,12 @@ def resolve(config, operator=False):
     if spec.reference is not None and config.eps == "sweep":
         raise ConfigError("operator checks take eps = auto (the figure's "
                           "values) or a list, not 'sweep'")
+    if spec.reference is None and config.formulation != "symmetric":
+        raise ConfigError("eigen runs build the symmetric generator; "
+                          "formulation applies to operator checks")
+    if spec.targets is None and config.eigenfunctions is not None:
+        raise ConfigError("eigenfunctions sets the analytic targets of an "
+                          f"eigen run; {config.experiment} takes none")
     updates = {}
     if config.N is None:
         updates["N"] = spec.N
@@ -144,7 +151,15 @@ def resolve(config, operator=False):
         updates["eigenfunctions"] = spec.eigenfunctions
     if not isinstance(config.eps, str):  # 'auto' and 'sweep' resolve later
         updates["eps"] = tuple(float(e) for e in np.atleast_1d(config.eps))
-    return (replace(config, **updates) if updates else config), spec
+    config = replace(config, **updates) if updates else config
+    count = config.eigenfunctions
+    if spec.targets is not None and count <= spec.primary:
+        raise ConfigError(f"{config.experiment} scores eigenfunction "
+                          f"{spec.primary} (from 0): take more than that")
+    if spec.targets is not None and len(spec.targets(count)) < count:
+        raise ConfigError(f"{config.experiment} has fewer than {count} "
+                          "analytic eigenfunctions")
+    return config, spec
 
 
 def _alpha_beta(config, spec, d):
@@ -284,7 +299,7 @@ def _eigen_experiment(config, spec):
                                     d=cloud.intrinsic_dim, support=support)
         spectrum = spectral.scale_sqrtN(
             spectral.eigs_near_zero(gm, len(targets)))
-        scores = spec.score(spectrum, cloud, reference, ref_vals)
+        scores = spec.score(spec.primary, spectrum, cloud, reference, ref_vals)
         spectral.save_csv(spectrum, eigvecs_path(out, eps), latent=cloud.latent)
         return scores
 
@@ -478,7 +493,7 @@ def _write_operator_csv(path, cloud, f, est, ref):
 
 
 def _hermite_targets(count):
-    return [analytic.hermite_target(k) for k in range(count)]
+    return [analytic.hermite_target(k) for k in range(min(count, analytic.MAX_HERMITE + 1))]
 
 
 def _circle_targets(count):
@@ -500,32 +515,32 @@ def _score_target(index, spectrum, cloud, reference, ref_vals):
             float(abs(spectrum.eigenvalues[index] - lam) / abs(lam)))
 
 
-def _score_coordinates(spectrum, cloud, reference, ref_vals):
-    """Least-squares fit of the coordinates (the sphere's -2 eigenspace)."""
-    block = spectrum.eigenvectors[:, 1:4]
+def _score_coordinates(last, spectrum, cloud, reference, ref_vals):
+    """Least-squares fit of the coordinates by the sphere's -2 eigenspace, 1..last."""
+    block = spectrum.eigenvectors[:, 1:last + 1]
     coords = cloud.points
     fitted = block @ spectral.least_squares_map(block, coords)
     err = float(np.mean([spectral.mse(fitted[:, j], coords[:, j])
                          for j in range(3)]))
-    return err, float(np.mean(np.abs(spectrum.eigenvalues[1:4] + 2.0) / 2.0))
+    return err, float(np.mean(np.abs(spectrum.eigenvalues[1:last + 1] + 2.0) / 2.0))
 
 
 EXPERIMENTS = {
     "ou1d_nice": Experiment(
         2000, (-0.25, -0.5), lambda n, seed: pointcloud.gen_gaussian_nice_1d(n),
-        targets=_hermite_targets, score=partial(_score_target, 3)),
+        targets=_hermite_targets, score=_score_target, primary=3),
     "ou1d_random": Experiment(
         20000, (-0.25, -0.5),
         lambda n, seed: pointcloud.gen_gaussian_random(n, 1, seed=seed),
-        targets=_hermite_targets, score=partial(_score_target, 3)),
+        targets=_hermite_targets, score=_score_target, primary=3),
     "ou2d": Experiment(
         10000, (-0.5, -0.5),
         lambda n, seed: pointcloud.gen_gaussian_random(n, 2, seed=seed),
-        eigenfunctions=6, score=partial(_score_target, 4),
+        eigenfunctions=6, score=_score_target, primary=4,
         targets=lambda m: [analytic.ou2d_target(*o) for o in _OU2D_ORDERS[:m]]),
     "circle": Experiment(
         1500, (0.25, -0.5), lambda n, seed: pointcloud.gen_circle_nonuniform(n),
-        targets=_circle_targets, score=partial(_score_target, 1),
+        targets=_circle_targets, score=_score_target, primary=1,
         operator=Experiment(
             1500, (0.0, 0.0), lambda n, seed: pointcloud.gen_circle_uniform(n),
             reference="bandwidth_drift", eps=(0.001, 0.01, 0.1))),
@@ -533,11 +548,11 @@ EXPERIMENTS = {
         1500, (0.25, -0.5),
         lambda n, seed: pointcloud.perturb_circle(
             pointcloud.gen_circle_nonuniform(n), 0.5, seed=seed),
-        targets=_circle_targets, score=partial(_score_target, 1)),
+        targets=_circle_targets, score=_score_target, primary=1),
     "sphere": Experiment(
         3000, (0.0, -0.5),
         lambda n, seed: pointcloud.gen_sphere_nonuniform(n, seed=seed),
-        eigenfunctions=4, score=_score_coordinates,
+        eigenfunctions=4, score=_score_coordinates, primary=3,
         targets=lambda m: ([_CONSTANT] + [analytic.sphere_coordinate_target(a)
                                           for a in range(3)])[:m]),
     "torus_operator": Experiment(

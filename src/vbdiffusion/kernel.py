@@ -13,6 +13,8 @@ support entry once per cloud; each epsilon then costs one elementwise pass
 over the cached distances plus CSR matrix-vector products for the row sums.
 Both are exactly symmetric: a dense kernel is the ``squareform`` of one
 condensed ``pdist`` array, and cached (i, j) and (j, i) distances are equal.
+Matrix-free products (:func:`apply_generator`, the truncated KDE) stream
+that pass over row blocks; :func:`build_generator` keeps the whole CSR.
 """
 
 from dataclasses import dataclass
@@ -88,32 +90,47 @@ def kernel_matrix(cloud, rho, eps, support=None):
         k = squareform(pdist(cloud.points, "sqeuclidean"))
         k /= -4.0 * eps * np.outer(rho, rho)
         return np.exp(k, out=k)
-    vals = support_kernel(support, rho, eps)
-    # eliminate_zeros compacts the index arrays in place, so the kernel gets
-    # its own copies rather than the ones the cached pairs share
-    out = sparse.csr_matrix((vals, support.indices.copy(), support.indptr.copy()),
-                            shape=(support.n, support.n))
+    out = support_kernel(support, rho, eps, "symmetric", 0, support.n)
+    # eliminate_zeros compacts the index arrays in place; the row pointer is
+    # the block's own, the column indices are the cached pairs' until copied
+    out.indices = out.indices.copy()
     out.eliminate_zeros()
     return out
 
 
-def support_kernel(support, rho, eps, formulation="symmetric"):
-    """Kernel values on the entries of ``support`` (a SupportPairs), in CSR order.
+def support_kernel(support, rho, eps, formulation, start, stop):
+    """Kernel on rows start:stop of ``support`` (a SupportPairs), as a CSR block.
 
     The argument r_ij^2 / (4 eps b_ij) has b_ij = rho_i rho_j for the
     symmetric formulation, rho_i for 'left' and rho_j for 'right'.
     """
-    scale = 4.0 * eps * rho
-    if formulation == "left":
-        den = support.rows(scale)
-    elif formulation == "right":
-        den = scale[support.indices]
+    ptr = support.indptr[start:stop + 1]
+    cols = support.indices[ptr[0]:ptr[-1]]
+    if formulation == "right":
+        den = 4.0 * eps * rho[cols]
     else:
-        den = support.rows(scale)
-        den *= rho[support.indices]
-    np.divide(support.r2, den, out=den)
+        den = np.repeat(4.0 * eps * rho[start:stop], np.diff(ptr))
+        if formulation == "symmetric":
+            den *= rho[cols]
+    np.divide(support.r2[ptr[0]:ptr[-1]], den, out=den)
     np.negative(den, out=den)
-    return np.exp(den, out=den)
+    return sparse.csr_matrix((np.exp(den, out=den), cols, ptr - ptr[0]),
+                             shape=(stop - start, support.n))
+
+
+def support_products(support, rho, eps, formulation, *vectors):
+    """K @ v for each of ``vectors``, K the kernel on ``support`` (a SupportPairs).
+
+    K is evaluated and multiplied one block of rows at a time and never held
+    whole; each block keeps the CSR row order, so every sum is the one the
+    whole matrix would give.
+    """
+    out = [np.empty(support.n) for _ in vectors]
+    for start, stop in support.blocks():
+        block = support_kernel(support, rho, eps, formulation, start, stop)
+        for product, v in zip(out, vectors):
+            product[start:stop] = block @ v
+    return out
 
 
 def _row_sums(mat):
@@ -234,11 +251,11 @@ def _ratio_dense(pts, rho, eps, alpha, formulation, f, d, block=256):
 
 
 def _ratio_sparse(rho, eps, alpha, formulation, f, d, support):
-    k = support.matrix(support_kernel(support, rho, eps, formulation))
     weights = np.ones(support.n)
     if alpha != 0.0:
-        weights = (k @ weights / rho**d) ** (-alpha)
-    return k @ (weights * f), k @ weights
+        sums, = support_products(support, rho, eps, formulation, weights)
+        weights = (sums / rho**d) ** (-alpha)
+    return support_products(support, rho, eps, formulation, weights * f, weights)
 
 
 def save_sparse_csv(mat, path):

@@ -2,7 +2,8 @@
 
 Rows of a :class:`NeighborGraph` always start with the point itself at
 distance zero and are sorted by (distance, index) so that results are
-reproducible even in the presence of exact ties.
+reproducible even in the presence of exact ties. kNN queries and support
+pair distances run over blocks of rows and hold no n*k temporaries.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,11 @@ from .errors import KTooLarge
 # kd-trees stop paying off in high ambient dimension; everything in this
 # package lives in R^4 or lower, so the brute-force path is for completeness
 _KDTREE_MAX_DIM = 16
+# rows per block of the kNN queries, and of the support behind the pair
+# distances and the matrix-free kernel products; support blocks are small
+# because their pass is memory-bound and runs faster in cache
+_QUERY_BLOCK = 4096
+_SUPPORT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -34,80 +40,75 @@ class NeighborGraph:
             raise ValueError("row length must equal k")
 
 
+def _blocks(n, size):
+    """(start, stop) of consecutive blocks of at most ``size`` rows."""
+    return [(start, min(start + size, n)) for start in range(0, n, size)]
+
+
 def knn(cloud, k):
     """Exact k nearest neighbors (the point itself counts as the first).
 
     Neighbors at equal distance are listed by increasing index; the self
     entry is always listed first regardless. When more points tie at the
     k-th distance than fit in the row, the kd-tree picks which are kept.
+    Queries run in blocks of rows, which cannot change any row's answer.
     """
     pts = cloud.points
     n = pts.shape[0]
     if k > n:
         raise KTooLarge(k, n)
-    if pts.shape[1] <= _KDTREE_MAX_DIM:
-        dist, idx = cKDTree(pts).query(pts, k=k, workers=-1)
-        if k == 1:
-            dist, idx = dist[:, None], idx[:, None]
-    else:
-        dist, idx = _knn_brute(pts, k)
-    rows = np.arange(n)
-    # with more than k coincident points the query may drop the self entry;
-    # such a row holds k points at distance zero, so patching it keeps it
-    # sorted by distance
-    missing = ~np.any(idx == rows[:, None], axis=1)
-    if np.any(missing):
+    tree = cKDTree(pts) if pts.shape[1] <= _KDTREE_MAX_DIM else None
+    indices = np.empty((n, k), dtype=np.int32)
+    distances = np.empty((n, k))
+    for start, stop in _blocks(n, _QUERY_BLOCK):
+        if tree is None:
+            dist, idx = _knn_brute(pts, k, start, stop)
+        else:
+            dist, idx = tree.query(pts[start:stop], k=k, workers=-1)
+            dist, idx = dist.reshape(-1, k), idx.reshape(-1, k)
+        rows = np.arange(start, stop)
+        is_self = idx == rows[:, None]
+        # with more than k coincident points the query may drop the self
+        # entry; such a row holds k points at distance zero, so patching it
+        # keeps it sorted by distance
+        missing = ~np.any(is_self, axis=1)
         idx[missing, -1] = rows[missing]
         dist[missing, -1] = 0.0
-    # rows are sorted by distance, so the (distance, index) order only has
-    # to sort indices inside each run of equal distances; distances are
-    # constant along a run and need no reordering
-    key = np.zeros((n, k), dtype=np.int64)
-    np.cumsum(dist[:, 1:] != dist[:, :-1], axis=1, out=key[:, 1:])
-    key *= n
-    key += idx
-    order = np.argsort(key, axis=1, kind="stable")
-    del key
-    idx = np.take_along_axis(idx, order, axis=1)
-    self_pos = np.argmax(idx == rows[:, None], axis=1)
-    if np.any(self_pos > 0):
-        cols = np.arange(k)[None, :]
-        sp = self_pos[:, None]
-        perm = np.where(cols == 0, sp, np.where(cols <= sp, cols - 1, cols))
-        idx = np.take_along_axis(idx, perm, axis=1)
-        dist = np.take_along_axis(dist, perm, axis=1)
-    dist[:, 0] = 0.0
-    return NeighborGraph(k=k, indices=idx.astype(np.int32), distances=dist)
+        is_self[missing, -1] = True
+        # rows are sorted by distance, so (distance, index) order only sorts
+        # indices within runs of equal distance; keys are unique in a row, and
+        # the self entry (distance zero, first run) gets the one negative key
+        key = np.zeros(idx.shape, dtype=np.int64)
+        np.not_equal(dist[:, 1:], dist[:, :-1], out=key[:, 1:])
+        np.cumsum(key, axis=1, out=key)
+        key *= n
+        key += idx
+        key[is_self] -= n
+        key.sort(axis=1)
+        indices[start:stop] = np.remainder(key, n, out=key)
+        distances[start:stop] = dist
+        del dist, idx, is_self, key  # before the next block's query
+    return NeighborGraph(k=k, indices=indices, distances=distances)
 
 
-def _knn_brute(pts, k, block=512):
-    n = pts.shape[0]
+def _knn_brute(pts, k, start=0, stop=None, block=512):
+    stop = pts.shape[0] if stop is None else stop
     sq = np.einsum("ij,ij->i", pts, pts)
-    idx = np.empty((n, k), dtype=np.int64)
-    dist = np.empty((n, k))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * pts[start:stop] @ pts.T
+    idx = np.empty((stop - start, k), dtype=np.int64)
+    dist = np.empty((stop - start, k))
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * pts[lo:hi] @ pts.T
         np.maximum(d2, 0.0, out=d2)
         # the expansion leaves O(eps) residue on the diagonal, which sqrt
         # would amplify to ~1e-8; the self distance is zero by definition
-        d2[np.arange(stop - start), np.arange(start, stop)] = 0.0
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         pd = np.take_along_axis(d2, part, axis=1)
         order = np.lexsort((part, pd), axis=1)
-        idx[start:stop] = np.take_along_axis(part, order, axis=1)
-        dist[start:stop] = np.sqrt(np.take_along_axis(pd, order, axis=1))
+        idx[lo - start:hi - start] = np.take_along_axis(part, order, axis=1)
+        dist[lo - start:hi - start] = np.sqrt(np.take_along_axis(pd, order, axis=1))
     return dist, idx
-
-
-def pair_sq_dists(points, rows, cols, chunk=4_000_000):
-    """Squared distances ||points[rows] - points[cols]||^2, computed in chunks."""
-    out = np.empty(rows.shape[0])
-    for start in range(0, rows.shape[0], chunk):
-        stop = min(start + chunk, rows.shape[0])
-        diff = points[rows[start:stop]] - points[cols[start:stop]]
-        out[start:stop] = np.einsum("ij,ij->i", diff, diff)
-    return out
 
 
 def symmetrized_support(graph):
@@ -134,8 +135,8 @@ class SupportPairs:
     ``r2[e]`` is the squared distance of entry e. The distances do not depend
     on epsilon or on the bandwidth, so one instance serves every kernel
     evaluation on the same cloud and support. Instances share their index
-    arrays with the support and with the matrices from :meth:`matrix`;
-    nothing may modify them in place.
+    arrays with the support and with the block matrices of the kernel
+    products; nothing may modify them in place.
     """
 
     indptr: np.ndarray
@@ -150,28 +151,26 @@ class SupportPairs:
     def nnz(self):
         return self.r2.shape[0]
 
-    def rows(self, x):
-        """The per-point array ``x`` gathered at the row of every entry."""
-        return np.repeat(x, np.diff(self.indptr))
-
-    def matrix(self, vals):
-        """CSR matrix with ``vals`` on the support, sharing its index arrays."""
-        return sparse.csr_matrix((vals, self.indices, self.indptr),
-                                 shape=(self.n, self.n))
+    def blocks(self):
+        """(start, stop) of the row blocks that kernel products stream over."""
+        return _blocks(self.n, _SUPPORT_BLOCK)
 
 
 def support_pairs(cloud, support):
     """Cache the squared distances over a canonical symmetric CSR ``support``.
 
-    The distances use the same difference arithmetic as
-    :func:`pair_sq_dists`, so entries (i, j) and (j, i) are bitwise equal and
-    the diagonal is exactly zero.
+    Each block of rows repeats its own points against the gathered columns
+    and reduces the differences with one ``einsum``, so entries (i, j) and
+    (j, i) are bitwise equal and the diagonal is exactly zero.
     """
-    indptr, indices = support.indptr, support.indices
-    rows = np.repeat(np.arange(support.shape[0], dtype=indices.dtype),
-                     np.diff(indptr))
-    return SupportPairs(indptr=indptr, indices=indices,
-                        r2=pair_sq_dists(cloud.points, rows, indices))
+    pts, indptr, indices = cloud.points, support.indptr, support.indices
+    r2 = np.empty(indices.shape[0])
+    for start, stop in _blocks(support.shape[0], _SUPPORT_BLOCK):
+        lo, hi = indptr[start], indptr[stop]
+        diff = np.repeat(pts[start:stop], np.diff(indptr[start:stop + 1]), axis=0)
+        diff -= pts[indices[lo:hi]]
+        r2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
+    return SupportPairs(indptr=indptr, indices=indices, r2=r2)
 
 
 def scaled_pairs(cloud, x, support=None):
@@ -184,7 +183,7 @@ def scaled_pairs(cloud, x, support=None):
             start, stop = stop, stop + cloud.n_points - 1 - i
             t[start:stop] /= x[i] * x[i + 1:]
         return t
-    rows = support.rows(np.arange(support.n))
+    rows = np.repeat(np.arange(support.n), np.diff(support.indptr))
     upper = support.indices > rows
     return support.r2[upper] / (x[rows[upper]] * x[support.indices[upper]])
 

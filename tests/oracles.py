@@ -14,3 +14,13 @@ def generator_dense_nonsymmetric(gm):
     np.fill_diagonal(lout, lout.diagonal() - 1.0)
     lout /= gm.eps * gm.P[:, None] ** 2
     return lout
+
+
+def pair_sq_dists(points, rows, cols, chunk=4_000_000):
+    """Squared distances ||points[rows] - points[cols]||^2, computed in chunks."""
+    out = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], chunk):
+        stop = min(start + chunk, rows.shape[0])
+        diff = points[rows[start:stop]] - points[cols[start:stop]]
+        out[start:stop] = np.einsum("ij,ij->i", diff, diff)
+    return out

@@ -86,6 +86,26 @@ def test_kde_sparse_path_matches_dense():
     np.testing.assert_allclose(sparse_q0, dense_q0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_truncated_kde_in_row_blocks(monkeypatch, block):
+    rng = np.random.default_rng(29)
+    pts = rng.standard_normal((50, 2))
+    rho0 = np.exp(0.4 * rng.standard_normal(50))
+    cloud = pointcloud.PointCloud(pts)
+    sup = neighbors.symmetrized_support(neighbors.knn(cloud, 8))
+    support = neighbors.support_pairs(cloud, sup)
+    whole, _ = density.kde_pilot(cloud, rho0, 2, support=support)  # one block
+    monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", block)
+    q0, _ = density.kde_pilot(cloud, rho0, 2, support=support)
+    np.testing.assert_array_equal(q0, whole)
+    dense = sup.toarray()
+    want = [math.fsum(
+        math.exp(-float(np.sum((pts[i] - pts[j]) ** 2)) / (2.0 * rho0[i] * rho0[j]))
+        for j in np.nonzero(dense[i])[0]) / (2.0 * math.pi * rho0[i] ** 2 * 50)
+        for i in range(50)]
+    np.testing.assert_allclose(q0, want, rtol=1e-13, atol=0.0)
+
+
 def test_kde_estimates_uniform_circle_density():
     # true density against arc length is 1/(2 pi)
     cloud = pointcloud.gen_circle_uniform(1000)

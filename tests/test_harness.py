@@ -45,10 +45,17 @@ def test_alpha_beta_resolution():
     {"experiment": "ou1d_nice", "eps": -1.0},
     {"experiment": "ou1d_nice", "eigenfunctions": 0},
     {"experiment": "ou1d_nice", "formulation": "bogus"},
+    # the scored eigenfunction is index 3, and Hermite targets end at 6
+    {"experiment": "ou1d_nice", "eigenfunctions": 3},
+    {"experiment": "ou1d_nice", "eigenfunctions": 8},
+    {"experiment": "sphere", "eigenfunctions": 5},
+    # settings the run would ignore
+    {"experiment": "sphere", "formulation": "left", "alpha": 0.0},
+    {"experiment": "outlier_study", "eigenfunctions": 5},
 ])
 def test_validate_rejects(kwargs):
-    with pytest.raises(ValueError):
-        harness.ExperimentConfig(**kwargs).validate()
+    with pytest.raises(harness.ConfigError):
+        harness.resolve(harness.ExperimentConfig(**kwargs))
 
 
 def test_eps_sweep_keyword():
@@ -131,7 +138,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                           ("experiment", ["experiment=ou1d_nice",
                                           "formulation=bogus"]),
                           ("operator-check", ["experiment=circle_operator",
-                                              "formulation=left"])]:
+                                              "formulation=left"]),
+                          ("experiment", ["experiment=ou1d_nice", "eps=0.01",
+                                          "eigenfunctions=3"]),
+                          ("experiment", ["experiment=ou1d_nice", "eps=0.01",
+                                          "eigenfunctions=8"])]:
         argv = [command, "--set", f"output_dir={tmp_path / 'bad'}", "--set", "N=300"]
         for item in sets:
             argv += ["--set", item]

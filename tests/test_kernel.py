@@ -223,6 +223,28 @@ def test_partial_support_matches_per_row_oracle():
         assert np.allclose(got, want, atol=1e-10 * np.abs(want).max()), formulation
 
 
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_apply_generator_in_row_blocks(monkeypatch, block):
+    cloud, rho = _gaussian_line(60)
+    f = np.sin(cloud.points[:, 0])
+    graph = neighbors.knn(cloud, 9)
+    sets = _support_sets(graph)
+    support = _pairs(cloud, graph)
+    cases = [("left", 0.0), ("right", 0.0), ("symmetric", 0.0), ("symmetric", 0.3)]
+    # 60 rows are one block at the default size
+    whole = [kernel.apply_generator(cloud, rho, 0.02, alpha, formulation, f,
+                                    support=support)
+             for formulation, alpha in cases]
+    monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", block)
+    for (formulation, alpha), ref in zip(cases, whole):
+        got = kernel.apply_generator(cloud, rho, 0.02, alpha, formulation, f,
+                                     support=support)
+        np.testing.assert_array_equal(got, ref)
+        want = _naive_support_apply(cloud.points, rho, 0.02, alpha, formulation,
+                                    f, 1, sets)
+        assert np.allclose(got, want, atol=1e-10 * np.abs(want).max()), formulation
+
+
 def test_cached_pairs_survive_underflow():
     cloud, rho = _gaussian_line(80)
     graph = neighbors.knn(cloud, 20)

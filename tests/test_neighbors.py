@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from vbdiffusion import neighbors, pointcloud
 from vbdiffusion.errors import KTooLarge
+
+from oracles import pair_sq_dists
 
 
 def _brute_reference(pts, k):
@@ -69,8 +72,11 @@ def _tied_lattice():
 @pytest.mark.parametrize("k", [3, 4, 9, 13])
 def test_knn_orders_exact_ties_by_index(k):
     pts = _tied_lattice()
+    _assert_tie_order(pts, neighbors.knn(pointcloud.PointCloud(pts), k), k)
+
+
+def _assert_tie_order(pts, g, k):
     n = pts.shape[0]
-    g = neighbors.knn(pointcloud.PointCloud(pts), k)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
     for i in range(n):
         ref = sorted(range(n), key=lambda j: (j != i, d2[i, j], j))[:k]
@@ -110,13 +116,51 @@ def test_brute_path_agrees_with_kdtree_path():
     np.testing.assert_allclose(g.distances, bd, atol=1e-12)
 
 
-def test_pair_sq_dists_chunked():
-    pts = np.random.default_rng(2).standard_normal((40, 3))
-    rows = np.repeat(np.arange(40), 3)
-    cols = np.tile(np.arange(3), 40)
-    ref = np.sum((pts[rows] - pts[cols]) ** 2, axis=1)
-    np.testing.assert_allclose(neighbors.pair_sq_dists(pts, rows, cols, chunk=17),
-                               ref, atol=1e-12)
+def _coincident_cloud():
+    # more coincident copies of some points than fit in a k = 6 row, so the
+    # query drops self entries in several blocks
+    base = np.random.default_rng(6).standard_normal((40, 2))
+    pts = np.concatenate([base, np.repeat(base[:4], 8, axis=0)])
+    return pts[np.random.default_rng(7).permutation(pts.shape[0])]
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_knn_blocks_do_not_change_the_graph(monkeypatch, block):
+    lattice = _tied_lattice()
+    scattered = np.random.default_rng(11).standard_normal((60, 3))
+    clouds = ((lattice, 13), (_coincident_cloud(), 6), (scattered, 7))
+    # each cloud is below the default block size, so this is one block
+    whole = [neighbors.knn(pointcloud.PointCloud(pts), k) for pts, k in clouds]
+    monkeypatch.setattr(neighbors, "_QUERY_BLOCK", block)
+    for (pts, k), ref in zip(clouds, whole):
+        g = neighbors.knn(pointcloud.PointCloud(pts), k)
+        np.testing.assert_array_equal(g.indices, ref.indices)
+        np.testing.assert_array_equal(g.distances, ref.distances)
+        assert g.indices.dtype == np.int32
+        _assert_tie_order(pts, g, k)
+    ref_idx, ref_dist = _brute_reference(scattered, 7)
+    np.testing.assert_array_equal(g.indices, ref_idx)
+    # the brute-force path answers the same blocks of query rows; on integer
+    # coordinates its distances are exact
+    monkeypatch.setattr(neighbors, "_KDTREE_MAX_DIM", 0)
+    g = neighbors.knn(pointcloud.PointCloud(scattered), 7)
+    np.testing.assert_array_equal(g.indices, ref_idx)
+    np.testing.assert_allclose(g.distances, ref_dist, atol=1e-12)
+    _assert_tie_order(lattice, neighbors.knn(pointcloud.PointCloud(lattice), 13), 13)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_support_pairs_in_row_blocks_match_oracle(monkeypatch, block):
+    monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", block)
+    for pts, k in ((np.random.default_rng(2).standard_normal((40, 3)), 5),
+                   (_coincident_cloud(), 6)):
+        cloud = pointcloud.PointCloud(pts)
+        sup = neighbors.symmetrized_support(neighbors.knn(cloud, k))
+        coo = sup.tocoo()
+        pairs = neighbors.support_pairs(cloud, sup)
+        np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, coo.row, coo.col))
+        np.testing.assert_allclose(
+            pairs.r2, np.sum((pts[coo.row] - pts[coo.col]) ** 2, axis=1), atol=1e-12)
 
 
 def _assert_canonical(sup):
@@ -154,9 +198,8 @@ def test_support_pairs_follow_csr_order():
     pairs = neighbors.support_pairs(cloud, sup)
     assert pairs.nnz == sup.nnz and pairs.n == 50
     coo = sup.tocoo()
-    np.testing.assert_array_equal(
-        pairs.r2, neighbors.pair_sq_dists(pts, coo.row, coo.col))
-    mat = pairs.matrix(pairs.r2).toarray()
+    np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, coo.row, coo.col))
+    mat = sparse.csr_matrix((pairs.r2, pairs.indices, pairs.indptr)).toarray()
     np.testing.assert_array_equal(mat, mat.T)
     assert np.all(np.diag(mat) == 0.0)
 
