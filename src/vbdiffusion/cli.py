@@ -139,7 +139,8 @@ def _cmd_eigs(config):
     path = harness.eigvecs_path(out, used["eps_used"])
     spectral.save_csv(spec, path, latent=cloud.latent)
     harness.write_meta(out / "meta.txt", vars(config), used,
-                       {"eigenvalues": list(spec.eigenvalues)})
+                       {"eigenvalues": list(spec.eigenvalues),
+                        "eigensolver": {used["eps_used"]: spec.solver}})
     print(f"wrote {path}")
     print("eigenvalues:", " ".join("%.6g" % v for v in spec.eigenvalues))
     return 0

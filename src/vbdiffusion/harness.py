@@ -293,17 +293,20 @@ def _eigen_experiment(config, spec):
     sweep, curve = epsilons(config, cloud, profile.rho, support, out)
     targets = spec.targets(config.eigenfunctions)
     reference, ref_vals = reference_matrix(targets, cloud)
+    solvers = {}
 
     def one_eps(eps):
         gm = kernel.build_generator(cloud, profile.rho, eps, alpha,
                                     d=cloud.intrinsic_dim, support=support)
         spectrum = spectral.scale_sqrtN(
             spectral.eigs_near_zero(gm, len(targets)))
+        solvers[float(eps)] = spectrum.solver
         scores = spec.score(spec.primary, spectrum, cloud, reference, ref_vals)
         spectral.save_csv(spectrum, eigvecs_path(out, eps), latent=cloud.latent)
         return scores
 
-    return _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps)
+    return _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps,
+                  {"eigensolver": solvers})
 
 
 def _operator_experiment(config, spec):
@@ -339,8 +342,11 @@ def _operator_experiment(config, spec):
                   one_eps)
 
 
-def _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps):
-    """Rows of ``one_eps(eps) -> (mse, eig_err)``; failures go to the metadata."""
+def _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps, record=None):
+    """Rows of ``one_eps(eps) -> (mse, eig_err)``; failures go to the metadata.
+
+    ``record`` holds further metadata entries that ``one_eps`` fills in.
+    """
     rows, errors = [], {}
     for eps in sweep:
         t0 = time.perf_counter()
@@ -352,7 +358,7 @@ def _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps):
         rows.append((eps, err, eig_err, time.perf_counter() - t0))
     table = ResultTable(np.array(rows, dtype=float).reshape(-1, 4),
                         metadata=_metadata(config, alpha, beta, sweep, curve,
-                                           errors, cloud))
+                                           errors, cloud) | (record or {}))
     _write_outputs(table, out)
     return table
 

@@ -5,14 +5,23 @@ orthonormal eigenvectors are mapped back through the conjugation diagonal
 and rescaled so that every eigenvector has Euclidean norm sqrt(N), matching
 the convention that makes discrete vectors comparable with L2-normalized
 eigenfunctions sampled at the data points.
+
+Only the few eigenpairs nearest zero are wanted. Small problems take a
+dense ``eigh`` of the top pairs. Larger ones run shift-inverted Lanczos
+(ARPACK), solving with a Cholesky factor of sigma I - Lhat: a dense one for
+all-pairs runs, a banded one for supports along a line, SuperLU otherwise.
+On the dense storage a Lanczos run that outlives its solve budget hands
+over to ``eigh``; :class:`Spectrum` records which path ran.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh, svd
+from scipy.linalg import (cho_factor, cho_solve_banded, cholesky_banded,
+                          eigh, svd)
+from scipy.linalg.blas import dtrsv
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
                                  LinearOperator, eigsh)
@@ -20,19 +29,44 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
 from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
                      DisconnectedGraph, EmptyMask, SolverFailure)
 
-# full eigh is cheaper and more robust than iterative solvers this small;
-# this is the eigensolver crossover for a sparse Lhat, not the harness's
-# choice between the all-pairs and the support path
+# up to this size eigh is the solver, for either storage. Measured on one
+# BLAS thread, top 4 or 5 pairs of sphere and ou1d_nice generators at eps*:
+# the dense Cholesky factor plus a first Lanczos pass (41 solves) matched
+# eigh at n = 300-400 and took half its time at n = 600 (0.012 s against
+# 0.022 s); but the solve budget below admits that pass only from
+# n = 16 x 41 = 656, and up to there eigh takes under 0.04 s. The crossover
+# for a sparse Lhat is not measured
 _DENSE_MAX = 600
+# a dense Lanczos run may take n // _SOLVE_BUDGET solves before eigh takes
+# over. eigh costs about n/4.5 solves from n = 1500 to 3000, so a spent
+# budget plus the factor costs about 1.4 to 1.5 times eigh alone
+_SOLVE_BUDGET = 16
+# relative closeness to a column's largest |v| at which entries tie for its
+# sign: ARPACK stops at a relative residual of 1e-10, which moves a vector
+# whose eigenvalue lies 1e-2 apart from the next (the groups of
+# group_by_eigenvalue) by 1e-8 in angle, so any entry of the unit vector by
+# at most 1e-8, while its largest entry is at least 1/sqrt(n); 1e-5 covers
+# n up to 1e6
+_SIGN_TIE = 1e-5
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Top eigenpairs of the generator, eigenvalues descending from zero."""
+    """Top eigenpairs of the generator, eigenvalues descending from zero.
+
+    ``solver`` names the path that produced them: 'eigh', 'eigh (<why
+    Lanczos gave way>)', 'dense cholesky shift-invert', 'banded cholesky
+    shift-invert', 'superlu shift-invert' or 'lanczos (<reason>)'.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     scaled: bool = False
+    solver: str = "eigh"
+
+
+class _BudgetSpent(Exception):
+    """A dense shift-invert Lanczos run used up its solves."""
 
 
 def eigs_near_zero(gm, n_eig, method="auto", tol=1e-10):
@@ -41,25 +75,38 @@ def eigs_near_zero(gm, n_eig, method="auto", tol=1e-10):
     Checks connectivity of the kernel support first and raises
     :class:`DisconnectedGraph` with the component sizes when it splits.
     ``method`` is 'auto', 'dense', 'shift-invert' or 'lanczos'; 'auto' uses
-    dense decomposition for small problems and shift-inverted Lanczos
-    otherwise, falling back to plain Lanczos and then failing with
-    :class:`SolverFailure`.
+    dense ``eigh`` for small problems and shift-inverted Lanczos otherwise.
+    On a sparse Lhat a failed shift-invert run falls back to plain Lanczos;
+    on a dense one, and once its solve budget is spent, ``eigh`` runs
+    instead. An Lhat with an eigenvalue above the shift, or a solver that
+    fails for good, raises :class:`SolverFailure`.
     """
     lhat = gm.Lhat
     n = gm.P.shape[0]
     _check_connected(gm.Kalpha)
+    dense = not sparse.issparse(lhat)
     if method == "auto":
-        method = "dense" if (not sparse.issparse(lhat) or n <= _DENSE_MAX
-                             or n_eig >= n - 1) else "shift-invert"
-    if method == "dense":
-        dense = lhat.toarray() if sparse.issparse(lhat) else lhat
-        # only the largest n_eig; no overwrite_a: callers read gm.Lhat afterwards
-        vals, vecs = eigh(dense, subset_by_index=[max(n - n_eig, 0), n - 1])
-    else:
-        vals, vecs = _eigs_sparse(lhat, n_eig, method, tol)
+        # a dense Lanczos run whose budget cannot cover its first pass
+        # (ncv + 1 solves) would only add the factor to eigh
+        small = n <= _DENSE_MAX or n_eig >= n - 1 or (
+            dense and n // _SOLVE_BUDGET <= _ncv(n, n_eig))
+        method = "dense" if small else "shift-invert"
+    vals, vecs, solver = None, None, "eigh"
+    if method != "dense":
+        vals, vecs, solver = _eigs_arpack(lhat, n_eig, method, tol)
+    if vals is None:
+        # eigh runs once _eigs_arpack has returned, so that a dense factor
+        # is no longer held
+        vals, vecs = eigh(lhat if dense else lhat.toarray(),
+                          subset_by_index=[max(n - n_eig, 0), n - 1])
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs / gm.S[:, None], scaled=False)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs / gm.S[:, None],
+                    scaled=False, solver=solver)
+
+
+def _ncv(n, n_eig):
+    return min(n, max(4 * n_eig + 1, 40))
 
 
 def _check_connected(kalpha):
@@ -88,31 +135,90 @@ def _dense_components(mat, block=256):
     return labels
 
 
-def _eigs_sparse(lhat, n_eig, method, tol):
+def _eigs_arpack(lhat, n_eig, method, tol):
+    """``(vals, vecs, solver)`` from ARPACK; vals is None when eigh must run."""
     n = lhat.shape[0]
+    dense = not sparse.issparse(lhat)
     maxiter = int(10 * n_eig * np.sqrt(n))
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    ncv = min(n, max(4 * n_eig + 1, 40))
+    # seeded, and without the mirror symmetry of grid clouds: the constant
+    # vector is orthogonal to every odd eigenvector of such a cloud
+    v0 = np.random.default_rng(0).standard_normal(n)
+    ncv = _ncv(n, n_eig)
+    scale = float(np.abs(lhat.diagonal()).max())
     if method == "shift-invert":
         # the spectrum is nonpositive, so any positive shift is safe to factor
-        scale = float(np.abs(lhat.diagonal()).max())
         sigma = 1e-6 * scale if scale > 0.0 else 1e-12
-        opinv = _banded_opinv(lhat, sigma) if sparse.issparse(lhat) else None
+        if dense:
+            solver = "dense cholesky shift-invert"
+            opinv = _dense_opinv(lhat, sigma, n // _SOLVE_BUDGET)
+        else:
+            opinv = _banded_opinv(lhat, sigma)
+            kind = "superlu" if opinv is None else "banded cholesky"
+            solver = f"{kind} shift-invert"
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                return eigsh(lhat, k=n_eig, sigma=sigma, which="LM", tol=tol,
-                             maxiter=maxiter, v0=v0, ncv=ncv, OPinv=opinv)
-        except (ArpackError, RuntimeError, MemoryError, ValueError):
-            method = "lanczos"
+                vals, vecs = eigsh(lhat, k=n_eig, sigma=sigma, which="LM",
+                                   tol=tol, maxiter=maxiter, v0=v0, ncv=ncv,
+                                   OPinv=opinv)
+            return vals, vecs, solver
+        except _BudgetSpent:
+            reason = "lanczos budget spent"
+        except (ArpackError, RuntimeError) as exc:
+            reason = f"{solver} failed: {type(exc).__name__}"
+        except (MemoryError, ValueError) as exc:
+            raise SolverFailure(f"{solver}: {type(exc).__name__}: {exc}") from exc
+        if dense:
+            return None, None, f"eigh ({reason})"
+        method = f"lanczos ({reason})"
+    else:
+        method = "lanczos (requested)"
+    # ARPACK's stopping test is relative to each Ritz value, which the
+    # eigenvalue 0 of every generator never meets from a random start; on
+    # Lhat shifted down by its diagonal's scale the test is relative to Lhat
+    shifted = LinearOperator((n, n), matvec=lambda x: lhat @ x - scale * x,
+                             dtype=float)
     try:
-        return eigsh(lhat, k=n_eig, which="LA", tol=tol, maxiter=maxiter,
-                     v0=v0, ncv=ncv)
+        vals, vecs = eigsh(shifted, k=n_eig, which="LA", tol=tol,
+                           maxiter=maxiter, v0=v0, ncv=ncv)
+        return vals + scale, vecs, method
     except ArpackNoConvergence as exc:
         raise SolverFailure(f"eigensolver did not converge: {exc}",
                             iterations=maxiter) from exc
     except (ArpackError, RuntimeError) as exc:
         raise SolverFailure(f"eigensolver failed: {exc}") from exc
+
+
+def _dense_opinv(lhat, sigma, budget):
+    """Shift-invert operator from a dense Cholesky factor of sigma I - Lhat.
+
+    The factor overwrites the one n-by-n copy it is made from, and Lhat is
+    left as it was. Past ``budget`` solves the operator raises _BudgetSpent.
+    """
+    n = lhat.shape[0]
+    # Lhat is exactly symmetric, so its Fortran-ordered transpose gives
+    # LAPACK a copy of -Lhat to factor in place
+    a = np.negative(lhat.T, order="F")
+    a[np.diag_indices(n)] += sigma
+    try:
+        c = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure("dense cholesky shift-invert: sigma I - Lhat is not "
+                            f"positive definite, so Lhat has an eigenvalue above "
+                            f"sigma = {sigma:.3g}") from exc
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        if solves > budget:
+            raise _BudgetSpent
+        # (Lhat - sigma I)^-1 = -(c c^T)^-1; two triangular matrix-vector
+        # solves take half the time of LAPACK's one-column potrs
+        y = dtrsv(c, dtrsv(c, x, lower=1), lower=1, trans=1, overwrite_x=1)
+        return np.negative(y, out=y)
+
+    return LinearOperator((n, n), matvec=solve, dtype=float)
 
 
 def _banded_opinv(lhat, sigma):
@@ -153,16 +259,23 @@ def _banded_opinv(lhat, sigma):
 
 
 def scale_sqrtN(spectrum):
-    """Rescale eigenvector columns to norm sqrt(N), largest entry positive."""
+    """Rescale eigenvector columns to norm sqrt(N), largest entry positive.
+
+    Of entries tied for the largest |v| within a relative _SIGN_TIE, the
+    first is made positive.
+    """
     vecs = np.array(spectrum.eigenvectors)
     n = vecs.shape[0]
     norms = np.linalg.norm(vecs, axis=0)
     if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
         raise DegenerateEigenvector("eigenvector with zero or non-finite norm")
     vecs *= np.sqrt(n) / norms
-    lead = np.take_along_axis(vecs, np.abs(vecs).argmax(axis=0)[None, :], axis=0)[0]
-    vecs[:, lead < 0.0] *= -1.0
-    return Spectrum(eigenvalues=spectrum.eigenvalues, eigenvectors=vecs, scaled=True)
+    mag = np.abs(vecs)
+    # the first entry within _SIGN_TIE of the largest: the entries a
+    # symmetric cloud makes equal differ by rounding alone
+    lead = (mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0)).argmax(axis=0)
+    vecs[:, vecs[lead, np.arange(vecs.shape[1])] < 0.0] *= -1.0
+    return replace(spectrum, eigenvectors=vecs, scaled=True)
 
 
 def procrustes_rotation(estimated, reference):

@@ -2,6 +2,9 @@
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import qr
+
+from vbdiffusion.kernel import GeneratorMatrices
 
 
 def generator_dense_nonsymmetric(gm):
@@ -16,6 +19,14 @@ def generator_dense_nonsymmetric(gm):
     return lout
 
 
+def planted_generator(lhat):
+    """GeneratorMatrices around a given Lhat, with S = 1 and a connected kernel."""
+    ones = np.ones(lhat.shape[0])
+    return GeneratorMatrices(eps=0.1, alpha=0.0, qS=None,
+                             Kalpha=np.ones(lhat.shape), q_eps_alpha=ones,
+                             Lhat=lhat, P=ones, D=ones, S=ones)
+
+
 def pair_sq_dists(points, rows, cols, chunk=4_000_000):
     """Squared distances ||points[rows] - points[cols]||^2, computed in chunks."""
     out = np.empty(rows.shape[0])
@@ -24,3 +35,25 @@ def pair_sq_dists(points, rows, cols, chunk=4_000_000):
         diff = points[rows[start:stop]] - points[cols[start:stop]]
         out[start:stop] = np.einsum("ij,ij->i", diff, diff)
     return out
+
+
+def mirrored_spectrum(even, odd, n, seed=0, lo=10.0):
+    """Exactly symmetric n x n matrix with planted eigenvalues, mirror-invariant.
+
+    Eigenvectors are even or odd under reversing the point order, as on a
+    symmetric grid; the odd ones are orthogonal to the constant vector.
+    ``even`` and ``odd`` head the two halves of the spectrum, and the rest
+    descends from -lo to -100, crowding near -lo.
+    """
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    r = rng.standard_normal((n, half))
+    bulk = -(lo + (100.0 - lo) * np.linspace(0.0, 1.0, half) ** 3)
+    mat = np.zeros((n, n))
+    for sign, top in ((1.0, even), (-1.0, odd)):
+        basis = qr(r + sign * r[::-1], mode="economic")[0]
+        vals = np.concatenate([top, bulk[len(top):]])
+        mat += (basis * vals) @ basis.T
+    # the averages are exact, so reversal and transposition leave it unchanged
+    mat = 0.5 * (mat + mat[::-1, ::-1])
+    return 0.5 * (mat + mat.T)

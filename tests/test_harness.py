@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -182,7 +183,9 @@ def test_single_matrix_commands_take_one_eps(tmp_path, capsys):
     assert cli.main(["eigs", *base, "--set", "eps=0.01",
                      "--set", "eps_multiplier=2"]) == 0
     assert (tmp_path / "one" / "eigvecs_0.02.csv").is_file()
-    assert "eps_used = 0.02" in (tmp_path / "one" / "meta.txt").read_text()
+    meta = (tmp_path / "one" / "meta.txt").read_text()
+    assert "eps_used = 0.02" in meta
+    assert "eigensolver = {0.02: 'eigh'}" in meta
 
 
 def test_operator_runs_reject_eps_sweep(tmp_path):
@@ -254,7 +257,15 @@ def _check_sweep_outputs(out, table, prefix):
     meta = dict(line.split(" = ", 1)
                 for line in (out / "meta.txt").read_text().splitlines())
     tuned = {"eps_star", "a_max", "d_hat"} if "eps_star" in table.metadata else set()
-    assert set(meta) == _META_KEYS | tuned | ({"errors"} if failed else set())
+    eigen = {"eigensolver"} if prefix == "eigvecs" else set()
+    assert set(meta) == _META_KEYS | tuned | eigen | ({"errors"} if failed else set())
+    if eigen:
+        # every epsilon with a row names the eigensolver path that ran
+        solvers = ast.literal_eval(meta["eigensolver"])
+        assert set(table.rows[:, 0]) <= set(solvers)
+        assert set(solvers.values()) <= {"eigh", "dense cholesky shift-invert",
+                                         "banded cholesky shift-invert",
+                                         "superlu shift-invert"}
     want = {"results.csv", "meta.txt"} | {f"{prefix}_{e:.6g}.csv"
                                           for e in table.rows[:, 0]}
     assert {p.name for p in out.iterdir()} == want | (

@@ -1,4 +1,4 @@
-"""Traced peak memory of the support path against bounds derived from its blocks.
+"""Traced peak memory against bounds derived from what each stage must hold.
 
 numpy reports its array allocations to ``tracemalloc``, so the traced peak
 of a call counts every temporary it holds at once. Each bound is the output
@@ -11,7 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vbdiffusion import kernel, neighbors, pointcloud
+from vbdiffusion import kernel, neighbors, pointcloud, spectral
+
+from oracles import mirrored_spectrum, planted_generator
 
 _SLACK = 1 << 20
 _N, _K = 20_000, 128
@@ -78,3 +80,22 @@ def test_apply_generator_holds_one_row_block(cloud, pairs):
     vectors = 10 * _N * 8
     block = 3 * _largest_block(pairs) * 8
     assert peak <= vectors + block + _SLACK, peak
+
+
+@pytest.mark.parametrize("even, odd, lo, solver", [
+    ([0.0, -1.0, -2.0], [-1.5, -3.0], 10.0, "dense cholesky shift-invert"),
+    # a tight cluster at the fifth eigenvalue spends the solve budget
+    ([0.0, -1.0, -2.0, -2.548], [-2.5475, -2.5481], 2.549,
+     "eigh (lanczos budget spent)"),
+])
+def test_dense_solve_holds_one_matrix_copy(even, odd, lo, solver):
+    n = 1500
+    gm = planted_generator(mirrored_spectrum(even, odd, n, lo=lo))
+    spec, peak = _traced_peak(lambda: spectral.eigs_near_zero(gm, 5))
+    assert spec.solver == solver
+    # the copy of Lhat that the Cholesky factor overwrites, or that eigh
+    # reduces once the factor is freed, and ARPACK's Lanczos basis
+    # (n x ncv), which it copies to Fortran order to extract eigenvectors;
+    # a second n x n array does not fit
+    basis = 2 * n * spectral._ncv(n, 5) * 8
+    assert peak <= n * n * 8 + basis + _SLACK, (peak, n * n * 8)

@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.linalg import qr
+from scipy.linalg import cho_factor, qr
 from scipy.sparse.csgraph import connected_components
 
 from vbdiffusion import kernel, neighbors, pointcloud, spectral
 from vbdiffusion.errors import (AlignmentAmbiguous, DegenerateEigenvector,
-                                DisconnectedGraph, EmptyMask)
-from vbdiffusion.kernel import GeneratorMatrices
+                                DisconnectedGraph, EmptyMask, SolverFailure)
 from vbdiffusion.pointcloud import PointCloud
 
-
-def _fake_gm(lhat, n):
-    ones = np.ones(n)
-    return GeneratorMatrices(eps=0.1, alpha=0.0, qS=None,
-                             Kalpha=np.ones((n, n)), q_eps_alpha=ones,
-                             Lhat=lhat, P=ones, D=ones, S=ones)
+from oracles import mirrored_spectrum, planted_generator
 
 
 def test_dense_path_recovers_planted_spectrum():
@@ -25,12 +19,115 @@ def test_dense_path_recovers_planted_spectrum():
     vals = -np.linspace(0.0, 5.5, n)
     lhat = (q * vals) @ q.T
     lhat = 0.5 * (lhat + lhat.T)
-    spec = spectral.eigs_near_zero(_fake_gm(lhat, n), 4)
+    spec = spectral.eigs_near_zero(planted_generator(lhat), 4)
     assert np.allclose(spec.eigenvalues, vals[:4], atol=1e-10)
     for i in range(4):
         corr = abs(spec.eigenvectors[:, i] @ q[:, i])
         assert corr == pytest.approx(1.0, abs=1e-10)
     assert not spec.scaled
+
+
+def _assert_matches_eigh(spec, gm):
+    """Eigenvalues within 1e-12 ||Lhat||_1 of eigh's, and the same subspace."""
+    want = spectral.eigs_near_zero(gm, spec.eigenvalues.size, method="dense")
+    norm = np.abs(gm.Lhat).sum(axis=0).max()
+    np.testing.assert_allclose(spec.eigenvalues, want.eigenvalues, rtol=0.0,
+                               atol=1e-12 * norm)
+    # unit columns (S = 1): all cosines of the principal angles are 1
+    cosines = np.linalg.svd(want.eigenvectors.T @ spec.eigenvectors,
+                            compute_uv=False)
+    assert cosines.min() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_dense_shift_invert_matches_eigh_on_a_degenerate_pair():
+    n = 800
+    lhat = mirrored_spectrum([0.0, -1.0, -3.0], [-1.0, -2.0], n)
+    gm = planted_generator(lhat)
+    before = lhat.copy()
+    spec = spectral.eigs_near_zero(gm, 5)
+    assert spec.solver == "dense cholesky shift-invert"
+    np.testing.assert_array_equal(gm.Lhat, before)
+    assert spec.eigenvalues[1] == pytest.approx(spec.eigenvalues[2], abs=1e-12)
+    _assert_matches_eigh(spec, gm)
+
+
+def test_start_vector_reaches_odd_eigenvectors():
+    # the wanted -2 is odd, so the constant start vector is orthogonal to it,
+    # and an even -2.0001 stands next to it; a constant start returns that
+    n = 800
+    lhat = mirrored_spectrum([0.0, -1.0, -2.0001], [-2.0], n, lo=2.6)
+    assert abs(np.ones(n) @ np.linalg.eigh(lhat)[1][:, -3]) < 1e-10
+    gm = planted_generator(lhat)
+    spec = spectral.eigs_near_zero(gm, 3)
+    assert spec.solver == "dense cholesky shift-invert"
+    _assert_matches_eigh(spec, gm)
+
+
+def test_spent_solve_budget_hands_over_to_eigh():
+    # the fifth eigenvalue sits in a tight cluster at the edge of a crowded
+    # bulk, which Lanczos resolves only slowly
+    n = 800
+    lhat = mirrored_spectrum([0.0, -1.0, -2.0, -2.548], [-2.5475, -2.5481], n,
+                             lo=2.549)
+    gm = planted_generator(lhat)
+    spec = spectral.eigs_near_zero(gm, 5)
+    assert spec.solver == "eigh (lanczos budget spent)"
+    want = spectral.eigs_near_zero(gm, 5, method="dense")
+    assert want.solver == "eigh"
+    np.testing.assert_array_equal(spec.eigenvalues, want.eigenvalues)
+    np.testing.assert_array_equal(spec.eigenvectors, want.eigenvectors)
+
+
+def test_dense_factor_overwrites_its_one_copy(monkeypatch):
+    n = 800
+    lhat = mirrored_spectrum([0.0, -1.0, -2.0], [-1.5], n)
+    seen = []
+
+    def recording(a, **kwargs):
+        factor = cho_factor(a, **kwargs)
+        seen.append(np.shares_memory(factor[0], a))
+        return factor
+
+    monkeypatch.setattr(spectral, "cho_factor", recording)
+    spec = spectral.eigs_near_zero(planted_generator(lhat), 4)
+    assert spec.solver == "dense cholesky shift-invert"
+    assert seen == [True]
+
+
+def test_eigenvalue_above_shift_raises():
+    # sigma I - Lhat is indefinite: no fallback hides it
+    n = 800
+    lhat = mirrored_spectrum([1.0, 0.0, -1.0], [-2.0], n)
+    with pytest.raises(SolverFailure, match="not positive definite"):
+        spectral.eigs_near_zero(planted_generator(lhat), 4)
+
+
+@pytest.mark.parametrize("error", [MemoryError, ValueError])
+def test_memory_and_value_errors_are_not_fallbacks(monkeypatch, error):
+    gm = _line_generator(800, 40, 0.05)
+
+    def failing(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(spectral, "eigsh", failing)
+    with pytest.raises(SolverFailure, match="banded cholesky shift-invert"):
+        spectral.eigs_near_zero(gm, 5)
+
+
+def test_solver_names_the_path():
+    gm = _line_generator(800, 40, 0.05)
+    assert spectral.eigs_near_zero(gm, 5).solver == "banded cholesky shift-invert"
+    assert spectral.eigs_near_zero(gm, 5, method="dense").solver == "eigh"
+    assert (spectral.eigs_near_zero(gm, 5, method="lanczos").solver
+            == "lanczos (requested)")
+    # a circle's wrap-around support is not banded
+    cloud = pointcloud.gen_circle_uniform(800)
+    graph = neighbors.knn(cloud, 8)
+    support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
+    ring = kernel.build_generator(cloud, np.ones(800), 0.001, 0.0, support=support)
+    assert spectral.eigs_near_zero(ring, 3).solver == "superlu shift-invert"
+    small = _line_generator(300, 20, 0.05)
+    assert spectral.eigs_near_zero(small, 4).solver == "eigh"
 
 
 def _line_generator(n, k, eps):
@@ -133,6 +230,19 @@ def test_scale_sqrtN_norms_and_sign():
     bad = spectral.Spectrum(eigenvalues=np.array([0.0]), eigenvectors=np.zeros((3, 1)))
     with pytest.raises(DegenerateEigenvector):
         spectral.scale_sqrtN(bad)
+
+
+def test_sign_ignores_rounding_between_mirrored_entries():
+    # an odd column: its two end entries tie for the largest |v|
+    col = np.linspace(-1.0, 1.0, 9)
+    signs = []
+    for end, away in ((0, -2.0), (-1, 2.0)):
+        vecs = col.copy()
+        vecs[end] = np.nextafter(vecs[end], away)
+        spec = spectral.Spectrum(eigenvalues=np.array([-1.0]),
+                                 eigenvectors=vecs[:, None])
+        signs.append(np.sign(spectral.scale_sqrtN(spec).eigenvectors[0, 0]))
+    assert signs == [1.0, 1.0]
 
 
 def test_procrustes_recovers_rotation():
