@@ -19,8 +19,7 @@ from .harness import (ExperimentConfig, ResultTable, operator_check,
 from .kernel import (GeneratorMatrices, ShapeConstants, alpha_normalize,
                      apply_generator, build_generator, gaussian_shape_constants,
                      generator_symmetric, kernel_matrix, qS_normalization)
-from .neighbors import (NeighborGraph, SupportPairs, knn, support_pairs,
-                        symmetrized_support)
+from .neighbors import NeighborGraph, SupportPairs, knn, symmetrized_support
 from .pointcloud import (PointCloud, gen_circle_from_density,
                          gen_circle_nonuniform, gen_circle_uniform,
                          gen_gaussian_nice_1d, gen_gaussian_random,

@@ -11,12 +11,8 @@ from math import factorial
 from typing import Callable
 
 import numpy as np
-import sympy as sym
 
 from .errors import NoLatent
-
-THETA, PHI = sym.symbols("theta phi")
-X, Y = sym.symbols("x y")
 
 MAX_HERMITE = 6
 _KINDS = ("laplacian", "gradient_flow", "bandwidth_drift")
@@ -106,6 +102,8 @@ def reference_operator(kind, f_expr, cloud, symbols, c1=None, rho_expr=None,
     of every generator in this package are arc-length, so the Laplacian is
     the flat sum of second derivatives).
     """
+    import sympy as sym  # loaded here: only reference operators need it
+
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
     if cloud.latent is None:

@@ -58,9 +58,10 @@ def kde_pilot(cloud, rho0, d, support=None):
         q0_i = (2 pi)^(-d/2) / (rho0_i^d N) * sum_l exp(-r_il^2 / (2 rho0_i rho0_l))
 
     with the l = i term included. Without a ``support``
-    (:class:`neighbors.SupportPairs`) the sum runs over all pairs, each
-    computed once and added to both of its points' sums; with one it is
-    truncated to the support.
+    (:class:`neighbors.SupportPairs`) the sum runs over all pairs; with one
+    it is truncated to the support, whose strict upper triangle is stored
+    with the diagonal implicit. Either way each pair is computed once and
+    added to both of its points' sums.
     """
     n = cloud.n_points
     eps0 = float(np.mean(rho0)) ** 2

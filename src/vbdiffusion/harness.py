@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import sympy as sym
 
 from . import analytic, density, kernel, neighbors, pointcloud, spectral, tuning
 from .errors import PipelineError
@@ -185,17 +184,19 @@ def generate_cloud(config, spec=None):
     return spec.cloud(config.N, config.seed)
 
 
-def _support(cloud, graph):
-    return neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
-
-
 def _bandwidth(cloud, beta, k_support, k0):
     """Bandwidth profile and support pairs (None: all pairs) of one cloud."""
     n = cloud.n_points
     dense = k_support is None and n <= _DENSE_MAX
     k = 8 if dense else (128 if k_support is None else k_support)
     graph = neighbors.knn(cloud, min(n, max(k, k0)))
-    support = None if dense else _support(cloud, graph)
+    support = None
+    if not dense:
+        # the pilot bandwidth reads the first k0 neighbors; the rest of the
+        # distances are freed before the support is built from the indices
+        indices, graph = graph.indices, graph.head(k0)
+        support = neighbors.symmetrized_support(cloud, indices)
+        del indices
     profile = density.bandwidth_profile(cloud, graph, beta, k0=k0,
                                         support=support)
     return profile, support
@@ -310,6 +311,8 @@ def _eigen_experiment(config, spec):
 
 
 def _operator_experiment(config, spec):
+    import sympy as sym  # only operator checks load it
+
     cloud = generate_cloud(config, spec)
     d = cloud.intrinsic_dim
     alpha, beta = _alpha_beta(config, spec, d)
@@ -320,15 +323,15 @@ def _operator_experiment(config, spec):
     # lap f alone; gradient-flow checks sample q = exp(cos theta), rho = q^beta
     drift = spec.reference == "bandwidth_drift"
     rho = np.exp(np.cos(theta)) ** (1.0 if drift else beta)
-    q = sym.exp(sym.cos(analytic.THETA))
+    latent = sym.symbols("theta phi")[:cloud.latent.shape[1]]
+    q = sym.exp(sym.cos(latent[0]))
     ref = analytic.reference_operator(
         "laplacian" if drift and config.formulation == "left" else spec.reference,
-        sym.sin(analytic.THETA), cloud,
-        (analytic.THETA, analytic.PHI)[:cloud.latent.shape[1]],
+        sym.sin(latent[0]), cloud, latent,
         c1=density.c_constants(alpha, beta, d)[0], rho_expr=q, q_expr=q)
     k = spec.k_support if config.k_support is None else config.k_support
-    support = None if k is None else _support(
-        cloud, neighbors.knn(cloud, min(cloud.n_points, k)))
+    support = None if k is None else neighbors.symmetrized_support(
+        cloud, neighbors.knn(cloud, min(cloud.n_points, k)).indices)
     base = spec.eps if config.eps == "auto" else config.eps
 
     def one_eps(eps):
@@ -390,8 +393,8 @@ def outlier_study(N, seed, eps=None, k_support=None, output_dir=None, k0=8,
         removed.append(drop)
         kept = pointcloud.PointCloud(cloud.points[keep], latent=cloud.latent[keep],
                                      intrinsic_dim=1, label=cloud.label)
-        support = _support(
-            kept, neighbors.knn(kept, min(kept.n_points, max(k, k0))))
+        support = neighbors.symmetrized_support(
+            kept, neighbors.knn(kept, min(kept.n_points, max(k, k0))).indices)
         rho = np.ones(kept.n_points)
         target = analytic.hermite_target(3).evaluate(kept)
         target *= np.sqrt(kept.n_points) / np.linalg.norm(target)

@@ -6,21 +6,23 @@ estimate removes sampling bias from the kernel; and a diagonal conjugation
 turns the resulting Markov generator into a symmetric matrix whose
 eigenvectors are recovered by an un-conjugation.
 
-Matrices are dense ndarrays when no support is given and CSR when the
-kernel is truncated to a neighbor support, passed as
-:class:`neighbors.SupportPairs`, which caches the squared distance of every
-support entry once per cloud; each epsilon then costs one elementwise pass
-over the cached distances plus CSR matrix-vector products for the row sums.
-Both are exactly symmetric: a dense kernel is the ``squareform`` of one
-condensed ``pdist`` array, and cached (i, j) and (j, i) distances are equal.
-Matrix-free products (:func:`apply_generator`, the truncated KDE) stream
-that pass over row blocks; :func:`build_generator` keeps the whole CSR.
+Matrices are dense ndarrays when no support is given. On a neighbor
+support, passed as :class:`neighbors.SupportPairs` (the squared distance of
+every pair i < j, cached once per cloud), each epsilon costs one elementwise
+pass over the cached distances, and the kernel and its alpha-normalized
+form are CSRs of their strict upper triangles with the diagonal implicit;
+only Lhat is assembled whole, for the eigensolver. Both storages are exactly
+symmetric: a dense kernel is the ``squareform`` of one condensed ``pdist``
+array, and a sparse one evaluates each pair once. Matrix-free products
+(:func:`apply_generator`, the truncated KDE) stream that pass over row
+blocks; :func:`build_generator` keeps the whole upper CSR.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.spatial.distance import cdist, pdist, squareform
 
 FORMULATIONS = ("left", "right", "symmetric")
@@ -63,7 +65,9 @@ class GeneratorMatrices:
     ``P``, ``D`` and ``S`` are the diagonals of the bandwidth, degree and
     conjugation matrices (S = P * sqrt(D)). ``Lhat`` is the symmetric
     conjugated generator; the Markov generator itself is
-    diag(1/(eps P^2)) (diag(1/D) Kalpha - I).
+    diag(1/(eps P^2)) (diag(1/D) Kalpha - I). On a support ``Kalpha`` is
+    the CSR of its strict upper triangle (its diagonal, qS^(-2 alpha), is
+    not stored) and ``Lhat`` the whole symmetric CSR.
     """
 
     eps: float
@@ -80,77 +84,118 @@ class GeneratorMatrices:
 def kernel_matrix(cloud, rho, eps, support=None):
     """Variable-bandwidth Gaussian kernel K_ij = exp(-r_ij^2/(4 eps rho_i rho_j)).
 
-    ``support`` is an optional :class:`neighbors.SupportPairs` over a
-    symmetric pattern with the diagonal included; without it the full dense
-    matrix is computed. Entries that underflow to zero are dropped from the
-    sparse structure so that connectivity checks see the numerical graph.
+    Without a ``support`` the full dense matrix is computed. With one (a
+    :class:`neighbors.SupportPairs`) the result is the CSR of the strict
+    upper triangle on the support; the diagonal, all ones, is implicit.
+    Entries that underflow to zero are dropped from the sparse structure so
+    that connectivity checks see the numerical graph.
     """
     rho = np.asarray(rho, dtype=float)
     if support is None:
         k = squareform(pdist(cloud.points, "sqeuclidean"))
         k /= -4.0 * eps * np.outer(rho, rho)
         return np.exp(k, out=k)
-    out = support_kernel(support, rho, eps, "symmetric", 0, support.n)
-    # eliminate_zeros compacts the index arrays in place; the row pointer is
-    # the block's own, the column indices are the cached pairs' until copied
-    out.indices = out.indices.copy()
+    # eliminate_zeros compacts the index arrays in place, so they are copies
+    out = sparse.csr_matrix(
+        (_kernel_values(support, eps, 0, support.n, rho, rho),
+         support.indices.copy(), support.indptr.copy()),
+        shape=(support.n, support.n))
     out.eliminate_zeros()
     return out
 
 
-def support_kernel(support, rho, eps, formulation, start, stop):
-    """Kernel on rows start:stop of ``support`` (a SupportPairs), as a CSR block.
-
-    The argument r_ij^2 / (4 eps b_ij) has b_ij = rho_i rho_j for the
-    symmetric formulation, rho_i for 'left' and rho_j for 'right'.
-    """
-    ptr = support.indptr[start:stop + 1]
-    cols = support.indices[ptr[0]:ptr[-1]]
-    if formulation == "right":
-        den = 4.0 * eps * rho[cols]
+def _kernel_values(support, eps, start, stop, row_bw, col_bw):
+    """exp(-r_ij^2 / (4 eps row_bw_i col_bw_j)) over the entries of rows
+    start:stop of ``support``; a bandwidth given as None is one."""
+    lo, hi = support.indptr[start], support.indptr[stop]
+    if row_bw is None:
+        den = 4.0 * eps * col_bw[support.indices[lo:hi]]
     else:
-        den = np.repeat(4.0 * eps * rho[start:stop], np.diff(ptr))
-        if formulation == "symmetric":
-            den *= rho[cols]
-    np.divide(support.r2[ptr[0]:ptr[-1]], den, out=den)
+        den = np.repeat(4.0 * eps * row_bw[start:stop],
+                        np.diff(support.indptr[start:stop + 1]))
+        if col_bw is not None:
+            den *= col_bw[support.indices[lo:hi]]
+    np.divide(support.r2[lo:hi], den, out=den)
     np.negative(den, out=den)
-    return sparse.csr_matrix((np.exp(den, out=den), cols, ptr - ptr[0]),
-                             shape=(stop - start, support.n))
+    return np.exp(den, out=den)
 
 
 def support_products(support, rho, eps, formulation, *vectors):
     """K @ v for each of ``vectors``, K the kernel on ``support`` (a SupportPairs).
 
-    K is evaluated and multiplied one block of rows at a time and never held
-    whole; each block keeps the CSR row order, so every sum is the one the
-    whole matrix would give.
+    K_ij and K_ji both come from the one stored pair i < j, each with the
+    bandwidths ``formulation`` takes from its row and column points, and
+    K_ii = 1. K is evaluated and multiplied one block of rows at a time and
+    never held whole; every product entry is summed over its row in column
+    order, as the whole matrix would give, whatever the blocks.
     """
-    out = [np.empty(support.n) for _ in vectors]
+    bw = {"left": (rho, None), "right": (None, rho),
+          "symmetric": (rho, rho)}[formulation]
+    out = [np.zeros(support.n) for _ in vectors]
     for start, stop in support.blocks():
-        block = support_kernel(support, rho, eps, formulation, start, stop)
+        ptr = support.indptr[start:stop + 1] - support.indptr[start]
+        cols = support.indices[support.indptr[start]:support.indptr[stop]]
+        upper = _kernel_values(support, eps, start, stop, *bw)
+        lower = (upper if formulation == "symmetric" else
+                 _kernel_values(support, eps, start, stop, *bw[::-1]))
         for product, v in zip(out, vectors):
-            product[start:stop] = block @ v
+            _add_products(product, v, start, ptr, cols, upper, lower, 1.0)
     return out
 
 
-def _row_sums(mat):
-    return np.asarray(mat.sum(axis=1)).ravel()
+def _add_products(out, v, start, ptr, cols, upper, lower, diag):
+    """Add into ``out`` what rows start:stop of M, and their mirror images
+    below the diagonal, contribute to M @ v.
+
+    ``upper`` holds M's entries right of the diagonal on the CSR rows
+    (``ptr``, ``cols``) of rows start:stop, ``lower`` their mirror images
+    and ``diag`` M's diagonal. Called on consecutive row blocks from the
+    first, it sums each out_i in column order, as a whole CSR row would be:
+    the entries left of the diagonal add into ``out`` as their rows pass,
+    then the diagonal, then the rest of the row.
+    """
+    stop = start + ptr.shape[0] - 1
+    n = out.shape[0]
+    # scipy's sparsetools products add into their output in place
+    _sparsetools.csc_matvec(n, stop - start, ptr, cols, lower, v[start:stop], out)
+    out[start:stop] += diag * v[start:stop]
+    _sparsetools.csr_matvec(stop - start, n, ptr, cols, upper, v, out[start:stop])
+
+
+def _row_sums(mat, diag):
+    """Row sums of a dense matrix, or of the symmetric matrix with diagonal
+    ``diag`` whose strict upper triangle the CSR ``mat`` holds."""
+    if not sparse.issparse(mat):
+        return mat.sum(axis=1)
+    out = np.zeros(mat.shape[0])
+    _add_products(out, np.ones(mat.shape[0]), 0, mat.indptr, mat.indices,
+                  mat.data, mat.data, diag)
+    return out
 
 
 def qS_normalization(K, rho, d):
-    """Density estimate from kernel row sums: qS_i = sum_j K_ij / rho_i^d."""
-    return _row_sums(K) / np.asarray(rho, dtype=float) ** d
+    """Density estimate from kernel row sums: qS_i = sum_j K_ij / rho_i^d.
+
+    A sparse ``K`` is the strict upper triangle that :func:`kernel_matrix`
+    returns on a support, with the unit diagonal implicit.
+    """
+    return _row_sums(K, 1.0) / np.asarray(rho, dtype=float) ** d
 
 
 def alpha_normalize(K, qS, alpha):
-    """Divide K_ij by (qS_i qS_j)^alpha; returns (Kalpha, its row sums)."""
+    """Divide K_ij by (qS_i qS_j)^alpha; returns (Kalpha, its row sums).
+
+    A sparse ``K`` is a strict upper triangle with the unit diagonal
+    implicit, and so is the sparse Kalpha, whose diagonal is qS^(-2 alpha).
+    """
     w = np.asarray(qS, dtype=float) ** (-alpha)
-    if sparse.issparse(K):
-        ka = K.tocsr(copy=True)
-        ka.data = ka.data * np.repeat(w, np.diff(ka.indptr)) * w[ka.indices]
-    else:
+    if not sparse.issparse(K):
         ka = K * np.outer(w, w)
-    return ka, _row_sums(ka)
+        return ka, _row_sums(ka, None)
+    ka = sparse.csr_matrix(
+        (K.data * np.repeat(w, np.diff(K.indptr)) * w[K.indices], K.indices,
+         K.indptr), shape=K.shape)
+    return ka, _row_sums(ka, w * w)
 
 
 def generator_symmetric(Kalpha, q_eps_alpha, rho, eps, alpha=0.0, qS=None):
@@ -158,16 +203,25 @@ def generator_symmetric(Kalpha, q_eps_alpha, rho, eps, alpha=0.0, qS=None):
 
     The conjugation diagonal is S = rho * sqrt(q_eps_alpha); eigenvectors of
     the Markov generator are recovered as S^-1 times eigenvectors of Lhat.
+    A sparse ``Kalpha`` is the strict upper triangle from
+    :func:`alpha_normalize`, whose diagonal qS^(-2 alpha) needs ``qS``
+    unless alpha is 0; Lhat is then assembled whole, exactly symmetric.
     """
     rho = np.asarray(rho, dtype=float)
     s = rho * np.sqrt(q_eps_alpha)
     inv_s = 1.0 / s
     shift = 1.0 / rho**2
     if sparse.issparse(Kalpha):
-        lhat = Kalpha.tocsr(copy=True)
-        lhat.data = lhat.data * np.repeat(inv_s, np.diff(lhat.indptr)) * inv_s[lhat.indices]
-        lhat.setdiag(lhat.diagonal() - shift)
-        lhat.data /= eps
+        if qS is None and alpha != 0.0:
+            raise ValueError("a sparse Kalpha needs qS for its diagonal")
+        w = np.ones(rho.shape[0]) if qS is None else np.asarray(qS) ** (-alpha)
+        upper = Kalpha.data * np.repeat(inv_s, np.diff(Kalpha.indptr))
+        upper *= inv_s[Kalpha.indices]
+        upper /= eps
+        upper = sparse.csr_matrix((upper, Kalpha.indices, Kalpha.indptr),
+                                  shape=Kalpha.shape)
+        diag = (w * w * inv_s * inv_s - shift) / eps
+        lhat = sparse.diags(diag, format="csr") + upper + upper.T
     else:
         lhat = Kalpha * np.outer(inv_s, inv_s)
         np.fill_diagonal(lhat, lhat.diagonal() - shift)

@@ -2,8 +2,10 @@
 
 Rows of a :class:`NeighborGraph` always start with the point itself at
 distance zero and are sorted by (distance, index) so that results are
-reproducible even in the presence of exact ties. kNN queries and support
-pair distances run over blocks of rows and hold no n*k temporaries.
+reproducible even in the presence of exact ties. A support is symmetric and
+stored once, as its strict upper triangle with the diagonal implicit. kNN
+queries and support pair distances run over blocks of rows and hold no n*k
+temporaries.
 """
 
 from dataclasses import dataclass
@@ -38,6 +40,12 @@ class NeighborGraph:
             raise ValueError("indices and distances must have the same shape")
         if self.indices.shape[1] != self.k:
             raise ValueError("row length must equal k")
+
+    def head(self, k):
+        """The first k neighbors of every point, copied out of the whole graph."""
+        k = min(k, self.k)
+        return NeighborGraph(k=k, indices=self.indices[:, :k].copy(),
+                             distances=self.distances[:, :k].copy())
 
 
 def _blocks(n, size):
@@ -111,32 +119,89 @@ def _knn_brute(pts, k, start=0, stop=None, block=512):
     return dist, idx
 
 
-def symmetrized_support(graph):
-    """Union of the directed kNN edge set with its transpose, as a boolean CSR.
+def symmetrized_support(cloud, indices):
+    """Strict upper triangle of the kNN lists' union with its transpose.
 
-    The result is canonical (sorted column indices, no duplicates), so
-    kernel matrices built on its pattern are too. The diagonal is always
-    present because every row contains its own point.
+    ``indices`` holds each point's neighbor list (the rows of
+    :attr:`NeighborGraph.indices`; pass them alone, so that the distances
+    can be freed first). Pair (i, j) with i < j is in the support when
+    either point lists the other. Returns the :class:`SupportPairs` with the
+    squared distance of every pair.
     """
-    n, k = graph.indices.shape
-    # rows sorted by column make the pattern canonical, so the sum with its
-    # transpose merges sorted rows and stays canonical
-    cols = np.sort(graph.indices, axis=1).ravel()
-    pattern = sparse.csr_matrix((np.ones(n * k, dtype=bool), cols,
-                                 np.arange(0, n * k + 1, k)), shape=(n, n))
-    return pattern + pattern.T
+    indptr, cols = _upper_union(indices)
+    return SupportPairs(indptr=indptr, indices=cols,
+                        r2=_sq_dists(cloud.points, indptr, cols))
+
+
+def _upper_union(indices):
+    """Canonical CSR (indptr, indices) of the union's strict upper triangle.
+
+    The part of the lists below the diagonal, transposed by a counting sort,
+    merges with the part above it as canonical CSRs; the merged indices are
+    copied out of the merge's buffer, which has room for both parts.
+    """
+    upper, lower = _split(indices)
+    lower = lower.T.tocsr()
+    merged = upper + lower
+    del upper, lower
+    return merged.indptr, merged.indices.copy()
+
+
+def _split(indices):
+    """Boolean CSRs of each row's sorted columns above the row and below it."""
+    n = indices.shape[0]
+    rows = np.arange(n)
+    above = np.empty(n, dtype=np.int64)
+    below = np.empty(n, dtype=np.int64)
+    for start, stop in _blocks(n, _QUERY_BLOCK):
+        mid = rows[start:stop, None]
+        above[start:stop] = np.count_nonzero(indices[start:stop] > mid, axis=1)
+        below[start:stop] = np.count_nonzero(indices[start:stop] < mid, axis=1)
+    upper, lower = _empty_pattern(above), _empty_pattern(below)
+    for start, stop in _blocks(n, _QUERY_BLOCK):
+        cols = np.sort(indices[start:stop], axis=1)
+        mid = rows[start:stop, None]
+        upper.indices[upper.indptr[start]:upper.indptr[stop]] = cols[cols > mid]
+        lower.indices[lower.indptr[start]:lower.indptr[stop]] = cols[cols < mid]
+    return upper, lower
+
+
+def _sq_dists(pts, indptr, indices):
+    """Squared distance of every CSR entry (i, j), a block of rows at a time.
+
+    Each block repeats its own points against the gathered columns and
+    reduces the differences with one ``einsum``.
+    """
+    r2 = np.empty(indices.shape[0])
+    for start, stop in _blocks(indptr.shape[0] - 1, _SUPPORT_BLOCK):
+        lo, hi = indptr[start], indptr[stop]
+        diff = np.repeat(pts[start:stop], np.diff(indptr[start:stop + 1]), axis=0)
+        diff -= pts[indices[lo:hi]]
+        r2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
+    return r2
+
+
+def _empty_pattern(counts):
+    """Boolean n-by-n CSR with counts[i] entries in row i, indices unset."""
+    n = counts.shape[0]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return sparse.csr_matrix((np.ones(indptr[-1], dtype=bool),
+                              np.empty(indptr[-1], dtype=np.int32), indptr),
+                             shape=(n, n))
 
 
 @dataclass(frozen=True)
 class SupportPairs:
-    """Squared distances of every pair in a symmetric support, in CSR order.
+    """Squared distances of the pairs i < j of a symmetric support, in CSR order.
 
-    ``indptr`` and ``indices`` are the support's canonical CSR pattern and
-    ``r2[e]`` is the squared distance of entry e. The distances do not depend
-    on epsilon or on the bandwidth, so one instance serves every kernel
-    evaluation on the same cloud and support. Instances share their index
-    arrays with the support and with the block matrices of the kernel
-    products; nothing may modify them in place.
+    ``indptr`` and ``indices`` are the canonical CSR pattern of the support's
+    strict upper triangle and ``r2[e]`` is the squared distance of entry e.
+    The diagonal is implicit: every point is in its own support, at r^2 = 0.
+    The distances do not depend on epsilon or on the bandwidth, so one
+    instance serves every kernel evaluation on the same cloud and support.
+    Instances share their index arrays with the kernel matrices built on
+    them; nothing may modify them in place.
     """
 
     indptr: np.ndarray
@@ -155,27 +220,14 @@ class SupportPairs:
         """(start, stop) of the row blocks that kernel products stream over."""
         return _blocks(self.n, _SUPPORT_BLOCK)
 
-
-def support_pairs(cloud, support):
-    """Cache the squared distances over a canonical symmetric CSR ``support``.
-
-    Each block of rows repeats its own points against the gathered columns
-    and reduces the differences with one ``einsum``, so entries (i, j) and
-    (j, i) are bitwise equal and the diagonal is exactly zero.
-    """
-    pts, indptr, indices = cloud.points, support.indptr, support.indices
-    r2 = np.empty(indices.shape[0])
-    for start, stop in _blocks(support.shape[0], _SUPPORT_BLOCK):
-        lo, hi = indptr[start], indptr[stop]
-        diff = np.repeat(pts[start:stop], np.diff(indptr[start:stop + 1]), axis=0)
-        diff -= pts[indices[lo:hi]]
-        r2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
-    return SupportPairs(indptr=indptr, indices=indices, r2=r2)
+    def rows(self):
+        """Row index of every entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
 
 def scaled_pairs(cloud, x, support=None):
     """r_ij^2 / (x_i x_j) over the unordered pairs i < j: all of them in
-    ``pdist`` order, or a :class:`SupportPairs`' entries above the diagonal."""
+    ``pdist`` order, or the entries of a :class:`SupportPairs`."""
     if support is None:
         t = pdist(cloud.points, "sqeuclidean")
         stop = 0
@@ -183,9 +235,7 @@ def scaled_pairs(cloud, x, support=None):
             start, stop = stop, stop + cloud.n_points - 1 - i
             t[start:stop] /= x[i] * x[i + 1:]
         return t
-    rows = np.repeat(np.arange(support.n), np.diff(support.indptr))
-    upper = support.indices > rows
-    return support.r2[upper] / (x[rows[upper]] * x[support.indices[upper]])
+    return support.r2 / (x[support.rows()] * x[support.indices])
 
 
 def save_csv(graph, path):

@@ -40,10 +40,10 @@ def s_curve(cloud, rho, grid=None, support=None):
 
     Uses the same Gaussian kernel (4 eps denominator) as the generator
     cascade. Without a support all pairs are summed, which is exact; with
-    one (:class:`neighbors.SupportPairs`, symmetric with the diagonal
-    included) the sum is truncated to it, which distorts the large-eps
-    saturation and can shift eps*. Each unordered pair is summed once, and a
-    pass stops where its kernel underflows to exactly zero.
+    one (:class:`neighbors.SupportPairs`, its strict upper triangle with the
+    diagonal implicit) the sum is truncated to it, which distorts the
+    large-eps saturation and can shift eps*. Each unordered pair is summed
+    once, and a pass stops where its kernel underflows to exactly zero.
     """
     if grid is None:
         grid = _DEFAULT_EXPONENTS

@@ -1,18 +1,18 @@
 """Reference computations shared by the tests (not collected as tests)."""
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import qr
 
 from vbdiffusion.kernel import GeneratorMatrices
 
 
 def generator_dense_nonsymmetric(gm):
-    """Markov generator L = diag(1/(eps P^2)) (diag(1/D) Kalpha - I), densely.
+    """Markov generator L = diag(1/(eps P^2)) (diag(1/D) Kalpha - I) of a
+    dense ``gm``.
 
     For verification on small instances: L is similar to Lhat via S.
     """
-    ka = gm.Kalpha.toarray() if sparse.issparse(gm.Kalpha) else np.array(gm.Kalpha)
+    ka = np.array(gm.Kalpha)
     lout = ka / gm.D[:, None]
     np.fill_diagonal(lout, lout.diagonal() - 1.0)
     lout /= gm.eps * gm.P[:, None] ** 2
@@ -57,3 +57,13 @@ def mirrored_spectrum(even, odd, n, seed=0, lo=10.0):
     # the averages are exact, so reversal and transposition leave it unchanged
     mat = 0.5 * (mat + mat[::-1, ::-1])
     return 0.5 * (mat + mat.T)
+
+
+def knn_union(indices):
+    """Sorted support of every point: its kNN list joined with every list
+    that contains it, built with Python sets."""
+    sets = [set(map(int, row)) for row in indices]
+    for i, row in enumerate(indices):
+        for j in row:
+            sets[int(j)].add(i)
+    return [sorted(s) for s in sets]

@@ -4,9 +4,10 @@ import sympy as sym
 from numpy.polynomial.hermite_e import hermegauss
 
 from vbdiffusion import analytic, pointcloud
-from vbdiffusion.analytic import THETA
 from vbdiffusion.errors import NoLatent
 from vbdiffusion.pointcloud import PointCloud
+
+THETA, PHI = sym.symbols("theta phi")
 
 
 def test_hermite_pinned_values():
@@ -88,7 +89,7 @@ def test_reference_operator_validation():
     with pytest.raises(ValueError, match="rho_expr"):
         analytic.reference_operator("bandwidth_drift", f, cloud, (THETA,))
     with pytest.raises(ValueError, match="symbol"):
-        analytic.reference_operator("laplacian", f, cloud, (THETA, analytic.PHI))
+        analytic.reference_operator("laplacian", f, cloud, (THETA, PHI))
     bare = PointCloud(points=cloud.points, label="no-latent")
     with pytest.raises(NoLatent):
         analytic.reference_operator("laplacian", f, bare, (THETA,))

@@ -6,6 +6,8 @@ import pytest
 from vbdiffusion import density, neighbors, pointcloud
 from vbdiffusion.errors import DuplicatePoints
 
+from oracles import knn_union
+
 
 def _profile(cloud, beta, k0=8):
     g = neighbors.knn(cloud, max(k0, 8))
@@ -81,7 +83,7 @@ def test_kde_sparse_path_matches_dense():
     g = neighbors.knn(cloud, 60)
     rho0 = density.pilot_bandwidth(g)
     dense_q0, _ = density.kde_pilot(cloud, rho0, 1)
-    support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(g))
+    support = neighbors.symmetrized_support(cloud, g.indices)
     sparse_q0, _ = density.kde_pilot(cloud, rho0, 1, support=support)
     np.testing.assert_allclose(sparse_q0, dense_q0, rtol=1e-12)
 
@@ -92,17 +94,16 @@ def test_truncated_kde_in_row_blocks(monkeypatch, block):
     pts = rng.standard_normal((50, 2))
     rho0 = np.exp(0.4 * rng.standard_normal(50))
     cloud = pointcloud.PointCloud(pts)
-    sup = neighbors.symmetrized_support(neighbors.knn(cloud, 8))
-    support = neighbors.support_pairs(cloud, sup)
+    graph = neighbors.knn(cloud, 8)
+    support = neighbors.symmetrized_support(cloud, graph.indices)
     whole, _ = density.kde_pilot(cloud, rho0, 2, support=support)  # one block
     monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", block)
     q0, _ = density.kde_pilot(cloud, rho0, 2, support=support)
     np.testing.assert_array_equal(q0, whole)
-    dense = sup.toarray()
     want = [math.fsum(
         math.exp(-float(np.sum((pts[i] - pts[j]) ** 2)) / (2.0 * rho0[i] * rho0[j]))
-        for j in np.nonzero(dense[i])[0]) / (2.0 * math.pi * rho0[i] ** 2 * 50)
-        for i in range(50)]
+        for j in row) / (2.0 * math.pi * rho0[i] ** 2 * 50)
+        for i, row in enumerate(knn_union(graph.indices))]
     np.testing.assert_allclose(q0, want, rtol=1e-13, atol=0.0)
 
 

@@ -1,9 +1,14 @@
 import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vbdiffusion
 from vbdiffusion import cli, density, harness, neighbors
 
 
@@ -114,6 +119,18 @@ def test_outlier_study_small(tmp_path):
     assert table.rows.shape == (1, 4)
     assert "power_law_slope" not in table.metadata
     assert (tmp_path / "o" / "results.csv").is_file()
+
+
+def test_package_import_leaves_sympy_unloaded():
+    # only operator checks use sympy; a fresh interpreter shows what
+    # "import vbdiffusion" alone loads
+    src = str(Path(vbdiffusion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, vbdiffusion, vbdiffusion.cli; "
+             "print('sympy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

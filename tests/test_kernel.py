@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from vbdiffusion import kernel, neighbors, pointcloud
 from vbdiffusion.pointcloud import PointCloud
 
-from oracles import generator_dense_nonsymmetric
+from oracles import generator_dense_nonsymmetric, knn_union
 
 
 def _quad_moments(shape, sq_weight):
@@ -61,7 +61,7 @@ def test_two_point_cascade_oracle():
 
 
 def _pairs(cloud, graph):
-    return neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
+    return neighbors.symmetrized_support(cloud, graph.indices)
 
 
 def _gaussian_line(n, seed=5):
@@ -95,14 +95,28 @@ def test_sparse_generator_matches_dense_with_full_support():
     assert np.abs(diff.toarray()).max() <= 1e-13 * scale
 
 
+def test_sparse_generator_is_exactly_symmetric():
+    # eigsh takes Lhat as symmetric; the two orders of a bandwidth product
+    # differ in the last bit, so every pair must be evaluated once
+    cloud = pointcloud.gen_gaussian_random(2000, 2, seed=3)
+    rho = np.exp(0.3 * cloud.points[:, 0])
+    support = _pairs(cloud, neighbors.knn(cloud, 20))
+    gm = kernel.build_generator(cloud, rho, 0.01, -0.5, d=2, support=support)
+    lhat = gm.Lhat.tocsr()
+    assert lhat.has_canonical_format
+    mirror = lhat.T.tocsr()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(lhat, name), getattr(mirror, name))
+
+
 def test_underflowed_entries_are_dropped():
     pts = np.array([[0.0], [2000.0]])
     cloud = PointCloud(points=pts, intrinsic_dim=1, label="far-pair")
-    support = neighbors.support_pairs(cloud, sparse.csr_matrix(np.ones((2, 2), dtype=bool)))
+    support = neighbors.symmetrized_support(cloud, np.array([[0, 1], [1, 0]]))
+    assert support.nnz == 1
     k = kernel.kernel_matrix(cloud, np.ones(2), 1e-3, support=support)
-    # exp underflows for the distant pair; only the diagonal survives
-    assert k.nnz == 2
-    assert np.allclose(k.diagonal(), 1.0)
+    # exp underflows for the distant pair; only the implicit diagonal is left
+    assert k.nnz == 0
 
 
 def test_generator_identities():
@@ -167,17 +181,6 @@ def test_apply_generator_sparse_full_support_matches_dense():
         assert np.allclose(sp, dense, atol=1e-11 * np.abs(dense).max())
 
 
-def _support_sets(graph):
-    # the union of each point's kNN list with the lists that contain it,
-    # derived from the graph without the CSR pattern under test
-    n = graph.indices.shape[0]
-    sets = [set(map(int, row)) for row in graph.indices]
-    for i in range(n):
-        for j in graph.indices[i]:
-            sets[int(j)].add(i)
-    return [sorted(s) for s in sets]
-
-
 def _naive_support_apply(pts, rho, eps, alpha, formulation, f, d, sets):
     def k(i, j, form):
         r2 = float(np.sum((pts[i] - pts[j]) ** 2))
@@ -202,17 +205,19 @@ def test_partial_support_matches_per_row_oracle():
     cloud, rho = _gaussian_line(60)
     f = np.sin(cloud.points[:, 0])
     graph = neighbors.knn(cloud, 9)
-    sets = _support_sets(graph)
+    sets = knn_union(graph.indices)
     support = _pairs(cloud, graph)
     assert support.nnz < 60 * 30
     eps = 0.02
     km = kernel.kernel_matrix(cloud, rho, eps, support=support)
-    assert km.nnz == sum(len(s) for s in sets)
+    # the strict upper triangle: the diagonal, all ones, is implicit
+    upper = [[j for j in s if j > i] for i, s in enumerate(sets)]
+    assert km.nnz == sum(len(s) for s in upper)
     for i in range(60):
         row = km.getrow(i)
-        assert list(row.indices) == sets[i]
+        assert list(row.indices) == upper[i]
         want = [np.exp(-float(np.sum((cloud.points[i] - cloud.points[j]) ** 2))
-                       / (4.0 * eps * rho[i] * rho[j])) for j in sets[i]]
+                       / (4.0 * eps * rho[i] * rho[j])) for j in upper[i]]
         np.testing.assert_allclose(row.data, want, rtol=1e-13, atol=0.0)
     cases = [("left", 0.0), ("right", 0.0), ("symmetric", 0.0), ("symmetric", 0.3)]
     for formulation, alpha in cases:
@@ -228,7 +233,7 @@ def test_apply_generator_in_row_blocks(monkeypatch, block):
     cloud, rho = _gaussian_line(60)
     f = np.sin(cloud.points[:, 0])
     graph = neighbors.knn(cloud, 9)
-    sets = _support_sets(graph)
+    sets = knn_union(graph.indices)
     support = _pairs(cloud, graph)
     cases = [("left", 0.0), ("right", 0.0), ("symmetric", 0.0), ("symmetric", 0.3)]
     # 60 rows are one block at the default size

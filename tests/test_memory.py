@@ -6,12 +6,13 @@ plus what one block may hold, plus 1 MiB for small arrays and Python
 objects; a whole-support temporary does not fit in it.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vbdiffusion import kernel, neighbors, pointcloud, spectral
+from vbdiffusion import harness, kernel, neighbors, pointcloud, spectral
 
 from oracles import mirrored_spectrum, planted_generator
 
@@ -37,14 +38,22 @@ def cloud():
 
 
 @pytest.fixture(scope="module")
-def pairs(cloud):
-    sup = neighbors.symmetrized_support(neighbors.knn(cloud, _K))
-    return neighbors.support_pairs(cloud, sup)
+def graph(cloud):
+    return neighbors.knn(cloud, _K)
+
+
+@pytest.fixture(scope="module")
+def pairs(cloud, graph):
+    return neighbors.symmetrized_support(cloud, graph.indices)
 
 
 def _largest_block(pairs):
     return max(int(pairs.indptr[stop] - pairs.indptr[start])
                for start, stop in pairs.blocks())
+
+
+def _pairs_bytes(pairs):
+    return pairs.indptr.nbytes + pairs.indices.nbytes + pairs.r2.nbytes
 
 
 def test_knn_holds_one_query_block(cloud):
@@ -59,14 +68,41 @@ def test_knn_holds_one_query_block(cloud):
     assert peak <= out + block + tree + _SLACK, (peak, out)
 
 
+def test_support_builder_holds_its_split_twice_at_most(cloud, graph):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = neighbors.symmetrized_support(cloud, graph.indices)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    output = _pairs_bytes(got)
+    # the split: an int32 column and a bool per listed neighbor other than
+    # the point itself, and per row two counts and two row pointers
+    split = _N * (_K - 1) * (4 + 1) + 4 * _N * 8
+    # per query block: the sorted rows, a mask and the selected columns
+    query = min(neighbors._QUERY_BLOCK, _N) * _K * (4 + 1 + 4)
+    d = cloud.points.shape[1]
+    pair = _largest_block(got) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
+    # one phase after another: the split with one query block; the upper
+    # half, the transposed lower half and the merge's buffer, which has room
+    # for both (the split twice); that buffer and the copy of its merged
+    # columns; the output and one block of pair distances
+    bound = max(split + query, 2 * split, output + pair)
+    assert peak <= bound + _SLACK, (peak, bound)
+    # the output owns right-sized arrays: nothing of the buffer is kept
+    assert kept <= output + _SLACK, (kept, output)
+
+
 def test_support_pairs_hold_one_row_block(cloud, pairs):
-    sup = neighbors.symmetrized_support(neighbors.knn(cloud, _K))
-    got, peak = _traced_peak(lambda: neighbors.support_pairs(cloud, sup))
+    got, peak = _traced_peak(lambda: neighbors._sq_dists(
+        cloud.points, pairs.indptr, pairs.indices))
     d = cloud.points.shape[1]
     # per block: the repeated row points and the gathered column points
     # (d values per entry each), their einsum, and one count per row
     block = _largest_block(pairs) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
-    assert peak <= got.r2.nbytes + block + _SLACK, (peak, got.r2.nbytes)
+    assert peak <= got.nbytes + block + _SLACK, (peak, got.nbytes)
 
 
 def test_apply_generator_holds_one_row_block(cloud, pairs):
@@ -76,10 +112,31 @@ def test_apply_generator_holds_one_row_block(cloud, pairs):
         cloud, rho, 0.01, 0.3, "symmetric", f, support=pairs))
     # the output and its length-n companions (numerator, denominator,
     # weights, their product and temporaries), then per block the kernel
-    # values, one gathered bandwidth and the rebased row pointer
+    # values and one gathered bandwidth, and the rebased row pointer
     vectors = 10 * _N * 8
-    block = 3 * _largest_block(pairs) * 8
+    block = 2 * _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
     assert peak <= vectors + block + _SLACK, peak
+
+
+def test_harness_frees_the_knn_distances_before_the_support(monkeypatch, tmp_path):
+    build = neighbors.symmetrized_support
+    calls = []
+
+    def spy(cloud, indices):
+        assert isinstance(indices, np.ndarray)
+        # the graph these indices came from, alive, would hold its distances
+        assert not any(o.indices is indices for o in gc.get_objects()
+                       if isinstance(o, neighbors.NeighborGraph))
+        calls.append(cloud.n_points)
+        return build(cloud, indices)
+
+    monkeypatch.setattr(neighbors, "symmetrized_support", spy)
+    for name, config in (("ou1d_nice", {"N": 300, "k_support": 40, "eps": 0.01}),
+                         ("torus_operator", {"N": 900, "k_support": 60}),
+                         ("outlier_study", {"N": 100, "k_support": 40})):
+        harness.run_experiment(harness.ExperimentConfig(
+            experiment=name, output_dir=str(tmp_path / name), **config))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("even, odd, lo, solver", [

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 from vbdiffusion import neighbors, pointcloud
 from vbdiffusion.errors import KTooLarge
 
-from oracles import pair_sq_dists
+from oracles import knn_union, pair_sq_dists
 
 
 def _brute_reference(pts, k):
@@ -155,53 +154,57 @@ def test_support_pairs_in_row_blocks_match_oracle(monkeypatch, block):
     for pts, k in ((np.random.default_rng(2).standard_normal((40, 3)), 5),
                    (_coincident_cloud(), 6)):
         cloud = pointcloud.PointCloud(pts)
-        sup = neighbors.symmetrized_support(neighbors.knn(cloud, k))
-        coo = sup.tocoo()
-        pairs = neighbors.support_pairs(cloud, sup)
-        np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, coo.row, coo.col))
+        pairs = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, k).indices)
+        rows = pairs.rows()
+        np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, rows, pairs.indices))
         np.testing.assert_allclose(
-            pairs.r2, np.sum((pts[coo.row] - pts[coo.col]) ** 2, axis=1), atol=1e-12)
+            pairs.r2, np.sum((pts[rows] - pts[pairs.indices]) ** 2, axis=1), atol=1e-12)
 
 
-def _assert_canonical(sup):
-    for i in range(sup.shape[0]):
-        cols = sup.indices[sup.indptr[i]:sup.indptr[i + 1]]
+def _assert_strict_upper(pairs):
+    for i in range(pairs.n):
+        cols = pairs.indices[pairs.indptr[i]:pairs.indptr[i + 1]]
         assert np.all(np.diff(cols) > 0), f"row {i} not sorted or duplicated"
+        assert np.all(cols > i), f"row {i} has entries on or below the diagonal"
 
 
 def test_symmetrized_support_is_union_with_diagonal():
-    # directed edges i -> j; the support must contain both (i, j) and (j, i)
+    # directed edges i -> j; the support holds the pair once, as (min, max),
+    # and the diagonal (every point lists itself) implicitly
     small = np.array([[0.0], [0.1], [0.2], [5.0]])
     scattered = np.random.default_rng(4).standard_normal((60, 2))
     for pts, k in ((small, 2), (scattered, 5)):
-        g = neighbors.knn(pointcloud.PointCloud(pts), k)
-        sup = neighbors.symmetrized_support(g)
+        cloud = pointcloud.PointCloud(pts)
+        g = neighbors.knn(cloud, k)
+        pairs = neighbors.symmetrized_support(cloud, g.indices)
         # cached pairs follow the CSR order, so it must be canonical
-        _assert_canonical(sup)
-        dense = sup.toarray()
-        assert dense.dtype == bool
-        np.testing.assert_array_equal(dense, dense.T)
-        assert np.all(np.diag(dense))
-        directed = set()
-        for i in range(pts.shape[0]):
-            for j in g.indices[i]:
-                directed.add((i, int(j)))
-        expected = directed | {(j, i) for i, j in directed}
-        got = {(i, j) for i, j in zip(*np.nonzero(dense))}
+        _assert_strict_upper(pairs)
+        union = knn_union(g.indices)
+        assert all(i in row for i, row in enumerate(union))
+        expected = {(i, j) for i, row in enumerate(union) for j in row if j > i}
+        got = set(zip(pairs.rows().tolist(), pairs.indices.tolist()))
         assert got == expected
 
 
 def test_support_pairs_follow_csr_order():
     pts = np.random.default_rng(8).standard_normal((50, 3))
     cloud = pointcloud.PointCloud(pts)
-    sup = neighbors.symmetrized_support(neighbors.knn(cloud, 6))
-    pairs = neighbors.support_pairs(cloud, sup)
-    assert pairs.nnz == sup.nnz and pairs.n == 50
-    coo = sup.tocoo()
-    np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, coo.row, coo.col))
-    mat = sparse.csr_matrix((pairs.r2, pairs.indices, pairs.indptr)).toarray()
-    np.testing.assert_array_equal(mat, mat.T)
-    assert np.all(np.diag(mat) == 0.0)
+    pairs = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, 6).indices)
+    assert pairs.n == 50 and pairs.nnz == pairs.indices.shape[0]
+    _assert_strict_upper(pairs)
+    np.testing.assert_array_equal(
+        pairs.r2, pair_sq_dists(pts, pairs.rows(), pairs.indices))
+
+
+def test_neighbor_graph_head_copies_the_first_columns():
+    g = neighbors.knn(pointcloud.PointCloud(
+        np.random.default_rng(9).standard_normal((30, 2))), 6)
+    head = g.head(3)
+    assert head.k == 3
+    np.testing.assert_array_equal(head.indices, g.indices[:, :3])
+    np.testing.assert_array_equal(head.distances, g.distances[:, :3])
+    assert head.indices.base is None and head.distances.base is None
+    assert g.head(10).k == 6
 
 
 def test_save_csv_layout(tmp_path):

@@ -123,7 +123,7 @@ def test_solver_names_the_path():
     # a circle's wrap-around support is not banded
     cloud = pointcloud.gen_circle_uniform(800)
     graph = neighbors.knn(cloud, 8)
-    support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
+    support = neighbors.symmetrized_support(cloud, graph.indices)
     ring = kernel.build_generator(cloud, np.ones(800), 0.001, 0.0, support=support)
     assert spectral.eigs_near_zero(ring, 3).solver == "superlu shift-invert"
     small = _line_generator(300, 20, 0.05)
@@ -133,7 +133,7 @@ def test_solver_names_the_path():
 def _line_generator(n, k, eps):
     cloud = pointcloud.gen_gaussian_nice_1d(n)
     graph = neighbors.knn(cloud, k)
-    support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
+    support = neighbors.symmetrized_support(cloud, graph.indices)
     return kernel.build_generator(cloud, np.ones(n), eps, 0.0, support=support)
 
 
@@ -177,7 +177,7 @@ def test_banded_opinv_declines_unprofitable_patterns():
     # wrap-around support on a circle spans the whole index range
     cloud = pointcloud.gen_circle_uniform(200)
     graph = neighbors.knn(cloud, 8)
-    support = neighbors.support_pairs(cloud, neighbors.symmetrized_support(graph))
+    support = neighbors.symmetrized_support(cloud, graph.indices)
     gm = kernel.build_generator(cloud, np.ones(200), 0.01, 0.0, support=support)
     assert spectral._banded_opinv(gm.Lhat, 1e-3) is None
     # an empty row cannot be factored
