@@ -16,9 +16,8 @@ from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
                      WrongManifold)
 from .harness import (ExperimentConfig, ResultTable, operator_check,
                       outlier_study, run_experiment)
-from .kernel import (GeneratorMatrices, ShapeConstants, alpha_normalize,
-                     apply_generator, build_generator, gaussian_shape_constants,
-                     generator_symmetric, kernel_matrix, qS_normalization)
+from .kernel import (GeneratorMatrices, ShapeConstants, apply_generator,
+                     build_generator, gaussian_shape_constants, kernel_matrix)
 from .neighbors import NeighborGraph, SupportPairs, knn, symmetrized_support
 from .pointcloud import (PointCloud, gen_circle_from_density,
                          gen_circle_nonuniform, gen_circle_uniform,

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.spatial.distance import squareform
 
 from .errors import DuplicatePoints
-from .kernel import support_products
+from .kernel import kernel_products
 from .neighbors import scaled_pairs
 
 
@@ -70,7 +70,8 @@ def kde_pilot(cloud, rho0, d, support=None):
         sums = squareform(vals).sum(axis=1) + 1.0  # + the l = i term
     else:
         # exp(-r^2 / (2 rho0_i rho0_l)) is the generator kernel at eps = 1/2
-        sums, = support_products(support, rho0, 0.5, "symmetric", np.ones(n))
+        sums, = kernel_products(cloud, rho0, 0.5, "symmetric", np.ones(n),
+                                support=support)
     q0 = (2.0 * np.pi) ** (-d / 2.0) / (rho0**d * n) * sums
     return q0, eps0
 

@@ -1,9 +1,11 @@
 """Variable-bandwidth Gaussian kernels and the discrete generator cascade.
 
 The kernel between points i and j is exp(-r_ij^2 / (4 eps rho_i rho_j)).
-Row sums divided by rho^d estimate the sampling density; a power of that
-estimate removes sampling bias from the kernel; and a diagonal conjugation
-turns the resulting Markov generator into a symmetric matrix whose
+:func:`build_generator` runs the cascade as one chain: kernel row sums
+divided by rho^d estimate the sampling density qS; the weights qS^(-alpha)
+on both sides of the kernel remove sampling bias; the row sums D of that
+kernel give the Markov normalization; and the conjugation by
+S = rho sqrt(D) turns the Markov generator into a symmetric matrix whose
 eigenvectors are recovered by an un-conjugation.
 
 Matrices are dense ndarrays when no support is given. On a neighbor
@@ -11,11 +13,14 @@ support, passed as :class:`neighbors.SupportPairs` (the squared distance of
 every pair i < j, cached once per cloud), each epsilon costs one elementwise
 pass over the cached distances, and the kernel and its alpha-normalized
 form are CSRs of their strict upper triangles with the diagonal implicit;
-only Lhat is assembled whole, for the eigensolver. Both storages are exactly
-symmetric: a dense kernel is the ``squareform`` of one condensed ``pdist``
-array, and a sparse one evaluates each pair once. Matrix-free products
-(:func:`apply_generator`, the truncated KDE) stream that pass over row
-blocks; :func:`build_generator` keeps the whole upper CSR.
+only Lhat is assembled whole, for the eigensolver. Both storages run the
+same steps through two helpers, row sums and a symmetric diagonal scaling,
+and are exactly symmetric: a dense kernel is the ``squareform`` of one
+condensed ``pdist`` array, and a sparse one evaluates each pair once.
+Matrix-free products (:func:`kernel_products`, behind
+:func:`apply_generator` and the truncated KDE) stream over row blocks on
+both storages: ``cdist`` blocks against all points, or blocks of support
+rows; :func:`build_generator` keeps whole matrices.
 """
 
 from dataclasses import dataclass
@@ -24,6 +29,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 from scipy.spatial.distance import cdist, pdist, squareform
+
+from . import neighbors
 
 FORMULATIONS = ("left", "right", "symmetric")
 
@@ -62,19 +69,19 @@ def gaussian_shape_constants(d):
 class GeneratorMatrices:
     """Everything produced by the generator cascade at one epsilon.
 
-    ``P``, ``D`` and ``S`` are the diagonals of the bandwidth, degree and
-    conjugation matrices (S = P * sqrt(D)). ``Lhat`` is the symmetric
-    conjugated generator; the Markov generator itself is
-    diag(1/(eps P^2)) (diag(1/D) Kalpha - I). On a support ``Kalpha`` is
-    the CSR of its strict upper triangle (its diagonal, qS^(-2 alpha), is
-    not stored) and ``Lhat`` the whole symmetric CSR.
+    ``qS`` is the kernel's density estimate and ``Kalpha`` the
+    alpha-normalized kernel. ``P``, ``D`` and ``S`` are the diagonals of the
+    bandwidth, degree and conjugation matrices: D holds Kalpha's row sums
+    and S = P * sqrt(D). ``Lhat`` is the symmetric conjugated generator; the
+    Markov generator itself is diag(1/(eps P^2)) (diag(1/D) Kalpha - I). On a
+    support ``Kalpha`` is the CSR of its strict upper triangle (its diagonal,
+    qS^(-2 alpha), is not stored) and ``Lhat`` the whole symmetric CSR.
     """
 
     eps: float
     alpha: float
     qS: np.ndarray
     Kalpha: object
-    q_eps_alpha: np.ndarray
     Lhat: object
     P: np.ndarray
     D: np.ndarray
@@ -120,26 +127,39 @@ def _kernel_values(support, eps, start, stop, row_bw, col_bw):
     return np.exp(den, out=den)
 
 
-def support_products(support, rho, eps, formulation, *vectors):
-    """K @ v for each of ``vectors``, K the kernel on ``support`` (a SupportPairs).
+def kernel_products(cloud, rho, eps, formulation, *vectors, support=None):
+    """K @ v for each of ``vectors``, K the kernel of ``formulation``.
 
-    K_ij and K_ji both come from the one stored pair i < j, each with the
-    bandwidths ``formulation`` takes from its row and column points, and
-    K_ii = 1. K is evaluated and multiplied one block of rows at a time and
-    never held whole; every product entry is summed over its row in column
-    order, as the whole matrix would give, whatever the blocks.
+    K_ij takes the bandwidths ``formulation`` names (see
+    :func:`apply_generator`) from its row and column points. K is evaluated
+    and multiplied one block of rows at a time and never held whole.
+    Without a ``support`` K covers all pairs, a ``cdist`` block at a time.
+    With one (a SupportPairs) K_ij and K_ji both come from the one stored
+    pair i < j, and K_ii = 1; every product entry is then summed over its
+    row in column order, as the whole matrix would give, whatever the blocks.
     """
     bw = {"left": (rho, None), "right": (None, rho),
           "symmetric": (rho, rho)}[formulation]
-    out = [np.zeros(support.n) for _ in vectors]
-    for start, stop in support.blocks():
-        ptr = support.indptr[start:stop + 1] - support.indptr[start]
-        cols = support.indices[support.indptr[start]:support.indptr[stop]]
-        upper = _kernel_values(support, eps, start, stop, *bw)
-        lower = (upper if formulation == "symmetric" else
-                 _kernel_values(support, eps, start, stop, *bw[::-1]))
-        for product, v in zip(out, vectors):
-            _add_products(product, v, start, ptr, cols, upper, lower, 1.0)
+    n = cloud.n_points
+    if support is None:
+        row_bw, col_bw = (np.ones(n) if b is None else b for b in bw)
+    out = [np.zeros(n) for _ in vectors]
+    for start, stop in neighbors._blocks(n, neighbors._SUPPORT_BLOCK):
+        if support is None:
+            k = cdist(cloud.points[start:stop], cloud.points, "sqeuclidean")
+            k /= -4.0 * eps * np.outer(row_bw[start:stop], col_bw)
+            np.exp(k, out=k)
+            for product, v in zip(out, vectors):
+                product[start:stop] = k @ v
+            del k  # before the next block's distances
+        else:
+            ptr = support.indptr[start:stop + 1] - support.indptr[start]
+            cols = support.indices[support.indptr[start]:support.indptr[stop]]
+            upper = _kernel_values(support, eps, start, stop, *bw)
+            lower = (upper if formulation == "symmetric" else
+                     _kernel_values(support, eps, start, stop, *bw[::-1]))
+            for product, v in zip(out, vectors):
+                _add_products(product, v, start, ptr, cols, upper, lower, 1.0)
     return out
 
 
@@ -173,75 +193,49 @@ def _row_sums(mat, diag):
     return out
 
 
-def qS_normalization(K, rho, d):
-    """Density estimate from kernel row sums: qS_i = sum_j K_ij / rho_i^d.
-
-    A sparse ``K`` is the strict upper triangle that :func:`kernel_matrix`
-    returns on a support, with the unit diagonal implicit.
-    """
-    return _row_sums(K, 1.0) / np.asarray(rho, dtype=float) ** d
-
-
-def alpha_normalize(K, qS, alpha):
-    """Divide K_ij by (qS_i qS_j)^alpha; returns (Kalpha, its row sums).
-
-    A sparse ``K`` is a strict upper triangle with the unit diagonal
-    implicit, and so is the sparse Kalpha, whose diagonal is qS^(-2 alpha).
-    """
-    w = np.asarray(qS, dtype=float) ** (-alpha)
-    if not sparse.issparse(K):
-        ka = K * np.outer(w, w)
-        return ka, _row_sums(ka, None)
-    ka = sparse.csr_matrix(
-        (K.data * np.repeat(w, np.diff(K.indptr)) * w[K.indices], K.indices,
-         K.indptr), shape=K.shape)
-    return ka, _row_sums(ka, w * w)
-
-
-def generator_symmetric(Kalpha, q_eps_alpha, rho, eps, alpha=0.0, qS=None):
-    """Conjugated symmetric generator Lhat = (S^-1 Kalpha S^-1 - P^-2)/eps.
-
-    The conjugation diagonal is S = rho * sqrt(q_eps_alpha); eigenvectors of
-    the Markov generator are recovered as S^-1 times eigenvectors of Lhat.
-    A sparse ``Kalpha`` is the strict upper triangle from
-    :func:`alpha_normalize`, whose diagonal qS^(-2 alpha) needs ``qS``
-    unless alpha is 0; Lhat is then assembled whole, exactly symmetric.
-    """
-    rho = np.asarray(rho, dtype=float)
-    s = rho * np.sqrt(q_eps_alpha)
-    inv_s = 1.0 / s
-    shift = 1.0 / rho**2
-    if sparse.issparse(Kalpha):
-        if qS is None and alpha != 0.0:
-            raise ValueError("a sparse Kalpha needs qS for its diagonal")
-        w = np.ones(rho.shape[0]) if qS is None else np.asarray(qS) ** (-alpha)
-        upper = Kalpha.data * np.repeat(inv_s, np.diff(Kalpha.indptr))
-        upper *= inv_s[Kalpha.indices]
-        upper /= eps
-        upper = sparse.csr_matrix((upper, Kalpha.indices, Kalpha.indptr),
-                                  shape=Kalpha.shape)
-        diag = (w * w * inv_s * inv_s - shift) / eps
-        lhat = sparse.diags(diag, format="csr") + upper + upper.T
-    else:
-        lhat = Kalpha * np.outer(inv_s, inv_s)
-        np.fill_diagonal(lhat, lhat.diagonal() - shift)
-        lhat /= eps
-    return GeneratorMatrices(eps=eps, alpha=alpha, qS=qS, Kalpha=Kalpha,
-                             q_eps_alpha=q_eps_alpha, Lhat=lhat, P=rho,
-                             D=q_eps_alpha, S=s)
+def _scaled(mat, w):
+    """w_i M_ij w_j, of a dense M or of the CSR of a strict upper triangle."""
+    if not sparse.issparse(mat):
+        return mat * np.outer(w, w)
+    return sparse.csr_matrix(
+        (mat.data * np.repeat(w, np.diff(mat.indptr)) * w[mat.indices],
+         mat.indices, mat.indptr), shape=mat.shape)
 
 
 def build_generator(cloud, rho, eps, alpha, d=None, support=None):
-    """Run kernel -> density -> alpha -> conjugation for one epsilon."""
+    """Run kernel -> density -> alpha -> conjugation for one epsilon.
+
+    With K the kernel: qS = K 1 / rho^d, Kalpha = W K W with
+    W = diag(qS^(-alpha)), D = Kalpha 1, S = rho sqrt(D) and
+    Lhat = (S^-1 Kalpha S^-1 - diag(rho^-2)) / eps, whose eigenvectors
+    are S times those of the Markov generator. On a ``support`` K and
+    Kalpha are strict upper triangles with their diagonals, 1 and
+    qS^(-2 alpha), implicit; Lhat is assembled whole, exactly symmetric.
+    """
     if d is None:
         d = cloud.intrinsic_dim
     if d is None:
         raise ValueError("intrinsic dimension unknown; pass d explicitly")
+    rho = np.asarray(rho, dtype=float)
     k = kernel_matrix(cloud, rho, eps, support=support)
-    qs = qS_normalization(k, rho, d)
-    kalpha, q_eps_alpha = alpha_normalize(k, qs, alpha)
+    qs = _row_sums(k, 1.0) / rho**d
+    w = qs ** (-alpha)
+    kalpha = _scaled(k, w)
     del k  # not kept: the conjugation below needs memory for its own copy
-    return generator_symmetric(kalpha, q_eps_alpha, rho, eps, alpha=alpha, qS=qs)
+    degree = _row_sums(kalpha, w * w)
+    s = rho * np.sqrt(degree)
+    inv_s = 1.0 / s
+    shift = 1.0 / rho**2
+    lhat = _scaled(kalpha, inv_s)
+    if sparse.issparse(lhat):
+        lhat.data /= eps
+        diag = (w * w * inv_s * inv_s - shift) / eps
+        lhat = sparse.diags(diag, format="csr") + lhat + lhat.T
+    else:
+        np.fill_diagonal(lhat, lhat.diagonal() - shift)
+        lhat /= eps
+    return GeneratorMatrices(eps=eps, alpha=alpha, qS=qs, Kalpha=kalpha,
+                             Lhat=lhat, P=rho, D=degree, S=s)
 
 
 def apply_generator(cloud, rho, eps, alpha, formulation, f, d=None, support=None):
@@ -269,47 +263,15 @@ def apply_generator(cloud, rho, eps, alpha, formulation, f, d=None, support=None
     rho = np.asarray(rho, dtype=float)
     f = np.asarray(f, dtype=float)
     m = gaussian_shape_constants(d if d is not None else 1).m
-    if support is None:
-        num, den = _ratio_dense(cloud.points, rho, eps, alpha, formulation, f, d)
-    else:
-        num, den = _ratio_sparse(rho, eps, alpha, formulation, f, d, support)
+    w = np.ones(cloud.n_points)
+    if alpha != 0.0:
+        # a first pass: kernel row sums give the density estimate behind w
+        sums, = kernel_products(cloud, rho, eps, "symmetric", w, support=support)
+        w = (sums / rho**d) ** (-alpha)
+    num, den = kernel_products(cloud, rho, eps, formulation, w * f, w,
+                               support=support)
     p = 2 if formulation == "symmetric" else 1
     return (num / den - f) / (eps * m * rho**p)
-
-
-def _ratio_dense(pts, rho, eps, alpha, formulation, f, d, block=256):
-    n = pts.shape[0]
-    ones = np.ones(n)
-
-    def kernel_blocks(b_row, b_col):
-        for start in range(0, n, block):
-            rows = slice(start, min(start + block, n))
-            k = cdist(pts[rows], pts, "sqeuclidean")
-            k /= -4.0 * eps * np.outer(b_row[rows], b_col)
-            yield rows, np.exp(k, out=k)
-
-    weights = ones
-    if alpha != 0.0:
-        # first pass: kernel row sums give the density estimate behind w_j
-        sums = np.empty(n)
-        for rows, k in kernel_blocks(rho, rho):
-            sums[rows] = k.sum(axis=1)
-        weights = (sums / rho**d) ** (-alpha)
-    num = np.empty(n)
-    den = np.empty(n)
-    for rows, k in kernel_blocks(ones if formulation == "right" else rho,
-                                 ones if formulation == "left" else rho):
-        num[rows] = k @ (weights * f)
-        den[rows] = k @ weights
-    return num, den
-
-
-def _ratio_sparse(rho, eps, alpha, formulation, f, d, support):
-    weights = np.ones(support.n)
-    if alpha != 0.0:
-        sums, = support_products(support, rho, eps, formulation, weights)
-        weights = (sums / rho**d) ** (-alpha)
-    return support_products(support, rho, eps, formulation, weights * f, weights)
 
 
 def save_sparse_csv(mat, path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import KTooLarge
 
@@ -21,8 +21,9 @@ from .errors import KTooLarge
 # package lives in R^4 or lower, so the brute-force path is for completeness
 _KDTREE_MAX_DIM = 16
 # rows per block of the kNN queries, and of the support behind the pair
-# distances and the matrix-free kernel products; support blocks are small
-# because their pass is memory-bound and runs faster in cache
+# distances and of the matrix-free kernel products (support or all pairs);
+# support blocks are small because their pass is memory-bound and runs
+# faster in cache
 _QUERY_BLOCK = 4096
 _SUPPORT_BLOCK = 256
 
@@ -101,16 +102,11 @@ def knn(cloud, k):
 
 def _knn_brute(pts, k, start=0, stop=None, block=512):
     stop = pts.shape[0] if stop is None else stop
-    sq = np.einsum("ij,ij->i", pts, pts)
     idx = np.empty((stop - start, k), dtype=np.int64)
     dist = np.empty((stop - start, k))
     for lo in range(start, stop, block):
         hi = min(lo + block, stop)
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * pts[lo:hi] @ pts.T
-        np.maximum(d2, 0.0, out=d2)
-        # the expansion leaves O(eps) residue on the diagonal, which sqrt
-        # would amplify to ~1e-8; the self distance is zero by definition
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+        d2 = cdist(pts[lo:hi], pts, "sqeuclidean")
         part = np.argpartition(d2, k - 1, axis=1)[:, :k]
         pd = np.take_along_axis(d2, part, axis=1)
         order = np.lexsort((part, pd), axis=1)
@@ -215,10 +211,6 @@ class SupportPairs:
     @property
     def nnz(self):
         return self.r2.shape[0]
-
-    def blocks(self):
-        """(start, stop) of the row blocks that kernel products stream over."""
-        return _blocks(self.n, _SUPPORT_BLOCK)
 
     def rows(self):
         """Row index of every entry."""

@@ -23,8 +23,8 @@ def planted_generator(lhat):
     """GeneratorMatrices around a given Lhat, with S = 1 and a connected kernel."""
     ones = np.ones(lhat.shape[0])
     return GeneratorMatrices(eps=0.1, alpha=0.0, qS=None,
-                             Kalpha=np.ones(lhat.shape), q_eps_alpha=ones,
-                             Lhat=lhat, P=ones, D=ones, S=ones)
+                             Kalpha=np.ones(lhat.shape), Lhat=lhat, P=ones,
+                             D=ones, S=ones)
 
 
 def pair_sq_dists(points, rows, cols, chunk=4_000_000):

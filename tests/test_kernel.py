@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.integrate import quad
 
@@ -265,6 +267,75 @@ def test_cached_pairs_survive_underflow():
         np.testing.assert_array_equal(getattr(got.Lhat, name),
                                       getattr(want.Lhat, name))
     np.testing.assert_array_equal(got.qS, want.qS)
+
+
+# unit roundoff of float64
+_U = np.finfo(float).eps / 2
+
+
+@st.composite
+def _small_clouds(draw):
+    n = draw(st.integers(10, 60))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cloud = PointCloud(points=rng.standard_normal((n, dim)), intrinsic_dim=dim,
+                       label="random")
+    rho = np.exp(rng.uniform(-0.5, 0.5, n))
+    eps = 2.0 ** draw(st.floats(-8.0, 0.0))
+    alpha = draw(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.5, 1.0]))
+    return cloud, rho, eps, alpha
+
+
+def _whole_kalpha(gm):
+    if not sparse.issparse(gm.Kalpha):
+        return gm.Kalpha
+    w = gm.qS ** (-gm.alpha)
+    upper = gm.Kalpha.toarray()
+    return upper + upper.T + np.diag(w * w)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_small_clouds())
+def test_complete_support_matches_all_pairs(case):
+    # Tolerances, from the length n of the row sums: each sum of n positive
+    # terms is within (n - 1) u of its own exact value; the two storages
+    # associate the bandwidth product differently, which moves a kernel
+    # argument x by a few u x, and the kernel-weighted mean of x over a row
+    # stays below about 15 here; qS^-alpha carries |alpha| <= 1 times the
+    # error of qS; and every entry of Lhat and every term of it is at most
+    # scale = 1/(eps min rho^2), as Kalpha_ij <= sqrt(D_i D_j). 32 n u covers
+    # the sum of these with room to spare.
+    cloud, rho, eps, alpha = case
+    n, d = cloud.n_points, cloud.intrinsic_dim
+    tol = 32 * n * _U
+    support = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, n).indices)
+    assert support.nnz == n * (n - 1) // 2
+    dense = kernel.build_generator(cloud, rho, eps, alpha)
+    sp = kernel.build_generator(cloud, rho, eps, alpha, support=support)
+    scale = 1.0 / (eps * rho.min() ** 2)
+    np.testing.assert_allclose(sp.Lhat.toarray(), dense.Lhat, rtol=0, atol=tol * scale)
+    np.testing.assert_allclose(sp.D, dense.D, rtol=tol, atol=0)
+    np.testing.assert_allclose(sp.S, dense.S, rtol=tol, atol=0)
+    for gm in (dense, sp):
+        # Markov rows: D and the sum here each carry (n - 1) u
+        rows = _whole_kalpha(gm).sum(axis=1) / gm.D
+        assert np.abs(rows - 1.0).max() <= 4 * n * _U
+        # D^-1 Kalpha has spectral radius 1 up to the error of D, so Lhat,
+        # congruent to diag(1/(eps rho^2)) (D^-1/2 Kalpha D^-1/2 - I), is
+        # negative semidefinite up to that error and eigvalsh's own
+        lhat = gm.Lhat.toarray() if sparse.issparse(gm.Lhat) else gm.Lhat
+        assert np.linalg.eigvalsh(lhat).max() <= tol * scale
+    f = np.sin(cloud.points[:, 0])
+    for formulation, a in (("left", 0.0), ("right", 0.0), ("symmetric", 0.0),
+                           ("symmetric", alpha)):
+        # the kernel-weighted mean of f moves by at most tol max|f| before
+        # the division by eps rho^p
+        p = 2 if formulation == "symmetric" else 1
+        want = kernel.apply_generator(cloud, rho, eps, a, formulation, f)
+        got = kernel.apply_generator(cloud, rho, eps, a, formulation, f,
+                                     support=support)
+        bound = tol * np.abs(f).max() / (eps * rho**p)
+        assert np.all(np.abs(got - want) <= bound), formulation
 
 
 def test_apply_generator_constant_function_is_annihilated():

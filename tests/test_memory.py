@@ -48,8 +48,8 @@ def pairs(cloud, graph):
 
 
 def _largest_block(pairs):
-    return max(int(pairs.indptr[stop] - pairs.indptr[start])
-               for start, stop in pairs.blocks())
+    blocks = neighbors._blocks(pairs.n, neighbors._SUPPORT_BLOCK)
+    return max(int(pairs.indptr[stop] - pairs.indptr[start]) for start, stop in blocks)
 
 
 def _pairs_bytes(pairs):
@@ -115,6 +115,21 @@ def test_apply_generator_holds_one_row_block(cloud, pairs):
     # values and one gathered bandwidth, and the rebased row pointer
     vectors = 10 * _N * 8
     block = 2 * _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
+    assert peak <= vectors + block + _SLACK, peak
+
+
+def test_all_pairs_apply_holds_one_row_block():
+    n = 4000
+    cloud = pointcloud.gen_gaussian_random(n, 2, seed=4)
+    rho = 1.0 + 0.1 * cloud.points[:, 0] ** 2
+    f = np.sin(cloud.points[:, 0])
+    _, peak = _traced_peak(lambda: kernel.apply_generator(
+        cloud, rho, 0.01, 0.3, "symmetric", f))
+    # the length-n vectors as on a support, then per block the squared
+    # distances, exponentiated in place, and the bandwidth products they are
+    # divided by; a block kept alive into the next one does not fit
+    vectors = 10 * n * 8
+    block = 2 * neighbors._SUPPORT_BLOCK * n * 8
     assert peak <= vectors + block + _SLACK, peak
 
 

@@ -126,10 +126,14 @@ def _coincident_cloud():
 @pytest.mark.parametrize("block", [1, 7, 10_000])
 def test_knn_blocks_do_not_change_the_graph(monkeypatch, block):
     lattice = _tied_lattice()
+    coincident = _coincident_cloud()
     scattered = np.random.default_rng(11).standard_normal((60, 3))
-    clouds = ((lattice, 13), (_coincident_cloud(), 6), (scattered, 7))
+    clouds = ((lattice, 13), (coincident, 6), (scattered, 7))
     # each cloud is below the default block size, so this is one block
     whole = [neighbors.knn(pointcloud.PointCloud(pts), k) for pts, k in clouds]
+    with monkeypatch.context() as brute:
+        brute.setattr(neighbors, "_KDTREE_MAX_DIM", 0)
+        brute_whole = neighbors.knn(pointcloud.PointCloud(coincident), 6)
     monkeypatch.setattr(neighbors, "_QUERY_BLOCK", block)
     for (pts, k), ref in zip(clouds, whole):
         g = neighbors.knn(pointcloud.PointCloud(pts), k)
@@ -146,6 +150,11 @@ def test_knn_blocks_do_not_change_the_graph(monkeypatch, block):
     np.testing.assert_array_equal(g.indices, ref_idx)
     np.testing.assert_allclose(g.distances, ref_dist, atol=1e-12)
     _assert_tie_order(lattice, neighbors.knn(pointcloud.PointCloud(lattice), 13), 13)
+    # coincident points sit at distance exactly zero in every block, so the
+    # rows that drop their self entry drop the same points
+    g = neighbors.knn(pointcloud.PointCloud(coincident), 6)
+    np.testing.assert_array_equal(g.indices, brute_whole.indices)
+    np.testing.assert_array_equal(g.distances, brute_whole.distances)
 
 
 @pytest.mark.parametrize("block", [1, 7, 10_000])
