@@ -56,7 +56,7 @@ class DisconnectedGraph(PipelineError):
 
 
 class SolverFailure(PipelineError):
-    """Eigensolver did not converge within its iteration budget."""
+    """The eigensolver's factor or run failed; ``iterations``: the run's budget."""
 
     def __init__(self, message, iterations=None):
         super().__init__(message)

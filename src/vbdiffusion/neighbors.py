@@ -2,10 +2,11 @@
 
 Rows of a :class:`NeighborGraph` always start with the point itself at
 distance zero and are sorted by (distance, index) so that results are
-reproducible even in the presence of exact ties. A support is symmetric and
-stored once, as its strict upper triangle with the diagonal implicit. kNN
-queries and support pair distances run over blocks of rows and hold no n*k
-temporaries.
+reproducible even in the presence of exact ties. Every query goes to one
+kd-tree (``scipy.spatial.cKDTree``), which is exact in any dimension. A
+support is symmetric and stored once, as its strict upper triangle with the
+diagonal implicit. kNN queries and support pair distances run over blocks
+of rows and hold no n*k temporaries.
 """
 
 from dataclasses import dataclass
@@ -13,13 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
 from .errors import KTooLarge
 
-# kd-trees stop paying off in high ambient dimension; everything in this
-# package lives in R^4 or lower, so the brute-force path is for completeness
-_KDTREE_MAX_DIM = 16
 # rows per block of the kNN queries, and of the support behind the pair
 # distances and of the matrix-free kernel products (support or all pairs);
 # support blocks are small because their pass is memory-bound and runs
@@ -57,24 +55,22 @@ def _blocks(n, size):
 def knn(cloud, k):
     """Exact k nearest neighbors (the point itself counts as the first).
 
-    Neighbors at equal distance are listed by increasing index; the self
-    entry is always listed first regardless. When more points tie at the
-    k-th distance than fit in the row, the kd-tree picks which are kept.
-    Queries run in blocks of rows, which cannot change any row's answer.
+    One kd-tree answers every query. Neighbors at equal distance are listed
+    by increasing index; the self entry is always listed first regardless.
+    When more points tie at the k-th distance than fit in the row, the
+    kd-tree picks which are kept. Queries run in blocks of rows, which
+    cannot change any row's answer.
     """
     pts = cloud.points
     n = pts.shape[0]
     if k > n:
         raise KTooLarge(k, n)
-    tree = cKDTree(pts) if pts.shape[1] <= _KDTREE_MAX_DIM else None
+    tree = cKDTree(pts)
     indices = np.empty((n, k), dtype=np.int32)
     distances = np.empty((n, k))
     for start, stop in _blocks(n, _QUERY_BLOCK):
-        if tree is None:
-            dist, idx = _knn_brute(pts, k, start, stop)
-        else:
-            dist, idx = tree.query(pts[start:stop], k=k, workers=-1)
-            dist, idx = dist.reshape(-1, k), idx.reshape(-1, k)
+        dist, idx = tree.query(pts[start:stop], k=k, workers=-1)
+        dist, idx = dist.reshape(-1, k), idx.reshape(-1, k)
         rows = np.arange(start, stop)
         is_self = idx == rows[:, None]
         # with more than k coincident points the query may drop the self
@@ -98,21 +94,6 @@ def knn(cloud, k):
         distances[start:stop] = dist
         del dist, idx, is_self, key  # before the next block's query
     return NeighborGraph(k=k, indices=indices, distances=distances)
-
-
-def _knn_brute(pts, k, start=0, stop=None, block=512):
-    stop = pts.shape[0] if stop is None else stop
-    idx = np.empty((stop - start, k), dtype=np.int64)
-    dist = np.empty((stop - start, k))
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        d2 = cdist(pts[lo:hi], pts, "sqeuclidean")
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        pd = np.take_along_axis(d2, part, axis=1)
-        order = np.lexsort((part, pd), axis=1)
-        idx[lo - start:hi - start] = np.take_along_axis(part, order, axis=1)
-        dist[lo - start:hi - start] = np.sqrt(np.take_along_axis(pd, order, axis=1))
-    return dist, idx
 
 
 def symmetrized_support(cloud, indices):

@@ -141,17 +141,20 @@ def gen_gaussian_nice_1d(N):
 def gen_gaussian_random(N, dim, cov=None, seed=0):
     """IID Gaussian sample with the given covariance (identity by default)."""
     rng = np.random.default_rng(seed)
-    if cov is None:
-        cov = np.eye(dim)
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (dim, dim) or not np.allclose(cov, cov.T, atol=1e-12):
-        raise InvalidCovariance("covariance must be a symmetric (dim, dim) matrix")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidCovariance("covariance is not positive definite") from exc
+    chol = _cholesky(np.eye(dim) if cov is None else cov, dim)
     pts = rng.standard_normal((N, dim)) @ chol.T
     return PointCloud(pts, latent=pts, intrinsic_dim=dim, label=f"gauss-{dim}d")
+
+
+def _cholesky(cov, dim):
+    """Lower Cholesky factor of a symmetric positive definite (dim, dim) ``cov``."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (dim, dim) or not np.allclose(cov, cov.T, atol=1e-12):
+        raise InvalidCovariance(f"covariance must be a symmetric ({dim}, {dim}) matrix")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise InvalidCovariance("covariance is not positive definite") from exc
 
 
 def gen_sphere_nonuniform(N, cov=None, seed=0):
@@ -165,13 +168,7 @@ def gen_sphere_nonuniform(N, cov=None, seed=0):
     if cov is None:
         a = rng.standard_normal((3, 3))
         cov = a.T @ a + 0.1 * np.eye(3)
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (3, 3) or not np.allclose(cov, cov.T, atol=1e-12):
-        raise InvalidCovariance("covariance must be a symmetric (3, 3) matrix")
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidCovariance("covariance is not positive definite") from exc
+    chol = _cholesky(cov, 3)
     pts = rng.standard_normal((N, 3)) @ chol.T
     norms = np.linalg.norm(pts, axis=1)
     while np.any(norms == 0.0):  # measure-zero, but keep the projection total

@@ -6,12 +6,13 @@ and rescaled so that every eigenvector has Euclidean norm sqrt(N), matching
 the convention that makes discrete vectors comparable with L2-normalized
 eigenfunctions sampled at the data points.
 
-Only the few eigenpairs nearest zero are wanted. Small problems take a
-dense ``eigh`` of the top pairs. Larger ones run shift-inverted Lanczos
-(ARPACK), solving with a Cholesky factor of sigma I - Lhat: a dense one for
-all-pairs runs, a banded one for supports along a line, SuperLU otherwise.
-On the dense storage a Lanczos run that outlives its solve budget hands
-over to ``eigh``; :class:`Spectrum` records which path ran.
+Only the few eigenpairs nearest zero are wanted, and each storage has one
+path to them. Small problems take a dense ``eigh`` of the top pairs. Larger
+ones run shift-inverted Lanczos (ARPACK), solving with a Cholesky factor of
+sigma I - Lhat: a dense one for all-pairs runs, a banded one for supports
+along a line, SuperLU otherwise. On the dense storage a Lanczos run that
+outlives its solve budget or fails hands over to ``eigh``; on a sparse one
+it raises :class:`SolverFailure`. :class:`Spectrum` records which path ran.
 """
 
 import warnings
@@ -23,8 +24,7 @@ from scipy.linalg import (cho_factor, cho_solve_banded, cholesky_banded,
                           eigh, svd)
 from scipy.linalg.blas import dtrsv
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                 LinearOperator, eigsh)
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
                      DisconnectedGraph, EmptyMask, SolverFailure)
@@ -41,8 +41,10 @@ _DENSE_MAX = 600
 # over. eigh costs about n/4.5 solves from n = 1500 to 3000, so a spent
 # budget plus the factor costs about 1.4 to 1.5 times eigh alone
 _SOLVE_BUDGET = 16
+# ARPACK's stopping tolerance, relative to each Ritz value of the inverse
+_TOL = 1e-10
 # relative closeness to a column's largest |v| at which entries tie for its
-# sign: ARPACK stops at a relative residual of 1e-10, which moves a vector
+# sign: ARPACK stops at a relative residual of _TOL, which moves a vector
 # whose eigenvalue lies 1e-2 apart from the next (the groups of
 # group_by_eigenvalue) by 1e-8 in angle, so any entry of the unit vector by
 # at most 1e-8, while its largest entry is at least 1/sqrt(n); 1e-5 covers
@@ -54,9 +56,10 @@ _SIGN_TIE = 1e-5
 class Spectrum:
     """Top eigenpairs of the generator, eigenvalues descending from zero.
 
-    ``solver`` names the path that produced them: 'eigh', 'eigh (<why
-    Lanczos gave way>)', 'dense cholesky shift-invert', 'banded cholesky
-    shift-invert', 'superlu shift-invert' or 'lanczos (<reason>)'.
+    ``solver`` names the path that produced them: 'eigh', 'eigh (lanczos
+    budget spent)', 'eigh (dense cholesky shift-invert failed: <error>)',
+    'dense cholesky shift-invert', 'banded cholesky shift-invert' or
+    'superlu shift-invert'.
     """
 
     eigenvalues: np.ndarray
@@ -69,33 +72,29 @@ class _BudgetSpent(Exception):
     """A dense shift-invert Lanczos run used up its solves."""
 
 
-def eigs_near_zero(gm, n_eig, method="auto", tol=1e-10):
+def eigs_near_zero(gm, n_eig):
     """Largest-algebraic eigenpairs of the generator in ``gm``.
 
     Checks connectivity of the kernel support first and raises
     :class:`DisconnectedGraph` with the component sizes when it splits.
-    ``method`` is 'auto', 'dense', 'shift-invert' or 'lanczos'; 'auto' uses
-    dense ``eigh`` for small problems and shift-inverted Lanczos otherwise.
-    On a sparse Lhat a failed shift-invert run falls back to plain Lanczos;
-    on a dense one, and once its solve budget is spent, ``eigh`` runs
-    instead. An Lhat with an eigenvalue above the shift, or a solver that
-    fails for good, raises :class:`SolverFailure`.
+    Small problems take dense ``eigh``, larger ones shift-inverted Lanczos.
+    On a dense Lhat a Lanczos run that spends its solve budget or fails
+    hands over to ``eigh``. On a sparse one a failed run, and on either an
+    Lhat with an eigenvalue above the shift, raises :class:`SolverFailure`.
     """
     lhat = gm.Lhat
     n = gm.P.shape[0]
     _check_connected(gm.Kalpha)
     dense = not sparse.issparse(lhat)
-    if method == "auto":
-        # a dense Lanczos run whose budget cannot cover its first pass
-        # (ncv + 1 solves) would only add the factor to eigh
-        small = n <= _DENSE_MAX or n_eig >= n - 1 or (
-            dense and n // _SOLVE_BUDGET <= _ncv(n, n_eig))
-        method = "dense" if small else "shift-invert"
+    # a dense Lanczos run whose budget cannot cover its first pass
+    # (ncv + 1 solves) would only add the factor to eigh
+    small = n <= _DENSE_MAX or n_eig >= n - 1 or (
+        dense and n // _SOLVE_BUDGET <= _ncv(n, n_eig))
     vals, vecs, solver = None, None, "eigh"
-    if method != "dense":
-        vals, vecs, solver = _eigs_arpack(lhat, n_eig, method, tol)
+    if not small:
+        vals, vecs, solver = _shift_invert(lhat, n_eig)
     if vals is None:
-        # eigh runs once _eigs_arpack has returned, so that a dense factor
+        # eigh runs once _shift_invert has returned, so that a dense factor
         # is no longer held
         vals, vecs = eigh(lhat if dense else lhat.toarray(),
                           subset_by_index=[max(n - n_eig, 0), n - 1])
@@ -135,7 +134,7 @@ def _dense_components(mat, block=256):
     return labels
 
 
-def _eigs_arpack(lhat, n_eig, method, tol):
+def _shift_invert(lhat, n_eig):
     """``(vals, vecs, solver)`` from ARPACK; vals is None when eigh must run."""
     n = lhat.shape[0]
     dense = not sparse.issparse(lhat)
@@ -143,50 +142,32 @@ def _eigs_arpack(lhat, n_eig, method, tol):
     # seeded, and without the mirror symmetry of grid clouds: the constant
     # vector is orthogonal to every odd eigenvector of such a cloud
     v0 = np.random.default_rng(0).standard_normal(n)
-    ncv = _ncv(n, n_eig)
     scale = float(np.abs(lhat.diagonal()).max())
-    if method == "shift-invert":
-        # the spectrum is nonpositive, so any positive shift is safe to factor
-        sigma = 1e-6 * scale if scale > 0.0 else 1e-12
-        if dense:
-            solver = "dense cholesky shift-invert"
-            opinv = _dense_opinv(lhat, sigma, n // _SOLVE_BUDGET)
-        else:
-            opinv = _banded_opinv(lhat, sigma)
-            kind = "superlu" if opinv is None else "banded cholesky"
-            solver = f"{kind} shift-invert"
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                vals, vecs = eigsh(lhat, k=n_eig, sigma=sigma, which="LM",
-                                   tol=tol, maxiter=maxiter, v0=v0, ncv=ncv,
-                                   OPinv=opinv)
-            return vals, vecs, solver
-        except _BudgetSpent:
-            reason = "lanczos budget spent"
-        except (ArpackError, RuntimeError) as exc:
-            reason = f"{solver} failed: {type(exc).__name__}"
-        except (MemoryError, ValueError) as exc:
-            raise SolverFailure(f"{solver}: {type(exc).__name__}: {exc}") from exc
-        if dense:
-            return None, None, f"eigh ({reason})"
-        method = f"lanczos ({reason})"
+    # the spectrum is nonpositive, so any positive shift is safe to factor
+    sigma = 1e-6 * scale if scale > 0.0 else 1e-12
+    if dense:
+        solver = "dense cholesky shift-invert"
+        opinv = _dense_opinv(lhat, sigma, n // _SOLVE_BUDGET)
     else:
-        method = "lanczos (requested)"
-    # ARPACK's stopping test is relative to each Ritz value, which the
-    # eigenvalue 0 of every generator never meets from a random start; on
-    # Lhat shifted down by its diagonal's scale the test is relative to Lhat
-    shifted = LinearOperator((n, n), matvec=lambda x: lhat @ x - scale * x,
-                             dtype=float)
+        opinv = _banded_opinv(lhat, sigma)
+        kind = "superlu" if opinv is None else "banded cholesky"
+        solver = f"{kind} shift-invert"
     try:
-        vals, vecs = eigsh(shifted, k=n_eig, which="LA", tol=tol,
-                           maxiter=maxiter, v0=v0, ncv=ncv)
-        return vals + scale, vecs, method
-    except ArpackNoConvergence as exc:
-        raise SolverFailure(f"eigensolver did not converge: {exc}",
-                            iterations=maxiter) from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vals, vecs = eigsh(lhat, k=n_eig, sigma=sigma, which="LM", tol=_TOL,
+                               maxiter=maxiter, v0=v0, ncv=_ncv(n, n_eig),
+                               OPinv=opinv)
+        return vals, vecs, solver
+    except _BudgetSpent:
+        return None, None, "eigh (lanczos budget spent)"
     except (ArpackError, RuntimeError) as exc:
-        raise SolverFailure(f"eigensolver failed: {exc}") from exc
+        if dense:
+            return None, None, f"eigh ({solver} failed: {type(exc).__name__})"
+        raise SolverFailure(f"{solver}: {type(exc).__name__}: {exc}",
+                            iterations=maxiter) from exc
+    except (MemoryError, ValueError) as exc:
+        raise SolverFailure(f"{solver}: {type(exc).__name__}: {exc}") from exc
 
 
 def _dense_opinv(lhat, sigma, budget):

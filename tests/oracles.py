@@ -1,7 +1,8 @@
 """Reference computations shared by the tests (not collected as tests)."""
 
 import numpy as np
-from scipy.linalg import qr
+from scipy import sparse
+from scipy.linalg import eigh, qr
 
 from vbdiffusion.kernel import GeneratorMatrices
 
@@ -25,6 +26,15 @@ def planted_generator(lhat):
     return GeneratorMatrices(eps=0.1, alpha=0.0, qS=None,
                              Kalpha=np.ones(lhat.shape), Lhat=lhat, P=ones,
                              D=ones, S=ones)
+
+
+def eigh_top(gm, k):
+    """The k eigenpairs of ``gm.Lhat`` nearest zero by LAPACK's ``eigh`` on
+    the whole matrix: eigenvalues descending, eigenvectors divided by S."""
+    lhat = gm.Lhat.toarray() if sparse.issparse(gm.Lhat) else gm.Lhat
+    n = lhat.shape[0]
+    vals, vecs = eigh(lhat, subset_by_index=[n - k, n - 1])
+    return vals[::-1], vecs[:, ::-1] / gm.S[:, None]
 
 
 def pair_sq_dists(points, rows, cols, chunk=4_000_000):

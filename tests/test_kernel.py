@@ -338,6 +338,87 @@ def test_complete_support_matches_all_pairs(case):
         assert np.all(np.abs(got - want) <= bound), formulation
 
 
+@st.composite
+def _clouds_with_motion(draw):
+    # continuous random clouds have no distance ties (with probability one),
+    # so their kNN sets do not depend on the order of the points, and the
+    # kd-tree's choice within a tied last shell never comes into play
+    cloud, rho, eps, alpha = draw(_small_clouds())
+    k = draw(st.integers(2, cloud.n_points - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cloud, rho, eps, alpha, k, rng
+
+
+def _lhats(pts, rho, eps, alpha, k):
+    """Whole dense Lhat on all pairs, then on the kNN support of size k."""
+    cloud = PointCloud(points=pts, intrinsic_dim=pts.shape[1], label="moved")
+    support = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, k).indices)
+    for pairs in (None, support):
+        lhat = kernel.build_generator(cloud, rho, eps, alpha, support=pairs).Lhat
+        yield lhat.toarray() if sparse.issparse(lhat) else lhat
+
+
+@settings(derandomize=True, deadline=None)
+@given(_clouds_with_motion())
+def test_permuting_points_permutes_lhat(case):
+    # Relabelling moves no distance: each pair's r^2 is the same sum of the
+    # same squares, so the kernel changes only where a support pair's two
+    # bandwidths associate the other way round. What moves is the order of
+    # each row sum, and that is the difference between the two storages of
+    # test_complete_support_matches_all_pairs, so its 32 n u scale bounds
+    # every entry. The top eigenvalues then move by at most the 2-norm of
+    # the difference, at most n times the entry bound (Weyl), plus eigh's
+    # backward error on each matrix, within n u ||Lhat||_1 <= n^2 u scale
+    # times a small constant; 2 n times the entry bound covers both.
+    cloud, rho, eps, alpha, k, rng = case
+    n = cloud.n_points
+    perm = rng.permutation(n)
+    tol = 32 * n * _U / (eps * rho.min() ** 2)
+    top = min(n, 4)
+    for got, want in zip(_lhats(cloud.points[perm], rho[perm], eps, alpha, k),
+                         _lhats(cloud.points, rho, eps, alpha, k)):
+        np.testing.assert_allclose(got, want[np.ix_(perm, perm)], rtol=0, atol=tol)
+        np.testing.assert_allclose(np.linalg.eigvalsh(got)[-top:],
+                                   np.linalg.eigvalsh(want)[-top:],
+                                   rtol=0, atol=2 * n * tol)
+
+
+# exp(-a) underflows to zero beyond this kernel argument a
+_A_MAX = 746.0
+
+
+@settings(derandomize=True, deadline=None)
+@given(_clouds_with_motion())
+def test_rigid_motion_leaves_lhat_unchanged(case):
+    # Tolerance, from the coordinate rounding and the sum length. The moved
+    # coordinates x Q^T + b are each within delta = (d + 2) u (||x||_1 +
+    # |b|) of exact, and Householder QR leaves Q orthogonal to within
+    # omega = 8 d^2 u, so a computed distance r moves by at most
+    # omega r + 2 sqrt(d) delta, and its square, computed on either side,
+    # by a further 2 (d + 4) u relative. The kernel argument
+    # a = r^2 / (4 eps rho_i rho_j) then moves by at most
+    # a (2 omega + 2 (d + 4) u) + 2 sqrt(a d) delta / (sqrt(eps) rho_min),
+    # and a <= _A_MAX wherever the kernel is not zero on both sides: each
+    # kernel value moves by at most kappa relative. qS, its power, Kalpha,
+    # D and S compound kappa with the n u of each row sum a few times over,
+    # and every entry of Lhat is at most scale = 1/(eps rho_min^2), as in
+    # test_complete_support_matches_all_pairs; 8 (kappa + n u) scale covers
+    # the sum.
+    cloud, rho, eps, alpha, k, rng = case
+    n, d = cloud.n_points, cloud.intrinsic_dim
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    b = rng.uniform(-10.0, 10.0, d)
+    moved = cloud.points @ q.T + b
+    delta = (d + 2) * _U * (np.abs(cloud.points).sum(axis=1).max() + np.abs(b).max())
+    omega = 8 * d * d * _U
+    kappa = (_A_MAX * (2 * omega + 2 * (d + 4) * _U)
+             + 2 * np.sqrt(_A_MAX * d) * delta / (np.sqrt(eps) * rho.min()))
+    tol = 8 * (kappa + n * _U) / (eps * rho.min() ** 2)
+    for got, want in zip(_lhats(moved, rho, eps, alpha, k),
+                         _lhats(cloud.points, rho, eps, alpha, k)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
 def test_apply_generator_constant_function_is_annihilated():
     cloud, rho = _gaussian_line(50)
     f = np.full(50, 0.7)

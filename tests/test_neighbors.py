@@ -106,15 +106,6 @@ def test_knn_k_equals_one():
     np.testing.assert_array_equal(g.indices[:, 0], np.arange(5))
 
 
-def test_brute_path_agrees_with_kdtree_path():
-    pts = np.random.default_rng(5).standard_normal((50, 2))
-    cloud = pointcloud.PointCloud(pts)
-    g = neighbors.knn(cloud, 6)
-    bd, bi = neighbors._knn_brute(pts, 6)
-    np.testing.assert_array_equal(g.indices, bi)
-    np.testing.assert_allclose(g.distances, bd, atol=1e-12)
-
-
 def _coincident_cloud():
     # more coincident copies of some points than fit in a k = 6 row, so the
     # query drops self entries in several blocks
@@ -131,9 +122,6 @@ def test_knn_blocks_do_not_change_the_graph(monkeypatch, block):
     clouds = ((lattice, 13), (coincident, 6), (scattered, 7))
     # each cloud is below the default block size, so this is one block
     whole = [neighbors.knn(pointcloud.PointCloud(pts), k) for pts, k in clouds]
-    with monkeypatch.context() as brute:
-        brute.setattr(neighbors, "_KDTREE_MAX_DIM", 0)
-        brute_whole = neighbors.knn(pointcloud.PointCloud(coincident), 6)
     monkeypatch.setattr(neighbors, "_QUERY_BLOCK", block)
     for (pts, k), ref in zip(clouds, whole):
         g = neighbors.knn(pointcloud.PointCloud(pts), k)
@@ -143,18 +131,7 @@ def test_knn_blocks_do_not_change_the_graph(monkeypatch, block):
         _assert_tie_order(pts, g, k)
     ref_idx, ref_dist = _brute_reference(scattered, 7)
     np.testing.assert_array_equal(g.indices, ref_idx)
-    # the brute-force path answers the same blocks of query rows; on integer
-    # coordinates its distances are exact
-    monkeypatch.setattr(neighbors, "_KDTREE_MAX_DIM", 0)
-    g = neighbors.knn(pointcloud.PointCloud(scattered), 7)
-    np.testing.assert_array_equal(g.indices, ref_idx)
     np.testing.assert_allclose(g.distances, ref_dist, atol=1e-12)
-    _assert_tie_order(lattice, neighbors.knn(pointcloud.PointCloud(lattice), 13), 13)
-    # coincident points sit at distance exactly zero in every block, so the
-    # rows that drop their self entry drop the same points
-    g = neighbors.knn(pointcloud.PointCloud(coincident), 6)
-    np.testing.assert_array_equal(g.indices, brute_whole.indices)
-    np.testing.assert_array_equal(g.distances, brute_whole.distances)
 
 
 @pytest.mark.parametrize("block", [1, 7, 10_000])

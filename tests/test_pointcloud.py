@@ -94,6 +94,12 @@ def test_gaussian_random_rejects_bad_covariance():
         pointcloud.gen_gaussian_random(10, 2, cov=np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(InvalidCovariance):
         pointcloud.gen_gaussian_random(10, 2, cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # the sphere samples through the same checks: asymmetric, indefinite,
+    # and of the wrong shape for R^3
+    for cov in (np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                np.diag([1.0, -1.0, 1.0]), np.eye(2)):
+        with pytest.raises(InvalidCovariance):
+            pointcloud.gen_sphere_nonuniform(10, cov=cov)
 
 
 def test_sphere_points_have_unit_norm_and_fixed_seed():

@@ -3,13 +3,14 @@ import pytest
 from scipy import sparse
 from scipy.linalg import cho_factor, qr
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from vbdiffusion import kernel, neighbors, pointcloud, spectral
 from vbdiffusion.errors import (AlignmentAmbiguous, DegenerateEigenvector,
                                 DisconnectedGraph, EmptyMask, SolverFailure)
 from vbdiffusion.pointcloud import PointCloud
 
-from oracles import mirrored_spectrum, planted_generator
+from oracles import eigh_top, mirrored_spectrum, planted_generator
 
 
 def test_dense_path_recovers_planted_spectrum():
@@ -29,13 +30,11 @@ def test_dense_path_recovers_planted_spectrum():
 
 def _assert_matches_eigh(spec, gm):
     """Eigenvalues within 1e-12 ||Lhat||_1 of eigh's, and the same subspace."""
-    want = spectral.eigs_near_zero(gm, spec.eigenvalues.size, method="dense")
+    vals, vecs = eigh_top(gm, spec.eigenvalues.size)
     norm = np.abs(gm.Lhat).sum(axis=0).max()
-    np.testing.assert_allclose(spec.eigenvalues, want.eigenvalues, rtol=0.0,
-                               atol=1e-12 * norm)
+    np.testing.assert_allclose(spec.eigenvalues, vals, rtol=0.0, atol=1e-12 * norm)
     # unit columns (S = 1): all cosines of the principal angles are 1
-    cosines = np.linalg.svd(want.eigenvectors.T @ spec.eigenvectors,
-                            compute_uv=False)
+    cosines = np.linalg.svd(vecs.T @ spec.eigenvectors, compute_uv=False)
     assert cosines.min() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -72,10 +71,9 @@ def test_spent_solve_budget_hands_over_to_eigh():
     gm = planted_generator(lhat)
     spec = spectral.eigs_near_zero(gm, 5)
     assert spec.solver == "eigh (lanczos budget spent)"
-    want = spectral.eigs_near_zero(gm, 5, method="dense")
-    assert want.solver == "eigh"
-    np.testing.assert_array_equal(spec.eigenvalues, want.eigenvalues)
-    np.testing.assert_array_equal(spec.eigenvectors, want.eigenvectors)
+    vals, vecs = eigh_top(gm, 5)
+    np.testing.assert_array_equal(spec.eigenvalues, vals)
+    np.testing.assert_array_equal(spec.eigenvectors, vecs)
 
 
 def test_dense_factor_overwrites_its_one_copy(monkeypatch):
@@ -102,30 +100,45 @@ def test_eigenvalue_above_shift_raises():
         spectral.eigs_near_zero(planted_generator(lhat), 4)
 
 
-@pytest.mark.parametrize("error", [MemoryError, ValueError])
+@pytest.mark.parametrize("error", [MemoryError, ValueError, RuntimeError,
+                                   ArpackNoConvergence])
 def test_memory_and_value_errors_are_not_fallbacks(monkeypatch, error):
-    gm = _line_generator(800, 40, 0.05)
+    # every error fails a shift-invert run loudly, but for an ARPACK or
+    # runtime error on the dense storage, which hands over to eigh; the
+    # injected error hits only shift-invert calls (given sigma)
+    eigsh = spectral.eigsh
 
     def failing(*args, **kwargs):
-        raise error("injected")
+        if "sigma" in kwargs:
+            # ARPACK's error carries the pairs it had: none here
+            raise (error("injected", np.empty(0), np.empty((0, 0)))
+                   if error is ArpackNoConvergence else error("injected"))
+        return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "eigsh", failing)
-    with pytest.raises(SolverFailure, match="banded cholesky shift-invert"):
-        spectral.eigs_near_zero(gm, 5)
+    loud = error in (MemoryError, ValueError)
+    for gm, solver in ((_line_generator(800, 40, 0.05), "banded cholesky"),
+                       (_ring_generator(800), "superlu"),
+                       (planted_generator(mirrored_spectrum(
+                           [0.0, -1.0, -2.0], [-1.5, -3.0], 800)), "dense cholesky")):
+        path = f"{solver} shift-invert"
+        if loud or solver != "dense cholesky":
+            with pytest.raises(SolverFailure, match=path) as exc:
+                spectral.eigs_near_zero(gm, 5)
+            assert loud or exc.value.iterations > 0
+            continue
+        spec = spectral.eigs_near_zero(gm, 5)
+        assert spec.solver == f"eigh ({path} failed: {error.__name__})"
+        vals, vecs = eigh_top(gm, 5)
+        np.testing.assert_array_equal(spec.eigenvalues, vals)
+        np.testing.assert_array_equal(spec.eigenvectors, vecs)
 
 
 def test_solver_names_the_path():
     gm = _line_generator(800, 40, 0.05)
     assert spectral.eigs_near_zero(gm, 5).solver == "banded cholesky shift-invert"
-    assert spectral.eigs_near_zero(gm, 5, method="dense").solver == "eigh"
-    assert (spectral.eigs_near_zero(gm, 5, method="lanczos").solver
-            == "lanczos (requested)")
     # a circle's wrap-around support is not banded
-    cloud = pointcloud.gen_circle_uniform(800)
-    graph = neighbors.knn(cloud, 8)
-    support = neighbors.symmetrized_support(cloud, graph.indices)
-    ring = kernel.build_generator(cloud, np.ones(800), 0.001, 0.0, support=support)
-    assert spectral.eigs_near_zero(ring, 3).solver == "superlu shift-invert"
+    assert spectral.eigs_near_zero(_ring_generator(800), 3).solver == "superlu shift-invert"
     small = _line_generator(300, 20, 0.05)
     assert spectral.eigs_near_zero(small, 4).solver == "eigh"
 
@@ -137,28 +150,28 @@ def _line_generator(n, k, eps):
     return kernel.build_generator(cloud, np.ones(n), eps, 0.0, support=support)
 
 
+def _ring_generator(n):
+    cloud = pointcloud.gen_circle_uniform(n)
+    graph = neighbors.knn(cloud, 8)
+    support = neighbors.symmetrized_support(cloud, graph.indices)
+    return kernel.build_generator(cloud, np.ones(n), 0.001, 0.0, support=support)
+
+
 def test_shift_invert_matches_dense_eigh():
     gm = _line_generator(800, 40, 0.05)
     sigma = 1e-6 * np.abs(gm.Lhat.diagonal()).max()
     # the sorted line gives a banded support, so the banded factorization
-    # must engage rather than silently falling back to unpreconditioned ARPACK
+    # must engage rather than SuperLU
     assert spectral._banded_opinv(gm.Lhat, sigma) is not None
-    si = spectral.eigs_near_zero(gm, 5, method="shift-invert")
-    de = spectral.eigs_near_zero(gm, 5, method="dense")
-    scale = np.abs(de.eigenvalues).max()
-    assert np.allclose(si.eigenvalues, de.eigenvalues, atol=1e-8 * scale)
+    si = spectral.eigs_near_zero(gm, 5)
+    assert si.solver == "banded cholesky shift-invert"
+    vals, vecs = eigh_top(gm, 5)
+    scale = np.abs(vals).max()
+    assert np.allclose(si.eigenvalues, vals, atol=1e-8 * scale)
     for i in range(5):
-        a, b = si.eigenvectors[:, i], de.eigenvectors[:, i]
+        a, b = si.eigenvectors[:, i], vecs[:, i]
         corr = abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
         assert corr == pytest.approx(1.0, abs=1e-8)
-
-
-def test_lanczos_fallback_matches_dense_eigh():
-    gm = _line_generator(300, 20, 0.05)
-    la = spectral.eigs_near_zero(gm, 4, method="lanczos")
-    de = spectral.eigs_near_zero(gm, 4, method="dense")
-    assert np.allclose(la.eigenvalues, de.eigenvalues,
-                       atol=1e-7 * np.abs(de.eigenvalues).max())
 
 
 def test_banded_opinv_solves_shifted_system():
