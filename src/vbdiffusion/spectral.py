@@ -9,10 +9,11 @@ eigenfunctions sampled at the data points.
 Only the few eigenpairs nearest zero are wanted, and each storage has one
 path to them. Small problems take a dense ``eigh`` of the top pairs. Larger
 ones run shift-inverted Lanczos (ARPACK), solving with a Cholesky factor of
-sigma I - Lhat: a dense one for all-pairs runs, a banded one for supports
-along a line, SuperLU otherwise. On the dense storage a Lanczos run that
-outlives its solve budget or fails hands over to ``eigh``; on a sparse one
-it raises :class:`SolverFailure`. :class:`Spectrum` records which path ran.
+sigma I - Lhat: a dense one for all-pairs runs, and for a support a banded
+one in reverse Cuthill-McKee order. Either run may take a fixed number of
+solves. On the dense storage a Lanczos run that spends them or fails hands
+over to ``eigh``; on a sparse one it raises :class:`SolverFailure`.
+:class:`Spectrum` records which path ran.
 """
 
 import warnings
@@ -23,9 +24,10 @@ from scipy import sparse
 from scipy.linalg import (cho_factor, cho_solve_banded, cholesky_banded,
                           eigh, svd)
 from scipy.linalg.blas import dtrsv
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+from . import neighbors
 from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
                      DisconnectedGraph, EmptyMask, SolverFailure)
 
@@ -37,9 +39,9 @@ from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
 # n = 16 x 41 = 656, and up to there eigh takes under 0.04 s. The crossover
 # for a sparse Lhat is not measured
 _DENSE_MAX = 600
-# a dense Lanczos run may take n // _SOLVE_BUDGET solves before eigh takes
-# over. eigh costs about n/4.5 solves from n = 1500 to 3000, so a spent
-# budget plus the factor costs about 1.4 to 1.5 times eigh alone
+# a Lanczos run may take n // _SOLVE_BUDGET solves. Dense eigh costs about
+# n/4.5 solves from n = 1500 to 3000, so a spent budget plus the factor costs
+# about 1.4 to 1.5 times eigh alone; shipped sparse runs take 41 solves
 _SOLVE_BUDGET = 16
 # ARPACK's stopping tolerance, relative to each Ritz value of the inverse
 _TOL = 1e-10
@@ -58,8 +60,7 @@ class Spectrum:
 
     ``solver`` names the path that produced them: 'eigh', 'eigh (lanczos
     budget spent)', 'eigh (dense cholesky shift-invert failed: <error>)',
-    'dense cholesky shift-invert', 'banded cholesky shift-invert' or
-    'superlu shift-invert'.
+    'dense cholesky shift-invert' or 'banded cholesky shift-invert'.
     """
 
     eigenvalues: np.ndarray
@@ -69,7 +70,7 @@ class Spectrum:
 
 
 class _BudgetSpent(Exception):
-    """A dense shift-invert Lanczos run used up its solves."""
+    """A shift-invert Lanczos run used up its solves."""
 
 
 def eigs_near_zero(gm, n_eig):
@@ -78,18 +79,18 @@ def eigs_near_zero(gm, n_eig):
     Checks connectivity of the kernel support first and raises
     :class:`DisconnectedGraph` with the component sizes when it splits.
     Small problems take dense ``eigh``, larger ones shift-inverted Lanczos.
-    On a dense Lhat a Lanczos run that spends its solve budget or fails
-    hands over to ``eigh``. On a sparse one a failed run, and on either an
-    Lhat with an eigenvalue above the shift, raises :class:`SolverFailure`.
+    A Lanczos run that spends its solve budget or fails hands over to ``eigh``
+    on a dense Lhat and raises :class:`SolverFailure` on a sparse one; so
+    does a failed factor (as for an eigenvalue above the shift) on either.
     """
     lhat = gm.Lhat
     n = gm.P.shape[0]
     _check_connected(gm.Kalpha)
     dense = not sparse.issparse(lhat)
-    # a dense Lanczos run whose budget cannot cover its first pass
-    # (ncv + 1 solves) would only add the factor to eigh
-    small = n <= _DENSE_MAX or n_eig >= n - 1 or (
-        dense and n // _SOLVE_BUDGET <= _ncv(n, n_eig))
+    # a Lanczos run whose budget cannot cover its first pass (ncv + 1
+    # solves) could only spend it
+    small = (n <= _DENSE_MAX or n_eig >= n - 1
+             or n // _SOLVE_BUDGET <= _ncv(n, n_eig))
     vals, vecs, solver = None, None, "eigh"
     if not small:
         vals, vecs, solver = _shift_invert(lhat, n_eig)
@@ -138,105 +139,104 @@ def _shift_invert(lhat, n_eig):
     """``(vals, vecs, solver)`` from ARPACK; vals is None when eigh must run."""
     n = lhat.shape[0]
     dense = not sparse.issparse(lhat)
-    maxiter = int(10 * n_eig * np.sqrt(n))
+    budget = n // _SOLVE_BUDGET
+    solver = f"{'dense' if dense else 'banded'} cholesky shift-invert"
     # seeded, and without the mirror symmetry of grid clouds: the constant
     # vector is orthogonal to every odd eigenvector of such a cloud
     v0 = np.random.default_rng(0).standard_normal(n)
     scale = float(np.abs(lhat.diagonal()).max())
     # the spectrum is nonpositive, so any positive shift is safe to factor
     sigma = 1e-6 * scale if scale > 0.0 else 1e-12
-    if dense:
-        solver = "dense cholesky shift-invert"
-        opinv = _dense_opinv(lhat, sigma, n // _SOLVE_BUDGET)
-    else:
-        opinv = _banded_opinv(lhat, sigma)
-        kind = "superlu" if opinv is None else "banded cholesky"
-        solver = f"{kind} shift-invert"
+    solves = 0
+
+    def counted(x):
+        nonlocal solves
+        solves += 1
+        if solves > budget:
+            raise _BudgetSpent(f"spent its budget of {budget} solves")
+        return solve(x)
+
     try:
+        solve = (_dense_solve if dense else _banded_solve)(lhat, sigma)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             vals, vecs = eigsh(lhat, k=n_eig, sigma=sigma, which="LM", tol=_TOL,
-                               maxiter=maxiter, v0=v0, ncv=_ncv(n, n_eig),
-                               OPinv=opinv)
+                               v0=v0, ncv=_ncv(n, n_eig), OPinv=LinearOperator(
+                                   (n, n), matvec=counted, dtype=float))
         return vals, vecs, solver
-    except _BudgetSpent:
-        return None, None, "eigh (lanczos budget spent)"
-    except (ArpackError, RuntimeError) as exc:
-        if dense:
-            return None, None, f"eigh ({solver} failed: {type(exc).__name__})"
-        raise SolverFailure(f"{solver}: {type(exc).__name__}: {exc}",
-                            iterations=maxiter) from exc
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure(f"{solver}: sigma I - Lhat is not positive definite, "
+                            f"so Lhat has an eigenvalue above sigma = {sigma:.3g}"
+                            ) from exc
+    except (_BudgetSpent, ArpackError, RuntimeError) as exc:
+        if not dense:
+            raise SolverFailure(f"{solver}: {exc}", iterations=budget) from exc
+        spent = isinstance(exc, _BudgetSpent)
+        return None, None, ("eigh (lanczos budget spent)" if spent
+                            else f"eigh ({solver} failed: {type(exc).__name__})")
     except (MemoryError, ValueError) as exc:
         raise SolverFailure(f"{solver}: {type(exc).__name__}: {exc}") from exc
 
 
-def _dense_opinv(lhat, sigma, budget):
-    """Shift-invert operator from a dense Cholesky factor of sigma I - Lhat.
+def _dense_solve(lhat, sigma):
+    """Solve with Lhat - sigma I by a dense Cholesky factor of sigma I - Lhat.
 
     The factor overwrites the one n-by-n copy it is made from, and Lhat is
-    left as it was. Past ``budget`` solves the operator raises _BudgetSpent.
+    left as it was.
     """
     n = lhat.shape[0]
     # Lhat is exactly symmetric, so its Fortran-ordered transpose gives
     # LAPACK a copy of -Lhat to factor in place
     a = np.negative(lhat.T, order="F")
     a[np.diag_indices(n)] += sigma
-    try:
-        c = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure("dense cholesky shift-invert: sigma I - Lhat is not "
-                            f"positive definite, so Lhat has an eigenvalue above "
-                            f"sigma = {sigma:.3g}") from exc
-    solves = 0
+    c = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
 
     def solve(x):
-        nonlocal solves
-        solves += 1
-        if solves > budget:
-            raise _BudgetSpent
         # (Lhat - sigma I)^-1 = -(c c^T)^-1; two triangular matrix-vector
         # solves take half the time of LAPACK's one-column potrs
         y = dtrsv(c, dtrsv(c, x, lower=1), lower=1, trans=1, overwrite_x=1)
         return np.negative(y, out=y)
 
-    return LinearOperator((n, n), matvec=solve, dtype=float)
+    return solve
 
 
-def _banded_opinv(lhat, sigma):
-    """Shift-invert operator via banded Cholesky, or None when unprofitable.
+def _banded_solve(lhat, sigma):
+    """Solve with Lhat - sigma I by a banded Cholesky factor of sigma I - Lhat.
 
-    Data sorted along a line (the one-dimensional experiments) gives kernel
-    supports that are narrow bands around the diagonal; factoring the shifted
-    matrix sigma*I - Lhat with a banded Cholesky is then much cheaper, in
-    both memory and time, than the general sparse LU the solver would use.
+    Reverse Cuthill-McKee renumbers the points so that the support is a
+    narrow band (Cuthill & McKee 1969); the lower band is filled from Lhat's
+    rows a block at a time, Fortran-ordered so that LAPACK factors it in place.
     """
     n = lhat.shape[0]
     csr = lhat.tocsr()
-    if np.any(np.diff(csr.indptr) == 0):
-        return None
-    csr.sort_indices()
-    rows = np.arange(n)
-    first = csr.indices[csr.indptr[:-1]]
-    last = csr.indices[csr.indptr[1:] - 1]
-    b = int(max((rows - first).max(), (last - rows).max()))
-    # skip wide bands: storage (b+1)*n and factor cost n*b^2 both blow up
-    if b > n // 8 or (b + 1) * n * 8 > 1_200_000_000 or n * b * b > 5e10:
-        return None
-    lower = sparse.tril(csr, format="coo")
-    ab = np.zeros((b + 1, n))
-    ab[lower.row - lower.col, lower.col] = -lower.data
-    ab[0, :] += sigma
-    try:
-        cb = cholesky_banded(ab, overwrite_ab=True, lower=True,
-                             check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
+    perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
+    rank = np.empty(n, dtype=np.intp)
+    rank[perm] = np.arange(n)
+    blocks = neighbors._blocks(n, neighbors._SUPPORT_BLOCK)
+
+    def renumbered(start, stop):
+        # entries (i, j) of the block's rows as (i' - j', j'), and their slice
+        rows = np.repeat(rank[start:stop], np.diff(csr.indptr[start:stop + 1]))
+        entries = slice(csr.indptr[start], csr.indptr[stop])
+        cols = rank[csr.indices[entries]]
+        return rows - cols, cols, entries
+
+    b = max(int(renumbered(*block)[0].max(initial=0)) for block in blocks)
+    ab = np.zeros((b + 1, n), order="F")
+    for start, stop in blocks:
+        # Lhat is exactly symmetric, so its lower triangle in the new order
+        # holds every entry of the band, at ab[i' - j', j']
+        off, cols, entries = renumbered(start, stop)
+        lower = off >= 0
+        ab[off[lower], cols[lower]] = -csr.data[entries][lower]
+    ab[0] += sigma
+    cb = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
 
     def solve(x):
         # (Lhat - sigma I)^-1 = -(sigma I - Lhat)^-1
-        return -cho_solve_banded((cb, True), x, check_finite=False)
+        return -cho_solve_banded((cb, True), x[perm], check_finite=False)[rank]
 
-    return LinearOperator((n, n), matvec=solve, dtype=float)
+    return solve
 
 
 def scale_sqrtN(spectrum):

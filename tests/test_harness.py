@@ -281,8 +281,7 @@ def _check_sweep_outputs(out, table, prefix):
         solvers = ast.literal_eval(meta["eigensolver"])
         assert set(table.rows[:, 0]) <= set(solvers)
         assert set(solvers.values()) <= {"eigh", "dense cholesky shift-invert",
-                                         "banded cholesky shift-invert",
-                                         "superlu shift-invert"}
+                                         "banded cholesky shift-invert"}
     want = {"results.csv", "meta.txt"} | {f"{prefix}_{e:.6g}.csv"
                                           for e in table.rows[:, 0]}
     assert {p.name for p in out.iterdir()} == want | (

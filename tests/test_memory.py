@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from vbdiffusion import harness, kernel, neighbors, pointcloud, spectral
 
@@ -171,3 +172,26 @@ def test_dense_solve_holds_one_matrix_copy(even, odd, lo, solver):
     # a second n x n array does not fit
     basis = 2 * n * spectral._ncv(n, 5) * 8
     assert peak <= n * n * 8 + basis + _SLACK, (peak, n * n * 8)
+
+
+def test_banded_solve_factors_its_band_in_place():
+    n = 6000
+    cloud = pointcloud.gen_gaussian_random(n, 2, seed=4)
+    support = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, 64).indices)
+    lhat = kernel.build_generator(cloud, np.ones(n), 0.01, 0.0, support=support).Lhat
+    # the half-bandwidth of Lhat with its points in reverse Cuthill-McKee order
+    rank = np.empty(n, dtype=np.intp)
+    rank[reverse_cuthill_mckee(lhat, symmetric_mode=True)] = np.arange(n)
+    coo = lhat.tocoo()
+    band = (int(np.abs(rank[coo.row] - rank[coo.col]).max()) + 1) * n * 8
+    _, peak = _traced_peak(lambda: spectral._banded_solve(lhat, 1e-3))
+    # the band, which LAPACK factors in place; per block of rows, the
+    # renumbered rows, columns and offsets and the selected lower entries,
+    # fewer than eight 8-byte arrays per entry; the order, its inverse and
+    # the renumbering's work arrays, fewer than eight of length n. A copy of
+    # the band does not fit
+    blocks = neighbors._blocks(n, neighbors._SUPPORT_BLOCK)
+    block = 8 * 8 * max(int(lhat.indptr[stop] - lhat.indptr[start])
+                        for start, stop in blocks)
+    assert band > 4 * (block + 8 * n * 8 + _SLACK)
+    assert peak <= band + block + 8 * n * 8 + _SLACK, (peak, band)

@@ -62,7 +62,7 @@ def test_start_vector_reaches_odd_eigenvectors():
     _assert_matches_eigh(spec, gm)
 
 
-def test_spent_solve_budget_hands_over_to_eigh():
+def test_spent_solve_budget_hands_over_to_eigh(monkeypatch):
     # the fifth eigenvalue sits in a tight cluster at the edge of a crowded
     # bulk, which Lanczos resolves only slowly
     n = 800
@@ -74,6 +74,19 @@ def test_spent_solve_budget_hands_over_to_eigh():
     vals, vecs = eigh_top(gm, 5)
     np.testing.assert_array_equal(spec.eigenvalues, vals)
     np.testing.assert_array_equal(spec.eigenvectors, vecs)
+    # the same Lhat stored sparse has no eigh to hand over to: the run stops
+    # loudly after its budget of n // 16 = 50 solves
+    solves = []
+    solve_banded = spectral.cho_solve_banded
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "cho_solve_banded", counting)
+    with pytest.raises(SolverFailure, match="banded cholesky shift-invert") as exc:
+        spectral.eigs_near_zero(planted_generator(sparse.csr_matrix(lhat)), 5)
+    assert exc.value.iterations == n // spectral._SOLVE_BUDGET == len(solves)
 
 
 def test_dense_factor_overwrites_its_one_copy(monkeypatch):
@@ -93,11 +106,13 @@ def test_dense_factor_overwrites_its_one_copy(monkeypatch):
 
 
 def test_eigenvalue_above_shift_raises():
-    # sigma I - Lhat is indefinite: no fallback hides it
+    # sigma I - Lhat is indefinite: no fallback hides it, on either storage
     n = 800
     lhat = mirrored_spectrum([1.0, 0.0, -1.0], [-2.0], n)
-    with pytest.raises(SolverFailure, match="not positive definite"):
-        spectral.eigs_near_zero(planted_generator(lhat), 4)
+    for stored, path in ((lhat, "dense"), (sparse.csr_matrix(lhat), "banded")):
+        with pytest.raises(SolverFailure, match=f"{path} cholesky shift-invert: "
+                                                "sigma I - Lhat is not positive definite"):
+            spectral.eigs_near_zero(planted_generator(stored), 4)
 
 
 @pytest.mark.parametrize("error", [MemoryError, ValueError, RuntimeError,
@@ -105,7 +120,8 @@ def test_eigenvalue_above_shift_raises():
 def test_memory_and_value_errors_are_not_fallbacks(monkeypatch, error):
     # every error fails a shift-invert run loudly, but for an ARPACK or
     # runtime error on the dense storage, which hands over to eigh; the
-    # injected error hits only shift-invert calls (given sigma)
+    # injected error hits only shift-invert calls (given sigma), and a memory
+    # or value error also hits either factor in a second pass
     eigsh = spectral.eigsh
 
     def failing(*args, **kwargs):
@@ -117,10 +133,11 @@ def test_memory_and_value_errors_are_not_fallbacks(monkeypatch, error):
 
     monkeypatch.setattr(spectral, "eigsh", failing)
     loud = error in (MemoryError, ValueError)
-    for gm, solver in ((_line_generator(800, 40, 0.05), "banded cholesky"),
-                       (_ring_generator(800), "superlu"),
-                       (planted_generator(mirrored_spectrum(
-                           [0.0, -1.0, -2.0], [-1.5, -3.0], 800)), "dense cholesky")):
+    runs = ((_line_generator(800, 40, 0.05), "banded cholesky"),
+            (_ring_generator(800), "banded cholesky"),
+            (planted_generator(mirrored_spectrum(
+                [0.0, -1.0, -2.0], [-1.5, -3.0], 800)), "dense cholesky"))
+    for gm, solver in runs:
         path = f"{solver} shift-invert"
         if loud or solver != "dense cholesky":
             with pytest.raises(SolverFailure, match=path) as exc:
@@ -132,19 +149,35 @@ def test_memory_and_value_errors_are_not_fallbacks(monkeypatch, error):
         vals, vecs = eigh_top(gm, 5)
         np.testing.assert_array_equal(spec.eigenvalues, vals)
         np.testing.assert_array_equal(spec.eigenvectors, vecs)
+    if not loud:
+        return
+
+    def failing_factor(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(spectral, "eigsh", eigsh)
+    monkeypatch.setattr(spectral, "cho_factor", failing_factor)
+    monkeypatch.setattr(spectral, "cholesky_banded", failing_factor)
+    for gm, solver in runs:
+        with pytest.raises(SolverFailure, match=f"{solver} shift-invert"):
+            spectral.eigs_near_zero(gm, 5)
 
 
 def test_solver_names_the_path():
     gm = _line_generator(800, 40, 0.05)
     assert spectral.eigs_near_zero(gm, 5).solver == "banded cholesky shift-invert"
-    # a circle's wrap-around support is not banded
-    assert spectral.eigs_near_zero(_ring_generator(800), 3).solver == "superlu shift-invert"
+    # a circle's wrap-around support is banded once its points are renumbered
+    assert (spectral.eigs_near_zero(_ring_generator(800), 3).solver
+            == "banded cholesky shift-invert")
     small = _line_generator(300, 20, 0.05)
     assert spectral.eigs_near_zero(small, 4).solver == "eigh"
 
 
-def _line_generator(n, k, eps):
+def _line_generator(n, k, eps, shuffle=False):
     cloud = pointcloud.gen_gaussian_nice_1d(n)
+    if shuffle:
+        order = np.random.default_rng(2).permutation(n)
+        cloud = PointCloud(cloud.points[order], intrinsic_dim=1)
     graph = neighbors.knn(cloud, k)
     support = neighbors.symmetrized_support(cloud, graph.indices)
     return kernel.build_generator(cloud, np.ones(n), eps, 0.0, support=support)
@@ -158,46 +191,31 @@ def _ring_generator(n):
 
 
 def test_shift_invert_matches_dense_eigh():
-    gm = _line_generator(800, 40, 0.05)
-    sigma = 1e-6 * np.abs(gm.Lhat.diagonal()).max()
-    # the sorted line gives a banded support, so the banded factorization
-    # must engage rather than SuperLU
-    assert spectral._banded_opinv(gm.Lhat, sigma) is not None
-    si = spectral.eigs_near_zero(gm, 5)
-    assert si.solver == "banded cholesky shift-invert"
-    vals, vecs = eigh_top(gm, 5)
-    scale = np.abs(vals).max()
-    assert np.allclose(si.eigenvalues, vals, atol=1e-8 * scale)
-    for i in range(5):
-        a, b = si.eigenvectors[:, i], vecs[:, i]
-        corr = abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert corr == pytest.approx(1.0, abs=1e-8)
+    # sorted, the line's support is a band; shuffled, and on the ring's
+    # wrap-around, it is one only once reverse Cuthill-McKee renumbers it
+    for gm in (_line_generator(800, 40, 0.05),
+               _line_generator(800, 40, 0.05, shuffle=True),
+               _ring_generator(800)):
+        si = spectral.eigs_near_zero(gm, 5)
+        assert si.solver == "banded cholesky shift-invert"
+        vals, vecs = eigh_top(gm, 5)
+        scale = np.abs(vals).max()
+        assert np.allclose(si.eigenvalues, vals, atol=1e-8 * scale)
+        for i in range(5):
+            a, b = si.eigenvectors[:, i], vecs[:, i]
+            corr = abs(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
+            assert corr == pytest.approx(1.0, abs=1e-8)
 
 
-def test_banded_opinv_solves_shifted_system():
-    gm = _line_generator(300, 16, 0.05)
+def test_banded_solve_solves_shifted_system():
+    gm = _line_generator(300, 16, 0.05, shuffle=True)
     sigma = 1e-3
-    op = spectral._banded_opinv(gm.Lhat, sigma)
-    assert op is not None
+    solve = spectral._banded_solve(gm.Lhat, sigma)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(300)
-    y = op.matvec(x)
+    y = solve(x)
     resid = (gm.Lhat - sigma * sparse.identity(300)) @ y - x
     assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(x)
-
-
-def test_banded_opinv_declines_unprofitable_patterns():
-    # wrap-around support on a circle spans the whole index range
-    cloud = pointcloud.gen_circle_uniform(200)
-    graph = neighbors.knn(cloud, 8)
-    support = neighbors.symmetrized_support(cloud, graph.indices)
-    gm = kernel.build_generator(cloud, np.ones(200), 0.01, 0.0, support=support)
-    assert spectral._banded_opinv(gm.Lhat, 1e-3) is None
-    # an empty row cannot be factored
-    empty_row = sparse.csr_matrix((np.ones(1), ([0], [0])), shape=(2, 2))
-    assert spectral._banded_opinv(empty_row, 1e-3) is None
-    # a shifted matrix that is not positive definite is declined, not fatal
-    assert spectral._banded_opinv(sparse.identity(10, format="csr"), 1e-3) is None
 
 
 def test_disconnected_support_is_reported_with_sizes():
