@@ -25,6 +25,6 @@ from .pointcloud import (PointCloud, gen_circle_from_density,
                          gen_sphere_nonuniform, gen_torus_grid, perturb_circle)
 from .spectral import (Spectrum, align_orthogonal, eigs_near_zero,
                        least_squares_map, mse, scale_sqrtN)
-from .tuning import TuningCurve, s_curve, select_epsilon
+from .tuning import TuningCurve, s_curve
 
 __version__ = "0.1.0"

@@ -494,11 +494,13 @@ def _write_outputs(table, out):
 
 def _write_operator_csv(path, cloud, f, est, ref):
     names = ["theta", "phi"][: cloud.latent.shape[1]]
-    cols = [cloud.latent[:, j] for j in range(cloud.latent.shape[1])]
-    data = np.column_stack(cols + [f, est, ref])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=",".join(names + ["f", "estimate", "reference"]),
-               comments="")
+    data = np.column_stack([cloud.latent, f, est, ref])
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted in one
+    # pass rather than one call per row
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(names + ["f", "estimate", "reference"]) + "\n")
+        fh.write((row * data.shape[0]) % tuple(data.ravel().tolist()))
 
 
 def _hermite_targets(count):

@@ -8,15 +8,18 @@ kernel give the Markov normalization; and the conjugation by
 S = rho sqrt(D) turns the Markov generator into a symmetric matrix whose
 eigenvectors are recovered by an un-conjugation.
 
-Matrices are dense ndarrays when no support is given. On a neighbor
-support, passed as :class:`neighbors.SupportPairs` (the squared distance of
-every pair i < j, cached once per cloud), each epsilon costs one elementwise
-pass over the cached distances, and the kernel and its alpha-normalized
-form are CSRs of their strict upper triangles with the diagonal implicit;
-only Lhat is assembled whole, for the eigensolver. Both storages run the
-same steps through two helpers, row sums and a symmetric diagonal scaling,
-and are exactly symmetric: a dense kernel is the ``squareform`` of one
-condensed ``pdist`` array, and a sparse one evaluates each pair once.
+Matrices are dense ndarrays when no support is given: one n-by-n array
+holds the kernel, is scaled in place into its alpha-normalized form and
+then into Lhat, a block of rows at a time. On a neighbor support, passed as
+:class:`neighbors.SupportPairs` (the squared distance of every pair i < j,
+cached once per cloud), each epsilon costs one elementwise pass over the
+cached distances, and the kernel and its alpha-normalized form are CSRs of
+their strict upper triangles with the diagonal implicit; only Lhat is
+assembled whole, for the eigensolver. Only Lhat is returned; its pattern
+is the graph whose connectivity the eigensolver checks. Both storages run
+the same steps through two helpers, row sums and a symmetric diagonal
+scaling, and are exactly symmetric: a dense kernel is the ``squareform`` of
+one condensed ``pdist`` array, and a sparse one evaluates each pair once.
 Matrix-free products (:func:`kernel_products`, behind
 :func:`apply_generator` and the truncated KDE) stream over row blocks on
 both storages: ``cdist`` blocks against all points, or blocks of support
@@ -69,19 +72,19 @@ def gaussian_shape_constants(d):
 class GeneratorMatrices:
     """Everything produced by the generator cascade at one epsilon.
 
-    ``qS`` is the kernel's density estimate and ``Kalpha`` the
-    alpha-normalized kernel. ``P``, ``D`` and ``S`` are the diagonals of the
-    bandwidth, degree and conjugation matrices: D holds Kalpha's row sums
-    and S = P * sqrt(D). ``Lhat`` is the symmetric conjugated generator; the
-    Markov generator itself is diag(1/(eps P^2)) (diag(1/D) Kalpha - I). On a
-    support ``Kalpha`` is the CSR of its strict upper triangle (its diagonal,
-    qS^(-2 alpha), is not stored) and ``Lhat`` the whole symmetric CSR.
+    ``qS`` is the kernel's density estimate. ``P``, ``D`` and ``S`` are the
+    diagonals of the bandwidth, degree and conjugation matrices: D holds the
+    row sums of the alpha-normalized kernel Kalpha and S = P * sqrt(D).
+    ``Lhat`` = S^-1 (Kalpha - diag(D)) S^-1 / eps is the symmetric conjugated
+    generator, a dense ndarray or, on a support, the whole symmetric CSR; the
+    Markov generator itself is S^-1 Lhat S. Kalpha is not kept: off the
+    diagonal Lhat is positive wherever Kalpha is, save where the scaling
+    underflows, and zero elsewhere.
     """
 
     eps: float
     alpha: float
     qS: np.ndarray
-    Kalpha: object
     Lhat: object
     P: np.ndarray
     D: np.ndarray
@@ -100,7 +103,9 @@ def kernel_matrix(cloud, rho, eps, support=None):
     rho = np.asarray(rho, dtype=float)
     if support is None:
         k = squareform(pdist(cloud.points, "sqeuclidean"))
-        k /= -4.0 * eps * np.outer(rho, rho)
+        # a block of rows at a time: no whole n-by-n bandwidth product
+        for start, stop in neighbors._blocks(rho.size, neighbors._SUPPORT_BLOCK):
+            k[start:stop] /= -4.0 * eps * np.outer(rho[start:stop], rho)
         return np.exp(k, out=k)
     # eliminate_zeros compacts the index arrays in place, so they are copies
     out = sparse.csr_matrix(
@@ -194,9 +199,12 @@ def _row_sums(mat, diag):
 
 
 def _scaled(mat, w):
-    """w_i M_ij w_j, of a dense M or of the CSR of a strict upper triangle."""
+    """w_i M_ij w_j, of a dense M, which it overwrites a block of rows at a
+    time, or of the CSR of a strict upper triangle, which it leaves."""
     if not sparse.issparse(mat):
-        return mat * np.outer(w, w)
+        for start, stop in neighbors._blocks(w.size, neighbors._SUPPORT_BLOCK):
+            mat[start:stop] *= np.outer(w[start:stop], w)
+        return mat
     return sparse.csr_matrix(
         (mat.data * np.repeat(w, np.diff(mat.indptr)) * w[mat.indices],
          mat.indices, mat.indptr), shape=mat.shape)
@@ -208,9 +216,11 @@ def build_generator(cloud, rho, eps, alpha, d=None, support=None):
     With K the kernel: qS = K 1 / rho^d, Kalpha = W K W with
     W = diag(qS^(-alpha)), D = Kalpha 1, S = rho sqrt(D) and
     Lhat = (S^-1 Kalpha S^-1 - diag(rho^-2)) / eps, whose eigenvectors
-    are S times those of the Markov generator. On a ``support`` K and
-    Kalpha are strict upper triangles with their diagonals, 1 and
-    qS^(-2 alpha), implicit; Lhat is assembled whole, exactly symmetric.
+    are S times those of the Markov generator. Without a ``support`` one
+    n-by-n array is K, then Kalpha, then Lhat. On a ``support`` K and Kalpha
+    are strict upper triangles with their diagonals, 1 and qS^(-2 alpha),
+    implicit; Lhat is assembled whole, exactly symmetric, and holds exactly
+    the off-diagonal entries that do not underflow to zero.
     """
     if d is None:
         d = cloud.intrinsic_dim
@@ -220,22 +230,26 @@ def build_generator(cloud, rho, eps, alpha, d=None, support=None):
     k = kernel_matrix(cloud, rho, eps, support=support)
     qs = _row_sums(k, 1.0) / rho**d
     w = qs ** (-alpha)
+    # on a support each step makes new values, and the last are freed before
+    # Lhat is summed; dense, all three names are one array
     kalpha = _scaled(k, w)
-    del k  # not kept: the conjugation below needs memory for its own copy
+    del k
     degree = _row_sums(kalpha, w * w)
     s = rho * np.sqrt(degree)
     inv_s = 1.0 / s
     shift = 1.0 / rho**2
     lhat = _scaled(kalpha, inv_s)
+    del kalpha
     if sparse.issparse(lhat):
         lhat.data /= eps
         diag = (w * w * inv_s * inv_s - shift) / eps
+        # the sum drops the entries that underflowed in the scaling
         lhat = sparse.diags(diag, format="csr") + lhat + lhat.T
     else:
         np.fill_diagonal(lhat, lhat.diagonal() - shift)
         lhat /= eps
-    return GeneratorMatrices(eps=eps, alpha=alpha, qS=qs, Kalpha=kalpha,
-                             Lhat=lhat, P=rho, D=degree, S=s)
+    return GeneratorMatrices(eps=eps, alpha=alpha, qS=qs, Lhat=lhat, P=rho,
+                             D=degree, S=s)
 
 
 def apply_generator(cloud, rho, eps, alpha, formulation, f, d=None, support=None):

@@ -209,12 +209,3 @@ def scaled_pairs(cloud, x, support=None):
             t[start:stop] /= x[i] * x[i + 1:]
         return t
     return support.r2 / (x[support.rows()] * x[support.indices])
-
-
-def save_csv(graph, path):
-    """Write directed edges as (i, j, distance) triples."""
-    n, k = graph.indices.shape
-    rows = np.repeat(np.arange(n), k)
-    out = np.column_stack([rows, graph.indices.ravel(), graph.distances.ravel()])
-    np.savetxt(path, out, fmt=["%d", "%d", "%.17g"], delimiter=",",
-               header="i,j,distance", comments="")

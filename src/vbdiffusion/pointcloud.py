@@ -8,7 +8,6 @@ bit-identical; random generators take an explicit seed.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import erfinv
@@ -216,17 +215,3 @@ def save_csv(cloud, path):
         cols.append(cloud.latent)
     data = np.hstack(cols)
     np.savetxt(path, data, fmt=_FMT, delimiter=",", header=",".join(names), comments="")
-
-
-def load_csv(path, intrinsic_dim=None):
-    """Read a cloud written by :func:`save_csv`."""
-    path = Path(path)
-    with open(path) as fh:
-        names = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n_pts = sum(1 for c in names if c.startswith("x"))
-    latent = data[:, n_pts:] if len(names) > n_pts else None
-    if intrinsic_dim is None and latent is not None:
-        intrinsic_dim = latent.shape[1]
-    return PointCloud(data[:, :n_pts], latent=latent, intrinsic_dim=intrinsic_dim,
-                      label=path.stem)

@@ -76,8 +76,12 @@ class _BudgetSpent(Exception):
 def eigs_near_zero(gm, n_eig):
     """Largest-algebraic eigenpairs of the generator in ``gm``.
 
-    Checks connectivity of the kernel support first and raises
-    :class:`DisconnectedGraph` with the component sizes when it splits.
+    Checks first that the graph of Lhat's off-diagonal entries is connected
+    and raises :class:`DisconnectedGraph` with the component sizes when it
+    splits; a kernel entry whose conjugated value underflows to zero is no
+    edge, as for the eigensolver. ``gm.Lhat`` is left as it was: a dense
+    factor is made from a copy, so an all-pairs run holds Lhat and its
+    factor.
     Small problems take dense ``eigh``, larger ones shift-inverted Lanczos.
     A Lanczos run that spends its solve budget or fails hands over to ``eigh``
     on a dense Lhat and raises :class:`SolverFailure` on a sparse one; so
@@ -85,7 +89,7 @@ def eigs_near_zero(gm, n_eig):
     """
     lhat = gm.Lhat
     n = gm.P.shape[0]
-    _check_connected(gm.Kalpha)
+    _check_connected(lhat)
     dense = not sparse.issparse(lhat)
     # a Lanczos run whose budget cannot cover its first pass (ncv + 1
     # solves) could only spend it
@@ -109,11 +113,14 @@ def _ncv(n, n_eig):
     return min(n, max(4 * n_eig + 1, 40))
 
 
-def _check_connected(kalpha):
-    if sparse.issparse(kalpha):
-        labels = connected_components(kalpha, directed=False)[1]
+def _check_connected(lhat):
+    # off the diagonal Lhat is nonnegative, and a diagonal entry joins no two
+    # points; scipy's sums store no zero, so a sparse Lhat's pattern is its
+    # numerical graph
+    if sparse.issparse(lhat):
+        labels = connected_components(lhat, directed=False)[1]
     else:
-        labels = _dense_components(kalpha)
+        labels = _dense_components(lhat)
     if labels.max() > 0:
         raise DisconnectedGraph(np.bincount(labels).tolist())
 

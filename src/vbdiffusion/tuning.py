@@ -75,11 +75,6 @@ def _select(grid, slopes):
     return float(2.0 ** grid[best]), a_max, 2.0 * a_max
 
 
-def select_epsilon(curve):
-    """(eps_star, a_max, d_hat) from the maximal forward-difference slope."""
-    return _select(curve.exponents, curve.slopes)
-
-
 def save_csv(curve, path):
     """Write the curve as CSV rows (i, eps, S, slope); the last slope cell is empty."""
     with open(path, "w") as fh:

@@ -7,24 +7,32 @@ from scipy.linalg import eigh, qr
 from vbdiffusion.kernel import GeneratorMatrices
 
 
-def generator_dense_nonsymmetric(gm):
+def kernel_alpha(points, rho, eps, alpha, d):
+    """The alpha-normalized kernel Kalpha = W K W over all pairs, from its
+    closed form: K_ij = exp(-|x_i - x_j|^2 / (4 eps rho_i rho_j)) and
+    W = diag(qS^(-alpha)) with qS = K 1 / rho^d."""
+    diff = points[:, None, :] - points[None, :, :]
+    k = np.exp(-(diff**2).sum(axis=2) / (4.0 * eps * rho[:, None] * rho[None, :]))
+    w = (k.sum(axis=1) / rho**d) ** (-alpha)
+    return w[:, None] * k * w[None, :]
+
+
+def generator_dense_nonsymmetric(gm, kalpha):
     """Markov generator L = diag(1/(eps P^2)) (diag(1/D) Kalpha - I) of a
-    dense ``gm``.
+    dense ``gm`` and its alpha-normalized kernel ``kalpha``.
 
     For verification on small instances: L is similar to Lhat via S.
     """
-    ka = np.array(gm.Kalpha)
-    lout = ka / gm.D[:, None]
+    lout = kalpha / gm.D[:, None]
     np.fill_diagonal(lout, lout.diagonal() - 1.0)
     lout /= gm.eps * gm.P[:, None] ** 2
     return lout
 
 
 def planted_generator(lhat):
-    """GeneratorMatrices around a given Lhat, with S = 1 and a connected kernel."""
+    """GeneratorMatrices around a given Lhat, with S = 1."""
     ones = np.ones(lhat.shape[0])
-    return GeneratorMatrices(eps=0.1, alpha=0.0, qS=None,
-                             Kalpha=np.ones(lhat.shape), Lhat=lhat, P=ones,
+    return GeneratorMatrices(eps=0.1, alpha=0.0, qS=None, Lhat=lhat, P=ones,
                              D=ones, S=ones)
 
 

@@ -15,7 +15,7 @@ from vbdiffusion import (analytic, density, harness, kernel, neighbors,
                          pointcloud, spectral, tuning)
 from vbdiffusion.errors import DisconnectedGraph, PipelineError
 
-from oracles import generator_dense_nonsymmetric
+from oracles import generator_dense_nonsymmetric, kernel_alpha
 
 
 def _rms(a, b):
@@ -197,14 +197,15 @@ def test_criterion_7_structural_invariants():
         gm = kernel.build_generator(cloud, profile.rho, 0.05, -0.25, d=1)
         scale = np.abs(gm.Lhat).max()
         assert np.abs(gm.Lhat - gm.Lhat.T).max() <= 1e-12 * scale
-        markov_rows = gm.Kalpha.sum(axis=1) / gm.D
+        kalpha = kernel_alpha(cloud.points, profile.rho, 0.05, -0.25, 1)
+        markov_rows = kalpha.sum(axis=1) / gm.D
         assert np.abs(markov_rows - 1.0).max() <= 1e-12
         all_vals = np.linalg.eigvalsh(gm.Lhat)
         assert all_vals.max() <= 1e-8
         spec = spectral.eigs_near_zero(gm, 5)
         lead = spec.eigenvectors[:, 0]
         assert np.abs(lead - lead.mean()).max() <= 1e-8 * abs(lead.mean())
-        lmark = generator_dense_nonsymmetric(gm)
+        lmark = generator_dense_nonsymmetric(gm, kalpha)
         resid = lmark @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(lmark)
         scaled = spectral.scale_sqrtN(spec)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vbdiffusion
-from vbdiffusion import cli, density, harness, neighbors
+from vbdiffusion import cli, density, harness, neighbors, pointcloud
 
 
 def test_defaults_fill_in():
@@ -310,6 +310,23 @@ def test_operator_check_end_to_end(tmp_path, name):
     table = harness.operator_check(config)
     assert table.rows.shape[0] == 3
     _check_sweep_outputs(tmp_path, table, "operator")
+
+
+@pytest.mark.parametrize("latent_dim", [1, 2])
+def test_operator_csv_matches_savetxt_bytes(tmp_path, latent_dim):
+    rng = np.random.default_rng(2)
+    n = 50
+    cloud = pointcloud.PointCloud(points=rng.standard_normal((n, 3)),
+                                  latent=rng.uniform(0.0, 6.3, (n, latent_dim)),
+                                  label="grid")
+    f, est, ref = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
+    est[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    harness._write_operator_csv(got, cloud, f, est, ref)
+    names = ["theta", "phi"][:latent_dim] + ["f", "estimate", "reference"]
+    np.savetxt(want, np.column_stack([cloud.latent, f, est, ref]), fmt="%.17g",
+               delimiter=",", header=",".join(names), comments="")
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_circle_operator_check_honours_alpha_and_k_support(tmp_path):

@@ -8,7 +8,10 @@ from scipy.integrate import quad
 from vbdiffusion import kernel, neighbors, pointcloud
 from vbdiffusion.pointcloud import PointCloud
 
-from oracles import generator_dense_nonsymmetric, knn_union
+from oracles import generator_dense_nonsymmetric, kernel_alpha, knn_union
+
+# unit roundoff of float64
+_U = np.finfo(float).eps / 2
 
 
 def _quad_moments(shape, sq_weight):
@@ -50,12 +53,17 @@ def test_two_point_cascade_oracle():
     cloud = _two_point_cloud()
     rho = np.array([1.0, 2.0])
     gm = kernel.build_generator(cloud, rho, eps=0.5, alpha=0.5)
+    kalpha = np.array([[0.7310585786300049, 0.38034060558534444],
+                       [0.38034060558534444, 1.4621171572600098]])
+    s = np.array([1.0542291896050637, 2.7147432754095582])
+    np.testing.assert_allclose(kernel_alpha(cloud.points, rho, 0.5, 0.5, 1),
+                               kalpha, rtol=1e-14, atol=0)
     assert gm.qS == pytest.approx([1.3678794411714423, 0.68393972058572117], rel=1e-14)
-    assert gm.Kalpha[0, 0] == pytest.approx(0.7310585786300049, rel=1e-14)
-    assert gm.Kalpha[0, 1] == pytest.approx(0.38034060558534444, rel=1e-14)
-    assert gm.Kalpha[1, 1] == pytest.approx(1.4621171572600098, rel=1e-14)
     assert gm.D == pytest.approx([1.1113991842153492, 1.8424577628453542], rel=1e-14)
-    assert gm.S == pytest.approx([1.0542291896050637, 2.7147432754095582], rel=1e-14)
+    assert gm.S == pytest.approx(s, rel=1e-14)
+    # the frozen Kalpha reaches Lhat = (S^-1 Kalpha S^-1 - diag(rho^-2)) / eps
+    want = (kalpha / np.outer(s, s) - np.diag(rho**-2.0)) / 0.5
+    np.testing.assert_allclose(gm.Lhat, want, rtol=1e-13, atol=0)
     assert gm.Lhat[0, 0] == pytest.approx(-0.68443563930428086, rel=1e-13)
     assert gm.Lhat[0, 1] == pytest.approx(0.26579015257040067, rel=1e-13)
     assert gm.Lhat[1, 1] == pytest.approx(-0.10321555621388433, rel=1e-13)
@@ -124,10 +132,13 @@ def test_underflowed_entries_are_dropped():
 def test_generator_identities():
     cloud, rho = _gaussian_line(60)
     gm = kernel.build_generator(cloud, rho, 0.05, 0.3)
+    kalpha = kernel_alpha(cloud.points, rho, 0.05, 0.3, 1)
     assert np.array_equal(gm.Lhat, gm.Lhat.T)
     assert np.array_equal(gm.S, gm.P * np.sqrt(gm.D))
-    assert np.array_equal(gm.D, gm.Kalpha.sum(axis=1))
-    lmark = generator_dense_nonsymmetric(gm)
+    # the closed form and the cascade differ as the two storages of
+    # test_complete_support_matches_all_pairs do, within 32 n u
+    np.testing.assert_allclose(gm.D, kalpha.sum(axis=1), rtol=32 * 60 * _U, atol=0)
+    lmark = generator_dense_nonsymmetric(gm, kalpha)
     resid = np.abs(lmark @ np.ones(60)).max()
     assert resid <= 1e-10 * np.abs(np.diag(lmark)).max()
     # similarity via S: both matrices carry the same spectrum
@@ -257,20 +268,16 @@ def test_cached_pairs_survive_underflow():
     graph = neighbors.knn(cloud, 20)
     support = _pairs(cloud, graph)
     tiny = kernel.build_generator(cloud, rho, 1e-7, 0.3, support=support)
-    # the small epsilon drops underflowed entries from the kernel pattern
-    assert tiny.Kalpha.nnz < support.nnz
+    # the small epsilon drops underflowed entries from the pattern
+    assert sparse.triu(tiny.Lhat, 1).nnz < support.nnz
     got = kernel.build_generator(cloud, rho, 0.05, 0.3, support=support)
     want = kernel.build_generator(cloud, rho, 0.05, 0.3,
                                   support=_pairs(cloud, graph))
-    assert got.Kalpha.nnz == support.nnz
+    assert sparse.triu(got.Lhat, 1).nnz == support.nnz
     for name in ("data", "indices", "indptr"):
         np.testing.assert_array_equal(getattr(got.Lhat, name),
                                       getattr(want.Lhat, name))
     np.testing.assert_array_equal(got.qS, want.qS)
-
-
-# unit roundoff of float64
-_U = np.finfo(float).eps / 2
 
 
 @st.composite
@@ -286,12 +293,13 @@ def _small_clouds(draw):
     return cloud, rho, eps, alpha
 
 
-def _whole_kalpha(gm):
-    if not sparse.issparse(gm.Kalpha):
-        return gm.Kalpha
+def _kalpha_from_lhat(gm):
+    """Kalpha = eps S Lhat S off the diagonal, with its diagonal qS^(-2 alpha)."""
+    lhat = gm.Lhat.toarray() if sparse.issparse(gm.Lhat) else gm.Lhat
+    kalpha = gm.eps * gm.S[:, None] * lhat * gm.S[None, :]
     w = gm.qS ** (-gm.alpha)
-    upper = gm.Kalpha.toarray()
-    return upper + upper.T + np.diag(w * w)
+    np.fill_diagonal(kalpha, w * w)
+    return kalpha
 
 
 @settings(derandomize=True, deadline=None)
@@ -316,9 +324,13 @@ def test_complete_support_matches_all_pairs(case):
     np.testing.assert_allclose(sp.Lhat.toarray(), dense.Lhat, rtol=0, atol=tol * scale)
     np.testing.assert_allclose(sp.D, dense.D, rtol=tol, atol=0)
     np.testing.assert_allclose(sp.S, dense.S, rtol=tol, atol=0)
+    # the closed form differs from the cascade as the two storages do
+    oracle = kernel_alpha(cloud.points, rho, eps, alpha, d).sum(axis=1)
+    np.testing.assert_allclose(dense.D, oracle, rtol=tol, atol=0)
     for gm in (dense, sp):
-        # Markov rows: D and the sum here each carry (n - 1) u
-        rows = _whole_kalpha(gm).sum(axis=1) / gm.D
+        # Markov rows: D and the sum here each carry (n - 1) u, and each
+        # entry rebuilt from Lhat, S and eps at most 8 u relative
+        rows = _kalpha_from_lhat(gm).sum(axis=1) / gm.D
         assert np.abs(rows - 1.0).max() <= 4 * n * _U
         # D^-1 Kalpha has spectral radius 1 up to the error of D, so Lhat,
         # congruent to diag(1/(eps rho^2)) (D^-1/2 Kalpha D^-1/2 - I), is

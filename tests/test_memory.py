@@ -155,6 +155,40 @@ def test_harness_frees_the_knn_distances_before_the_support(monkeypatch, tmp_pat
     assert len(calls) == 3
 
 
+def test_dense_generator_is_built_in_one_matrix():
+    n = 3000
+    cloud = pointcloud.gen_sphere_nonuniform(n, seed=1)
+    rho = 1.0 + 0.1 * cloud.points[:, 2]
+    _, peak = _traced_peak(lambda: kernel.build_generator(cloud, rho, 0.02, 0.5))
+    # Lhat, which is the kernel scaled in place into it; pdist's condensed
+    # distances, alive while squareform spreads them into the kernel; and
+    # per block of rows, the bandwidth product and its multiple by -4 eps.
+    # A second n x n array does not fit
+    bound = (n * n * 8 + n * (n - 1) // 2 * 8
+             + 2 * neighbors._SUPPORT_BLOCK * n * 8)
+    assert peak <= bound + _SLACK, (peak, bound)
+
+
+def test_dense_generator_and_solve_hold_lhat_and_its_factor():
+    n = 1500
+    cloud = pointcloud.gen_sphere_nonuniform(n, seed=1)
+    rho = 1.0 + 0.1 * cloud.points[:, 2]
+
+    def run():
+        gm = kernel.build_generator(cloud, rho, 0.02, 0.5)
+        return gm, spectral.eigs_near_zero(gm, 5)
+
+    (gm, spec), peak = _traced_peak(run)
+    assert spec.solver == "dense cholesky shift-invert"
+    # Lhat, kept whole and unchanged for the caller, the Cholesky factor's
+    # own copy, and ARPACK's Lanczos basis as in
+    # test_dense_solve_holds_one_matrix_copy; a third n x n array does not fit
+    basis = 2 * n * spectral._ncv(n, 5) * 8
+    assert peak <= 2 * n * n * 8 + basis + _SLACK, (peak, 2 * n * n * 8)
+    rebuilt = kernel.build_generator(cloud, rho, 0.02, 0.5).Lhat
+    np.testing.assert_array_equal(gm.Lhat, rebuilt)
+
+
 @pytest.mark.parametrize("even, odd, lo, solver", [
     ([0.0, -1.0, -2.0], [-1.5, -3.0], 10.0, "dense cholesky shift-invert"),
     # a tight cluster at the fifth eigenvalue spends the solve budget

@@ -191,15 +191,3 @@ def test_neighbor_graph_head_copies_the_first_columns():
     np.testing.assert_array_equal(head.distances, g.distances[:, :3])
     assert head.indices.base is None and head.distances.base is None
     assert g.head(10).k == 6
-
-
-def test_save_csv_layout(tmp_path):
-    cloud = pointcloud.gen_circle_uniform(6)
-    g = neighbors.knn(cloud, 2)
-    path = tmp_path / "edges.csv"
-    neighbors.save_csv(g, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,j,distance"
-    assert len(lines) == 1 + 6 * 2
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0" and float(first[2]) == 0.0

@@ -157,18 +157,16 @@ def test_csv_round_trip(tmp_path):
     cloud = pointcloud.gen_torus_grid(5)
     path = tmp_path / "torus.csv"
     pointcloud.save_csv(cloud, path)
-    back = pointcloud.load_csv(path)
-    np.testing.assert_array_equal(back.points, cloud.points)
-    np.testing.assert_array_equal(back.latent, cloud.latent)
-    assert back.intrinsic_dim == 2
-    assert back.label == "torus"
+    assert path.read_text().splitlines()[0] == "x1,x2,x3,x4,theta,phi"
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(back[:, :4], cloud.points)
+    np.testing.assert_array_equal(back[:, 4:], cloud.latent)
 
 
 def test_csv_round_trip_without_latent(tmp_path):
     cloud = pointcloud.gen_sphere_nonuniform(20, seed=0)
     path = tmp_path / "sphere.csv"
     pointcloud.save_csv(cloud, path)
-    back = pointcloud.load_csv(path, intrinsic_dim=2)
-    np.testing.assert_array_equal(back.points, cloud.points)
-    assert back.latent is None
-    assert back.intrinsic_dim == 2
+    assert path.read_text().splitlines()[0] == "x1,x2,x3"
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(back, cloud.points)

@@ -219,12 +219,16 @@ def test_banded_solve_solves_shifted_system():
 
 
 def test_disconnected_support_is_reported_with_sizes():
+    # all pairs, and a kNN support whose third neighbors of the pair cross to
+    # the triple: the kernel underflows across, so no edge joins the two
     pts = np.array([[0.0], [0.1], [0.2], [1000.0], [1000.1]])
     cloud = PointCloud(points=pts, intrinsic_dim=1, label="two-clusters")
-    gm = kernel.build_generator(cloud, np.ones(5), 0.01, 0.0)
-    with pytest.raises(DisconnectedGraph) as exc:
-        spectral.eigs_near_zero(gm, 2)
-    assert exc.value.component_sizes == [3, 2]
+    knn = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, 3).indices)
+    for support in (None, knn):
+        gm = kernel.build_generator(cloud, np.ones(5), 0.01, 0.0, support=support)
+        with pytest.raises(DisconnectedGraph) as exc:
+            spectral.eigs_near_zero(gm, 2)
+        assert exc.value.component_sizes == [3, 2]
 
 
 def test_dense_components_match_sparse_oracle():

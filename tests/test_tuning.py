@@ -34,10 +34,8 @@ def test_curve_limits():
 
 
 def test_first_argmax_wins_on_ties():
-    fake = tuning.TuningCurve(exponents=np.array([0, 1, 2]),
-                              S=np.ones(3), slopes=np.array([0.5, 0.5]),
-                              eps_star=np.nan, a_max=np.nan, d_hat=np.nan)
-    eps_star, a_max, d_hat = tuning.select_epsilon(fake)
+    eps_star, a_max, d_hat = tuning._select(np.array([0, 1, 2]),
+                                            np.array([0.5, 0.5]))
     assert eps_star == 1.0
     assert a_max == 0.5
     assert d_hat == 1.0
@@ -47,11 +45,8 @@ def test_flat_curve_raises():
     coincident = PointCloud(points=np.zeros((2, 1)), intrinsic_dim=1, label="same")
     with pytest.raises(NoLinearRegion):
         tuning.s_curve(coincident, np.ones(2), grid=[-2, -1, 0])
-    fake = tuning.TuningCurve(exponents=np.array([0, 1]), S=np.ones(2),
-                              slopes=np.array([1e-9]), eps_star=np.nan,
-                              a_max=np.nan, d_hat=np.nan)
     with pytest.raises(NoLinearRegion):
-        tuning.select_epsilon(fake)
+        tuning._select(np.array([0, 1]), np.array([1e-9]))
 
 
 def test_truncated_sum_matches_dense_with_full_support():
