@@ -1,8 +1,10 @@
 """Closed-form eigenfunctions and reference operators for validation.
 
 Discrete estimates are compared against these exact objects evaluated at
-the sample points. Derivatives for the reference operators are taken
-symbolically in the latent coordinates, so references are never polluted by
+the sample points. Every operator check applies its generator to one
+function f of the first latent coordinate theta (arc length, so the
+Laplacian is the second derivative in theta) with one log density g, and
+the reference operator is written out in closed form, free of
 finite-difference error.
 """
 
@@ -16,6 +18,8 @@ from .errors import NoLatent
 
 MAX_HERMITE = 6
 _KINDS = ("laplacian", "gradient_flow", "bandwidth_drift")
+# the operator checks' f and their g = log q = log rho, both of theta
+CHECK_F, CHECK_G = np.sin, np.cos
 
 
 def hermite(n, x):
@@ -91,43 +95,27 @@ def sphere_coordinate_target(axis):
         evaluate=lambda cloud: cloud.points[:, axis])
 
 
-def reference_operator(kind, f_expr, cloud, symbols, c1=None, rho_expr=None,
-                       q_expr=None):
-    """Exact limiting operator applied to f, evaluated at the latent points.
+def reference_operator(kind, cloud, c1=None):
+    """Exact limiting operator applied to f = CHECK_F(theta), at the points.
 
-    ``kind`` selects the drift: 'laplacian' gives lap f; 'gradient_flow'
-    gives lap f + c1 grad(log q) . grad f; 'bandwidth_drift' gives
-    lap f + (d+2) grad(log rho) . grad f. Expressions are sympy expressions
-    in ``symbols``, one symbol per latent coordinate (the latent coordinates
-    of every generator in this package are arc-length, so the Laplacian is
-    the flat sum of second derivatives).
+    ``kind`` selects the drift c grad(g) . grad f added to lap f, with
+    g = CHECK_G(theta) = log q = log rho: 'laplacian' takes c = 0,
+    'gradient_flow' c = ``c1`` and 'bandwidth_drift' c = d + 2. As f'' = -f,
+    f' = g and g' = -f, the operator is -c f g - f, evaluated in that order.
     """
-    import sympy as sym  # loaded here: only reference operators need it
-
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
     if cloud.latent is None:
         raise NoLatent("reference operators are evaluated in latent coordinates")
-    symbols = tuple(symbols)
-    if len(symbols) != cloud.latent.shape[1]:
-        raise ValueError("need one symbol per latent coordinate")
-    expr = sum(sym.diff(f_expr, s, 2) for s in symbols)
+    c = 0.0  # a float: at theta = 0, -c f g - f is then -0.0, as -f is
     if kind == "gradient_flow":
-        if c1 is None or q_expr is None:
-            raise ValueError("gradient_flow needs c1 and q_expr")
-        log_q = sym.log(q_expr)
-        expr = expr + c1 * sum(sym.diff(log_q, s) * sym.diff(f_expr, s)
-                               for s in symbols)
+        if c1 is None:
+            raise ValueError("gradient_flow needs c1")
+        c = c1
     elif kind == "bandwidth_drift":
-        if rho_expr is None:
-            raise ValueError("bandwidth_drift needs rho_expr")
-        d = cloud.intrinsic_dim
-        if d is None:
+        if cloud.intrinsic_dim is None:
             raise ValueError("bandwidth_drift needs the intrinsic dimension")
-        log_rho = sym.log(rho_expr)
-        expr = expr + (d + 2) * sum(sym.diff(log_rho, s) * sym.diff(f_expr, s)
-                                    for s in symbols)
-    fn = sym.lambdify(symbols, expr, "numpy")
-    cols = [cloud.latent[:, j] for j in range(cloud.latent.shape[1])]
-    return np.broadcast_to(np.asarray(fn(*cols), dtype=float),
-                           (cloud.n_points,)).copy()
+        c = cloud.intrinsic_dim + 2
+    theta = cloud.latent[:, 0]
+    f, g = CHECK_F(theta), CHECK_G(theta)
+    return -c * f * g - f

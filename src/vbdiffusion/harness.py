@@ -6,7 +6,9 @@ a reference operator with the figure's epsilon values. ``circle`` has both
 roles: its operator spec (a uniform grid) runs under :func:`operator_check`.
 Eigen runs and the CLI stage commands start from :func:`setup`, which
 shares one set of support pairs and one bandwidth profile across epsilon;
-operator runs have an analytic bandwidth and skip the KDE.
+operator runs apply the generator to ``analytic.CHECK_F`` with a bandwidth
+from ``analytic.CHECK_G``, skip the KDE and compare against the closed-form
+``analytic.reference_operator``.
 """
 
 import time
@@ -22,7 +24,7 @@ from .errors import PipelineError
 # the one dense/support decision: up to this many points, without a set
 # k_support, the KDE, tuning curve and kernel sum over all pairs; beyond it,
 # or with k_support, they are truncated to the symmetrized kNN support
-_DENSE_MAX = 4000
+_ALL_PAIRS_MAX = 4000
 
 DEFAULT_SWEEP = tuple(np.logspace(-5.0, 0.0, 65))
 
@@ -184,19 +186,21 @@ def generate_cloud(config, spec=None):
     return spec.cloud(config.N, config.seed)
 
 
+def _support(cloud, k):
+    """Support pairs of the symmetrized k-nearest-neighbor graph (k at most
+    N), built once the graph's distances are freed."""
+    return neighbors.symmetrized_support(
+        cloud, neighbors.knn(cloud, min(cloud.n_points, k)).indices)
+
+
 def _bandwidth(cloud, beta, k_support, k0):
     """Bandwidth profile and support pairs (None: all pairs) of one cloud."""
-    n = cloud.n_points
-    dense = k_support is None and n <= _DENSE_MAX
-    k = 8 if dense else (128 if k_support is None else k_support)
-    graph = neighbors.knn(cloud, min(n, max(k, k0)))
     support = None
-    if not dense:
-        # the pilot bandwidth reads the first k0 neighbors; the rest of the
-        # distances are freed before the support is built from the indices
-        indices, graph = graph.indices, graph.head(k0)
-        support = neighbors.symmetrized_support(cloud, indices)
-        del indices
+    if k_support is not None or cloud.n_points > _ALL_PAIRS_MAX:
+        support = _support(cloud, max(128 if k_support is None else k_support,
+                                      k0))
+    # the pilot bandwidth reads a graph of its own, k0 neighbors wide
+    graph = neighbors.knn(cloud, min(cloud.n_points, k0))
     profile = density.bandwidth_profile(cloud, graph, beta, k0=k0,
                                         support=support)
     return profile, support
@@ -311,27 +315,21 @@ def _eigen_experiment(config, spec):
 
 
 def _operator_experiment(config, spec):
-    import sympy as sym  # only operator checks load it
-
     cloud = generate_cloud(config, spec)
     d = cloud.intrinsic_dim
     alpha, beta = _alpha_beta(config, spec, d)
     out = ensure_dir(config.output_dir)
     theta = cloud.latent[:, 0]
-    f = np.sin(theta)
-    # drift checks fix rho = exp(cos theta), and their left formulation sees
-    # lap f alone; gradient-flow checks sample q = exp(cos theta), rho = q^beta
+    f = analytic.CHECK_F(theta)
+    # drift checks fix rho = exp(g), and their left formulation sees lap f
+    # alone; gradient-flow checks sample q = exp(g), rho = q^beta
     drift = spec.reference == "bandwidth_drift"
-    rho = np.exp(np.cos(theta)) ** (1.0 if drift else beta)
-    latent = sym.symbols("theta phi")[:cloud.latent.shape[1]]
-    q = sym.exp(sym.cos(latent[0]))
+    rho = np.exp(analytic.CHECK_G(theta)) ** (1.0 if drift else beta)
     ref = analytic.reference_operator(
         "laplacian" if drift and config.formulation == "left" else spec.reference,
-        sym.sin(latent[0]), cloud, latent,
-        c1=density.c_constants(alpha, beta, d)[0], rho_expr=q, q_expr=q)
+        cloud, c1=density.c_constants(alpha, beta, d)[0])
     k = spec.k_support if config.k_support is None else config.k_support
-    support = None if k is None else neighbors.symmetrized_support(
-        cloud, neighbors.knn(cloud, min(cloud.n_points, k)).indices)
+    support = None if k is None else _support(cloud, k)
     base = spec.eps if config.eps == "auto" else config.eps
 
     def one_eps(eps):
@@ -393,8 +391,7 @@ def outlier_study(N, seed, eps=None, k_support=None, output_dir=None, k0=8,
         removed.append(drop)
         kept = pointcloud.PointCloud(cloud.points[keep], latent=cloud.latent[keep],
                                      intrinsic_dim=1, label=cloud.label)
-        support = neighbors.symmetrized_support(
-            kept, neighbors.knn(kept, min(kept.n_points, max(k, k0))).indices)
+        support = _support(kept, max(k, k0))
         rho = np.ones(kept.n_points)
         target = analytic.hermite_target(3).evaluate(kept)
         target *= np.sqrt(kept.n_points) / np.linalg.norm(target)
@@ -572,7 +569,7 @@ EXPERIMENTS = {
         reference="bandwidth_drift", eps=(0.001, 0.01, 0.1), k_support=500),
     "circle_operator": Experiment(
         8000, (0.25, -0.5),
-        lambda n, seed: pointcloud.gen_circle_from_density(n, np.cos),
+        lambda n, seed: pointcloud.gen_circle_from_density(n, analytic.CHECK_G),
         reference="gradient_flow", eps=(0.005, 0.01, 0.1)),
     "outlier_study": Experiment(
         100000, (0.5, 0.0), lambda n, seed: pointcloud.gen_gaussian_nice_1d(n)),

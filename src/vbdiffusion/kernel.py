@@ -18,12 +18,14 @@ their strict upper triangles with the diagonal implicit; only Lhat is
 assembled whole, for the eigensolver. Only Lhat is returned; its pattern
 is the graph whose connectivity the eigensolver checks. Both storages run
 the same steps through two helpers, row sums and a symmetric diagonal
-scaling, and are exactly symmetric: a dense kernel is the ``squareform`` of
-one condensed ``pdist`` array, and a sparse one evaluates each pair once.
-Matrix-free products (:func:`kernel_products`, behind
-:func:`apply_generator` and the truncated KDE) stream over row blocks on
-both storages: ``cdist`` blocks against all points, or blocks of support
-rows; :func:`build_generator` keeps whole matrices.
+scaling, and are exactly symmetric: a dense kernel takes r_ij^2 and r_ji^2
+from one ``cdist`` formula whose terms do not change under the swap, and a
+sparse one evaluates each pair once. All-pairs kernel values come from one
+``cdist`` block of rows against all points at a time, written straight into
+the dense kernel or, in the matrix-free products (:func:`kernel_products`,
+behind :func:`apply_generator` and the truncated KDE), multiplied and freed;
+on a support the products stream over blocks of support rows.
+:func:`build_generator` keeps whole matrices.
 """
 
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from . import neighbors
 
@@ -102,11 +104,10 @@ def kernel_matrix(cloud, rho, eps, support=None):
     """
     rho = np.asarray(rho, dtype=float)
     if support is None:
-        k = squareform(pdist(cloud.points, "sqeuclidean"))
-        # a block of rows at a time: no whole n-by-n bandwidth product
+        k = np.empty((rho.size, rho.size))
         for start, stop in neighbors._blocks(rho.size, neighbors._SUPPORT_BLOCK):
-            k[start:stop] /= -4.0 * eps * np.outer(rho[start:stop], rho)
-        return np.exp(k, out=k)
+            _dense_rows(cloud, eps, start, stop, rho, rho, out=k[start:stop])
+        return k
     # eliminate_zeros compacts the index arrays in place, so they are copies
     out = sparse.csr_matrix(
         (_kernel_values(support, eps, 0, support.n, rho, rho),
@@ -114,6 +115,14 @@ def kernel_matrix(cloud, rho, eps, support=None):
         shape=(support.n, support.n))
     out.eliminate_zeros()
     return out
+
+
+def _dense_rows(cloud, eps, start, stop, row_bw, col_bw, out=None):
+    """exp(-r_ij^2 / (4 eps row_bw_i col_bw_j)) of rows start:stop against
+    all points, written into ``out`` when given."""
+    k = cdist(cloud.points[start:stop], cloud.points, "sqeuclidean", out=out)
+    k /= -4.0 * eps * np.outer(row_bw[start:stop], col_bw)
+    return np.exp(k, out=k)
 
 
 def _kernel_values(support, eps, start, stop, row_bw, col_bw):
@@ -151,9 +160,7 @@ def kernel_products(cloud, rho, eps, formulation, *vectors, support=None):
     out = [np.zeros(n) for _ in vectors]
     for start, stop in neighbors._blocks(n, neighbors._SUPPORT_BLOCK):
         if support is None:
-            k = cdist(cloud.points[start:stop], cloud.points, "sqeuclidean")
-            k /= -4.0 * eps * np.outer(row_bw[start:stop], col_bw)
-            np.exp(k, out=k)
+            k = _dense_rows(cloud, eps, start, stop, row_bw, col_bw)
             for product, v in zip(out, vectors):
                 product[start:stop] = k @ v
             del k  # before the next block's distances

@@ -40,12 +40,6 @@ class NeighborGraph:
         if self.indices.shape[1] != self.k:
             raise ValueError("row length must equal k")
 
-    def head(self, k):
-        """The first k neighbors of every point, copied out of the whole graph."""
-        k = min(k, self.k)
-        return NeighborGraph(k=k, indices=self.indices[:, :k].copy(),
-                             distances=self.distances[:, :k].copy())
-
 
 def _blocks(n, size):
     """(start, stop) of consecutive blocks of at most ``size`` rows."""

@@ -38,7 +38,7 @@ from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
 # 0.022 s); but the solve budget below admits that pass only from
 # n = 16 x 41 = 656, and up to there eigh takes under 0.04 s. The crossover
 # for a sparse Lhat is not measured
-_DENSE_MAX = 600
+_EIGH_MAX = 600
 # a Lanczos run may take n // _SOLVE_BUDGET solves. Dense eigh costs about
 # n/4.5 solves from n = 1500 to 3000, so a spent budget plus the factor costs
 # about 1.4 to 1.5 times eigh alone; shipped sparse runs take 41 solves
@@ -93,7 +93,7 @@ def eigs_near_zero(gm, n_eig):
     dense = not sparse.issparse(lhat)
     # a Lanczos run whose budget cannot cover its first pass (ncv + 1
     # solves) could only spend it
-    small = (n <= _DENSE_MAX or n_eig >= n - 1
+    small = (n <= _EIGH_MAX or n_eig >= n - 1
              or n // _SOLVE_BUDGET <= _ncv(n, n_eig))
     vals, vecs, solver = None, None, "eigh"
     if not small:

@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,16 +122,39 @@ def test_outlier_study_small(tmp_path):
     assert (tmp_path / "o" / "results.csv").is_file()
 
 
-def test_package_import_leaves_sympy_unloaded():
-    # only operator checks use sympy; a fresh interpreter shows what
-    # "import vbdiffusion" alone loads
+def test_operator_checks_run_with_sympy_blocked(tmp_path):
+    # a None entry in sys.modules makes every import of sympy fail, so a
+    # fresh interpreter shows that no operator check needs it
     src = str(Path(vbdiffusion.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, vbdiffusion, vbdiffusion.cli; "
-             "print('sympy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    probe = ("import sys; sys.modules['sympy'] = None\n"
+             "from vbdiffusion import harness\n"
+             "for name in sys.argv[2:]:\n"
+             "    table = harness.operator_check(harness.ExperimentConfig(\n"
+             "        experiment=name, N=400, output_dir=sys.argv[1] + name))\n"
+             "    print(name, table.rows.shape[0], sys.modules['sympy'] is None)\n")
+    names = ["circle", "circle_operator", "torus_operator"]
+    out = subprocess.run([sys.executable, "-c", probe, f"{tmp_path}/", *names],
+                         env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines() == [f"{name} 3 True" for name in names]
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(vbdiffusion.__file__).resolve().parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {package.name}
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+    assert third_party == declared
 
 
 def test_cli_exit_codes(tmp_path, capsys):

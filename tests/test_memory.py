@@ -159,14 +159,16 @@ def test_dense_generator_is_built_in_one_matrix():
     n = 3000
     cloud = pointcloud.gen_sphere_nonuniform(n, seed=1)
     rho = 1.0 + 0.1 * cloud.points[:, 2]
-    _, peak = _traced_peak(lambda: kernel.build_generator(cloud, rho, 0.02, 0.5))
-    # Lhat, which is the kernel scaled in place into it; pdist's condensed
-    # distances, alive while squareform spreads them into the kernel; and
-    # per block of rows, the bandwidth product and its multiple by -4 eps.
-    # A second n x n array does not fit
-    bound = (n * n * 8 + n * (n - 1) // 2 * 8
-             + 2 * neighbors._SUPPORT_BLOCK * n * 8)
+    gm, peak = _traced_peak(lambda: kernel.build_generator(cloud, rho, 0.02, 0.5))
+    # Lhat, which is the kernel scaled in place into it, and per block of
+    # rows, the bandwidth product and its multiple by -4 eps; cdist writes
+    # each block's distances straight into the kernel, and r_ij^2 and r_ji^2
+    # come from one formula whose terms do not change under the swap, so the
+    # kernel is exactly symmetric without a condensed copy. A second n x n
+    # array, or half of one, does not fit
+    bound = n * n * 8 + 2 * neighbors._SUPPORT_BLOCK * n * 8
     assert peak <= bound + _SLACK, (peak, bound)
+    assert np.array_equal(gm.Lhat, gm.Lhat.T)
 
 
 def test_dense_generator_and_solve_hold_lhat_and_its_factor():

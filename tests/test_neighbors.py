@@ -180,14 +180,3 @@ def test_support_pairs_follow_csr_order():
     _assert_strict_upper(pairs)
     np.testing.assert_array_equal(
         pairs.r2, pair_sq_dists(pts, pairs.rows(), pairs.indices))
-
-
-def test_neighbor_graph_head_copies_the_first_columns():
-    g = neighbors.knn(pointcloud.PointCloud(
-        np.random.default_rng(9).standard_normal((30, 2))), 6)
-    head = g.head(3)
-    assert head.k == 3
-    np.testing.assert_array_equal(head.indices, g.indices[:, :3])
-    np.testing.assert_array_equal(head.distances, g.distances[:, :3])
-    assert head.indices.base is None and head.distances.base is None
-    assert g.head(10).k == 6
