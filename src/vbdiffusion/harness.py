@@ -187,10 +187,8 @@ def generate_cloud(config, spec=None):
 
 
 def _support(cloud, k):
-    """Support pairs of the symmetrized k-nearest-neighbor graph (k at most
-    N), built once the graph's distances are freed."""
-    return neighbors.symmetrized_support(
-        cloud, neighbors.knn(cloud, min(cloud.n_points, k)).indices)
+    """Support pairs of the symmetrized k-nearest-neighbor graph (k at most N)."""
+    return neighbors.symmetrized_support(cloud, min(cloud.n_points, k))
 
 
 def _bandwidth(cloud, beta, k_support, k0):

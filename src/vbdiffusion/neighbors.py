@@ -3,10 +3,11 @@
 Rows of a :class:`NeighborGraph` always start with the point itself at
 distance zero and are sorted by (distance, index) so that results are
 reproducible even in the presence of exact ties. Every query goes to one
-kd-tree (``scipy.spatial.cKDTree``), which is exact in any dimension. A
-support is symmetric and stored once, as its strict upper triangle with the
-diagonal implicit. kNN queries and support pair distances run over blocks
-of rows and hold no n*k temporaries.
+kd-tree (``scipy.spatial.cKDTree``), exact in any dimension, a block of
+rows at a time. A support, ``symmetrized_support(cloud, k)``, is symmetric
+and stored once, as its strict upper triangle with the diagonal implicit;
+it streams the query blocks and holds no n*k distances, and its pair
+distances and scaled pairs run over blocks of rows.
 """
 
 from dataclasses import dataclass
@@ -46,23 +47,14 @@ def _blocks(n, size):
     return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-def knn(cloud, k):
-    """Exact k nearest neighbors (the point itself counts as the first).
-
-    One kd-tree answers every query. Neighbors at equal distance are listed
-    by increasing index; the self entry is always listed first regardless.
-    When more points tie at the k-th distance than fit in the row, the
-    kd-tree picks which are kept. Queries run in blocks of rows, which
-    cannot change any row's answer.
-    """
+def _query_blocks(cloud, k):
+    """(start, stop, dist, idx, is_self) of each block of rows' exact k
+    nearest neighbors from one kd-tree; every row lists its own point."""
     pts = cloud.points
-    n = pts.shape[0]
-    if k > n:
-        raise KTooLarge(k, n)
+    if k > pts.shape[0]:
+        raise KTooLarge(k, pts.shape[0])
     tree = cKDTree(pts)
-    indices = np.empty((n, k), dtype=np.int32)
-    distances = np.empty((n, k))
-    for start, stop in _blocks(n, _QUERY_BLOCK):
+    for start, stop in _blocks(pts.shape[0], _QUERY_BLOCK):
         dist, idx = tree.query(pts[start:stop], k=k, workers=-1)
         dist, idx = dist.reshape(-1, k), idx.reshape(-1, k)
         rows = np.arange(start, stop)
@@ -74,6 +66,25 @@ def knn(cloud, k):
         idx[missing, -1] = rows[missing]
         dist[missing, -1] = 0.0
         is_self[missing, -1] = True
+        yield start, stop, dist, idx, is_self
+        del dist, idx, is_self  # before the next block's query
+
+
+def knn(cloud, k):
+    """Exact k nearest neighbors (the point itself counts as the first).
+
+    One kd-tree answers every query. Neighbors at equal distance are listed
+    by increasing index; the self entry is always listed first regardless.
+    When more points tie at the k-th distance than fit in the row, the
+    kd-tree picks which are kept. Queries run in blocks of rows, which
+    cannot change any row's answer.
+    """
+    n = cloud.n_points
+    if k > n:  # before the output is allocated
+        raise KTooLarge(k, n)
+    indices = np.empty((n, k), dtype=np.int32)
+    distances = np.empty((n, k))
+    for start, stop, dist, idx, is_self in _query_blocks(cloud, k):
         # rows are sorted by distance, so (distance, index) order only sorts
         # indices within runs of equal distance; keys are unique in a row, and
         # the self entry (distance zero, first run) gets the one negative key
@@ -90,51 +101,39 @@ def knn(cloud, k):
     return NeighborGraph(k=k, indices=indices, distances=distances)
 
 
-def symmetrized_support(cloud, indices):
-    """Strict upper triangle of the kNN lists' union with its transpose.
-
-    ``indices`` holds each point's neighbor list (the rows of
-    :attr:`NeighborGraph.indices`; pass them alone, so that the distances
-    can be freed first). Pair (i, j) with i < j is in the support when
-    either point lists the other. Returns the :class:`SupportPairs` with the
-    squared distance of every pair.
-    """
-    indptr, cols = _upper_union(indices)
-    return SupportPairs(indptr=indptr, indices=cols,
-                        r2=_sq_dists(cloud.points, indptr, cols))
-
-
-def _upper_union(indices):
-    """Canonical CSR (indptr, indices) of the union's strict upper triangle.
-
-    The part of the lists below the diagonal, transposed by a counting sort,
-    merges with the part above it as canonical CSRs; the merged indices are
-    copied out of the merge's buffer, which has room for both parts.
-    """
-    upper, lower = _split(indices)
+def symmetrized_support(cloud, k):
+    """Support pairs (i, j), i < j, where either point is among the other's k
+    nearest neighbors (as :func:`knn` finds them), without a NeighborGraph:
+    each query block's sorted int32 rows, less the point itself, are kept
+    and then split at the diagonal; the part below, transposed by a counting
+    sort, merges with the part above as canonical CSRs, and the merged
+    indices are copied out of the merge's buffer, which has room for both."""
+    n = cloud.n_points
+    below = np.empty(n, dtype=np.int64)
+    chunks = []
+    for start, stop, _, idx, _ in _query_blocks(cloud, k):
+        cols = idx.astype(np.int32)
+        cols.sort(axis=1)
+        mid = np.arange(start, stop, dtype=np.int32)[:, None]
+        below[start:stop] = np.count_nonzero(cols < mid, axis=1)
+        chunks.append((start, stop, cols[cols != mid].reshape(stop - start, k - 1)))
+        del idx, _, cols  # before the next block's query
+    upper, lower = _empty_pattern(k - 1 - below), _empty_pattern(below)
+    # the last chunk first: each is freed from the top of the heap, so the
+    # allocator can hand its memory back before the next one is split
+    while chunks:
+        start, stop, rows = chunks.pop()
+        side = np.arange(k - 1) < below[start:stop, None]
+        lower.indices[lower.indptr[start]:lower.indptr[stop]] = rows[side]
+        upper.indices[upper.indptr[start]:upper.indptr[stop]] = rows[~side]
+        del rows, side
     lower = lower.T.tocsr()
     merged = upper + lower
     del upper, lower
-    return merged.indptr, merged.indices.copy()
-
-
-def _split(indices):
-    """Boolean CSRs of each row's sorted columns above the row and below it."""
-    n = indices.shape[0]
-    rows = np.arange(n)
-    above = np.empty(n, dtype=np.int64)
-    below = np.empty(n, dtype=np.int64)
-    for start, stop in _blocks(n, _QUERY_BLOCK):
-        mid = rows[start:stop, None]
-        above[start:stop] = np.count_nonzero(indices[start:stop] > mid, axis=1)
-        below[start:stop] = np.count_nonzero(indices[start:stop] < mid, axis=1)
-    upper, lower = _empty_pattern(above), _empty_pattern(below)
-    for start, stop in _blocks(n, _QUERY_BLOCK):
-        cols = np.sort(indices[start:stop], axis=1)
-        mid = rows[start:stop, None]
-        upper.indices[upper.indptr[start]:upper.indptr[stop]] = cols[cols > mid]
-        lower.indices[lower.indptr[start]:lower.indptr[stop]] = cols[cols < mid]
-    return upper, lower
+    indptr, cols = merged.indptr, merged.indices.copy()
+    del merged
+    return SupportPairs(indptr=indptr, indices=cols,
+                        r2=_sq_dists(cloud.points, indptr, cols))
 
 
 def _sq_dists(pts, indptr, indices):
@@ -187,14 +186,11 @@ class SupportPairs:
     def nnz(self):
         return self.r2.shape[0]
 
-    def rows(self):
-        """Row index of every entry."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
-
 
 def scaled_pairs(cloud, x, support=None):
     """r_ij^2 / (x_i x_j) over the unordered pairs i < j: all of them in
-    ``pdist`` order, or the entries of a :class:`SupportPairs`."""
+    ``pdist`` order, or the entries of a :class:`SupportPairs`, a block of
+    its rows at a time."""
     if support is None:
         t = pdist(cloud.points, "sqeuclidean")
         stop = 0
@@ -202,4 +198,10 @@ def scaled_pairs(cloud, x, support=None):
             start, stop = stop, stop + cloud.n_points - 1 - i
             t[start:stop] /= x[i] * x[i + 1:]
         return t
-    return support.r2 / (x[support.rows()] * x[support.indices])
+    t = np.empty(support.nnz)
+    for start, stop in _blocks(support.n, _SUPPORT_BLOCK):
+        lo, hi = support.indptr[start], support.indptr[stop]
+        den = np.repeat(x[start:stop], np.diff(support.indptr[start:stop + 1]))
+        den *= x[support.indices[lo:hi]]
+        np.divide(support.r2[lo:hi], den, out=t[lo:hi])
+    return t

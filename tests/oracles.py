@@ -45,6 +45,11 @@ def eigh_top(gm, k):
     return vals[::-1], vecs[:, ::-1] / gm.S[:, None]
 
 
+def support_rows(pairs):
+    """Row index of every entry of a SupportPairs."""
+    return np.repeat(np.arange(pairs.n), np.diff(pairs.indptr))
+
+
 def pair_sq_dists(points, rows, cols, chunk=4_000_000):
     """Squared distances ||points[rows] - points[cols]||^2, computed in chunks."""
     out = np.empty(rows.shape[0])

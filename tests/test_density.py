@@ -83,7 +83,7 @@ def test_kde_sparse_path_matches_dense():
     g = neighbors.knn(cloud, 60)
     rho0 = density.pilot_bandwidth(g)
     dense_q0, _ = density.kde_pilot(cloud, rho0, 1)
-    support = neighbors.symmetrized_support(cloud, g.indices)
+    support = neighbors.symmetrized_support(cloud, 60)
     sparse_q0, _ = density.kde_pilot(cloud, rho0, 1, support=support)
     np.testing.assert_allclose(sparse_q0, dense_q0, rtol=1e-12)
 
@@ -95,7 +95,7 @@ def test_truncated_kde_in_row_blocks(monkeypatch, block):
     rho0 = np.exp(0.4 * rng.standard_normal(50))
     cloud = pointcloud.PointCloud(pts)
     graph = neighbors.knn(cloud, 8)
-    support = neighbors.symmetrized_support(cloud, graph.indices)
+    support = neighbors.symmetrized_support(cloud, 8)
     whole, _ = density.kde_pilot(cloud, rho0, 2, support=support)  # one block
     monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", block)
     q0, _ = density.kde_pilot(cloud, rho0, 2, support=support)

@@ -277,6 +277,23 @@ def test_small_cloud_with_k_support_truncates_the_kde():
     assert np.abs(profile.q0 / all_pairs - 1.0).max() > 1e-3
 
 
+def test_k_support_above_n_is_clamped_to_the_whole_cloud(monkeypatch, tmp_path):
+    build = neighbors.symmetrized_support
+    calls = []
+
+    def spy(cloud, k):
+        support = build(cloud, k)
+        calls.append((cloud.n_points, k, support.nnz))
+        return support
+
+    monkeypatch.setattr(neighbors, "symmetrized_support", spy)
+    harness.run_experiment(harness.ExperimentConfig(
+        experiment="torus_operator", N=900, k_support=2000,
+        output_dir=str(tmp_path)))
+    # every pair i < j, once
+    assert calls == [(900, 900, 900 * 899 // 2)]
+
+
 # tiny sizes, as in the benchmark self-test (a 500-point support would
 # cover the whole 900-point torus grid)
 _TINY = {"torus_operator": {"N": 900, "k_support": 60},

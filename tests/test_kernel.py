@@ -71,7 +71,7 @@ def test_two_point_cascade_oracle():
 
 
 def _pairs(cloud, graph):
-    return neighbors.symmetrized_support(cloud, graph.indices)
+    return neighbors.symmetrized_support(cloud, graph.k)
 
 
 def _gaussian_line(n, seed=5):
@@ -122,7 +122,7 @@ def test_sparse_generator_is_exactly_symmetric():
 def test_underflowed_entries_are_dropped():
     pts = np.array([[0.0], [2000.0]])
     cloud = PointCloud(points=pts, intrinsic_dim=1, label="far-pair")
-    support = neighbors.symmetrized_support(cloud, np.array([[0, 1], [1, 0]]))
+    support = neighbors.symmetrized_support(cloud, 2)
     assert support.nnz == 1
     k = kernel.kernel_matrix(cloud, np.ones(2), 1e-3, support=support)
     # exp underflows for the distant pair; only the implicit diagonal is left
@@ -316,7 +316,7 @@ def test_complete_support_matches_all_pairs(case):
     cloud, rho, eps, alpha = case
     n, d = cloud.n_points, cloud.intrinsic_dim
     tol = 32 * n * _U
-    support = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, n).indices)
+    support = neighbors.symmetrized_support(cloud, n)
     assert support.nnz == n * (n - 1) // 2
     dense = kernel.build_generator(cloud, rho, eps, alpha)
     sp = kernel.build_generator(cloud, rho, eps, alpha, support=support)
@@ -364,7 +364,7 @@ def _clouds_with_motion(draw):
 def _lhats(pts, rho, eps, alpha, k):
     """Whole dense Lhat on all pairs, then on the kNN support of size k."""
     cloud = PointCloud(points=pts, intrinsic_dim=pts.shape[1], label="moved")
-    support = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, k).indices)
+    support = neighbors.symmetrized_support(cloud, k)
     for pairs in (None, support):
         lhat = kernel.build_generator(cloud, rho, eps, alpha, support=pairs).Lhat
         yield lhat.toarray() if sparse.issparse(lhat) else lhat

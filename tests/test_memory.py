@@ -6,14 +6,13 @@ plus what one block may hold, plus 1 MiB for small arrays and Python
 objects; a whole-support temporary does not fit in it.
 """
 
-import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from vbdiffusion import harness, kernel, neighbors, pointcloud, spectral
+from vbdiffusion import kernel, neighbors, pointcloud, spectral
 
 from oracles import mirrored_spectrum, planted_generator
 
@@ -39,13 +38,8 @@ def cloud():
 
 
 @pytest.fixture(scope="module")
-def graph(cloud):
-    return neighbors.knn(cloud, _K)
-
-
-@pytest.fixture(scope="module")
-def pairs(cloud, graph):
-    return neighbors.symmetrized_support(cloud, graph.indices)
+def pairs(cloud):
+    return neighbors.symmetrized_support(cloud, _K)
 
 
 def _largest_block(pairs):
@@ -69,29 +63,41 @@ def test_knn_holds_one_query_block(cloud):
     assert peak <= out + block + tree + _SLACK, (peak, out)
 
 
-def test_support_builder_holds_its_split_twice_at_most(cloud, graph):
+def test_support_builder_holds_no_neighbor_graph(cloud):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        got = neighbors.symmetrized_support(cloud, graph.indices)
+        got = neighbors.symmetrized_support(cloud, _K)
         kept, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     output = _pairs_bytes(got)
-    # the split: an int32 column and a bool per listed neighbor other than
-    # the point itself, and per row two counts and two row pointers
-    split = _N * (_K - 1) * (4 + 1) + 4 * _N * 8
-    # per query block: the sorted rows, a mask and the selected columns
-    query = min(neighbors._QUERY_BLOCK, _N) * _K * (4 + 1 + 4)
+    # every row lists k - 1 points other than itself, each above or below it
+    listed = _N * (_K - 1)
+    # the streamed chunks: an int32 column per listed point and a count per
+    # row; one query block: the distances and indices, the self mask, the
+    # sorted int32 rows and a mask, less than 24 bytes per entry; the
+    # kd-tree's copy of the points and an index per point
+    chunks = listed * 4 + _N * 8
+    rows = min(neighbors._QUERY_BLOCK, _N)
+    tree = _N * (cloud.points.shape[1] + 1) * 8
+    stream = chunks + rows * _K * 24 + tree
+    # the split: the two parts' int32 columns and a bool per listed point,
+    # and their row pointers
+    split = listed * (4 + 1) + 2 * (_N + 1) * 8
     d = cloud.points.shape[1]
     pair = _largest_block(got) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
-    # one phase after another: the split with one query block; the upper
-    # half, the transposed lower half and the merge's buffer, which has room
-    # for both (the split twice); that buffer and the copy of its merged
-    # columns; the output and one block of pair distances
-    bound = max(split + query, 2 * split, output + pair)
+    # one phase after another: the streamed chunks with one query block; the
+    # chunks and the split they are copied into, a chunk freed as it is
+    # copied; the upper part, the transposed lower part and the merge's
+    # buffer, which has room for both (the split twice); that buffer and the
+    # copy of its merged columns; the output and one block of pair distances
+    bound = max(stream, chunks + split, 2 * split, output + pair)
     assert peak <= bound + _SLACK, (peak, bound)
+    # the n x k distances of a whole neighbor graph, filled in alongside the
+    # streamed chunks, do not fit
+    assert chunks + _N * _K * 8 > bound + _SLACK
     # the output owns right-sized arrays: nothing of the buffer is kept
     assert kept <= output + _SLACK, (kept, output)
 
@@ -103,6 +109,16 @@ def test_support_pairs_hold_one_row_block(cloud, pairs):
     # per block: the repeated row points and the gathered column points
     # (d values per entry each), their einsum, and one count per row
     block = _largest_block(pairs) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
+    assert peak <= got.nbytes + block + _SLACK, (peak, got.nbytes)
+
+
+def test_scaled_pairs_hold_one_row_block(cloud, pairs):
+    x = 1.0 + 0.1 * cloud.points[:, 0] ** 2
+    got, peak = _traced_peak(lambda: neighbors.scaled_pairs(cloud, x, pairs))
+    # per block: the repeated row values, the gathered column values and
+    # one count per row; a whole-support row index or gather does not fit
+    block = 2 * _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
+    assert pairs.nnz * 8 > 4 * (block + _SLACK)
     assert peak <= got.nbytes + block + _SLACK, (peak, got.nbytes)
 
 
@@ -132,27 +148,6 @@ def test_all_pairs_apply_holds_one_row_block():
     vectors = 10 * n * 8
     block = 2 * neighbors._SUPPORT_BLOCK * n * 8
     assert peak <= vectors + block + _SLACK, peak
-
-
-def test_harness_frees_the_knn_distances_before_the_support(monkeypatch, tmp_path):
-    build = neighbors.symmetrized_support
-    calls = []
-
-    def spy(cloud, indices):
-        assert isinstance(indices, np.ndarray)
-        # the graph these indices came from, alive, would hold its distances
-        assert not any(o.indices is indices for o in gc.get_objects()
-                       if isinstance(o, neighbors.NeighborGraph))
-        calls.append(cloud.n_points)
-        return build(cloud, indices)
-
-    monkeypatch.setattr(neighbors, "symmetrized_support", spy)
-    for name, config in (("ou1d_nice", {"N": 300, "k_support": 40, "eps": 0.01}),
-                         ("torus_operator", {"N": 900, "k_support": 60}),
-                         ("outlier_study", {"N": 100, "k_support": 40})):
-        harness.run_experiment(harness.ExperimentConfig(
-            experiment=name, output_dir=str(tmp_path / name), **config))
-    assert len(calls) == 3
 
 
 def test_dense_generator_is_built_in_one_matrix():
@@ -213,7 +208,7 @@ def test_dense_solve_holds_one_matrix_copy(even, odd, lo, solver):
 def test_banded_solve_factors_its_band_in_place():
     n = 6000
     cloud = pointcloud.gen_gaussian_random(n, 2, seed=4)
-    support = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, 64).indices)
+    support = neighbors.symmetrized_support(cloud, 64)
     lhat = kernel.build_generator(cloud, np.ones(n), 0.01, 0.0, support=support).Lhat
     # the half-bandwidth of Lhat with its points in reverse Cuthill-McKee order
     rank = np.empty(n, dtype=np.intp)

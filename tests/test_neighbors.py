@@ -4,7 +4,7 @@ import pytest
 from vbdiffusion import neighbors, pointcloud
 from vbdiffusion.errors import KTooLarge
 
-from oracles import knn_union, pair_sq_dists
+from oracles import knn_union, pair_sq_dists, support_rows
 
 
 def _brute_reference(pts, k):
@@ -97,6 +97,8 @@ def test_knn_rejects_k_above_n():
     cloud = pointcloud.gen_circle_uniform(5)
     with pytest.raises(KTooLarge):
         neighbors.knn(cloud, 6)
+    with pytest.raises(KTooLarge):
+        neighbors.symmetrized_support(cloud, 6)
 
 
 def test_knn_k_equals_one():
@@ -140,8 +142,8 @@ def test_support_pairs_in_row_blocks_match_oracle(monkeypatch, block):
     for pts, k in ((np.random.default_rng(2).standard_normal((40, 3)), 5),
                    (_coincident_cloud(), 6)):
         cloud = pointcloud.PointCloud(pts)
-        pairs = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, k).indices)
-        rows = pairs.rows()
+        pairs = neighbors.symmetrized_support(cloud, k)
+        rows = support_rows(pairs)
         np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, rows, pairs.indices))
         np.testing.assert_allclose(
             pairs.r2, np.sum((pts[rows] - pts[pairs.indices]) ** 2, axis=1), atol=1e-12)
@@ -162,21 +164,39 @@ def test_symmetrized_support_is_union_with_diagonal():
     for pts, k in ((small, 2), (scattered, 5)):
         cloud = pointcloud.PointCloud(pts)
         g = neighbors.knn(cloud, k)
-        pairs = neighbors.symmetrized_support(cloud, g.indices)
+        pairs = neighbors.symmetrized_support(cloud, k)
         # cached pairs follow the CSR order, so it must be canonical
         _assert_strict_upper(pairs)
         union = knn_union(g.indices)
         assert all(i in row for i, row in enumerate(union))
         expected = {(i, j) for i, row in enumerate(union) for j in row if j > i}
-        got = set(zip(pairs.rows().tolist(), pairs.indices.tolist()))
+        got = set(zip(support_rows(pairs).tolist(), pairs.indices.tolist()))
         assert got == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, 10_000])
+def test_support_query_blocks_do_not_change_the_support(monkeypatch, block):
+    clouds = ((_tied_lattice(), 13), (_coincident_cloud(), 6),
+              (np.random.default_rng(11).standard_normal((60, 3)), 7))
+    # the oracle reads kNN lists queried in one block (each cloud is below
+    # the default size) and joins them with Python sets
+    unions = [knn_union(neighbors.knn(pointcloud.PointCloud(pts), k).indices)
+              for pts, k in clouds]
+    monkeypatch.setattr(neighbors, "_QUERY_BLOCK", block)
+    for (pts, k), union in zip(clouds, unions):
+        pairs = neighbors.symmetrized_support(pointcloud.PointCloud(pts), k)
+        _assert_strict_upper(pairs)
+        rows = support_rows(pairs)
+        expected = {(i, j) for i, row in enumerate(union) for j in row if j > i}
+        assert set(zip(rows.tolist(), pairs.indices.tolist())) == expected
+        np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, rows, pairs.indices))
 
 
 def test_support_pairs_follow_csr_order():
     pts = np.random.default_rng(8).standard_normal((50, 3))
     cloud = pointcloud.PointCloud(pts)
-    pairs = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, 6).indices)
+    pairs = neighbors.symmetrized_support(cloud, 6)
     assert pairs.n == 50 and pairs.nnz == pairs.indices.shape[0]
     _assert_strict_upper(pairs)
     np.testing.assert_array_equal(
-        pairs.r2, pair_sq_dists(pts, pairs.rows(), pairs.indices))
+        pairs.r2, pair_sq_dists(pts, support_rows(pairs), pairs.indices))

@@ -178,15 +178,13 @@ def _line_generator(n, k, eps, shuffle=False):
     if shuffle:
         order = np.random.default_rng(2).permutation(n)
         cloud = PointCloud(cloud.points[order], intrinsic_dim=1)
-    graph = neighbors.knn(cloud, k)
-    support = neighbors.symmetrized_support(cloud, graph.indices)
+    support = neighbors.symmetrized_support(cloud, k)
     return kernel.build_generator(cloud, np.ones(n), eps, 0.0, support=support)
 
 
 def _ring_generator(n):
     cloud = pointcloud.gen_circle_uniform(n)
-    graph = neighbors.knn(cloud, 8)
-    support = neighbors.symmetrized_support(cloud, graph.indices)
+    support = neighbors.symmetrized_support(cloud, 8)
     return kernel.build_generator(cloud, np.ones(n), 0.001, 0.0, support=support)
 
 
@@ -223,7 +221,7 @@ def test_disconnected_support_is_reported_with_sizes():
     # the triple: the kernel underflows across, so no edge joins the two
     pts = np.array([[0.0], [0.1], [0.2], [1000.0], [1000.1]])
     cloud = PointCloud(points=pts, intrinsic_dim=1, label="two-clusters")
-    knn = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, 3).indices)
+    knn = neighbors.symmetrized_support(cloud, 3)
     for support in (None, knn):
         gm = kernel.build_generator(cloud, np.ones(5), 0.01, 0.0, support=support)
         with pytest.raises(DisconnectedGraph) as exc:

@@ -52,8 +52,7 @@ def test_flat_curve_raises():
 def test_truncated_sum_matches_dense_with_full_support():
     cloud = pointcloud.gen_circle_uniform(50)
     rho = 1.0 + 0.1 * cloud.points[:, 0]
-    graph = neighbors.knn(cloud, 50)
-    support = neighbors.symmetrized_support(cloud, graph.indices)
+    support = neighbors.symmetrized_support(cloud, 50)
     dense = tuning.s_curve(cloud, rho, grid=[-6, -5, -4])
     trunc = tuning.s_curve(cloud, rho, grid=[-6, -5, -4], support=support)
     assert np.allclose(trunc.S, dense.S, rtol=1e-13)
@@ -83,7 +82,7 @@ def test_curve_matches_naive_double_loop():
     # of exp, to saturation
     grid = np.arange(-40, 11)
     want = _naive_s(pts.tolist(), rho.tolist(), grid)
-    support = neighbors.symmetrized_support(cloud, neighbors.knn(cloud, 40).indices)
+    support = neighbors.symmetrized_support(cloud, 40)
     perm = rng.permutation(40)
     shuffled = PointCloud(points=pts[perm], intrinsic_dim=2, label="shuffled")
     for got in (tuning.s_curve(cloud, rho, grid=grid),
