@@ -14,8 +14,7 @@ from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
                      InvalidCovariance, InversionFailure, KTooLarge,
                      NoLatent, NoLinearRegion, PipelineError, SolverFailure,
                      WrongManifold)
-from .harness import (ExperimentConfig, ResultTable, operator_check,
-                      outlier_study, run_experiment)
+from .harness import ExperimentConfig, ResultTable, run_experiment
 from .kernel import (GeneratorMatrices, ShapeConstants, apply_generator,
                      build_generator, gaussian_shape_constants, kernel_matrix)
 from .neighbors import NeighborGraph, SupportPairs, knn, symmetrized_support

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands mirror the pipeline stages: generate, density, build, eigs,
-tune, operator-check, experiment. Configuration comes from an optional
+tune; experiment runs any registered experiment end to end, the operator
+checks and the outlier study included. Configuration comes from an optional
 ``key = value`` text file (--config) overridden by repeated --set flags.
 Exit codes: 0 success, 1 usage error, 2 structured pipeline error.
 """
@@ -159,21 +160,10 @@ def _cmd_tune(config):
     return 0
 
 
-def _cmd_operator_check(config):
-    table = harness.operator_check(config)
-    for eps, err, _, wall in table.rows:
-        print(f"eps={eps:.6g} rms={np.sqrt(err):.6g} ({wall:.2f}s)")
-    return _report_end(config, table)
-
-
 def _cmd_experiment(config):
     table = harness.run_experiment(config)
     for eps, err, eig_err, wall in table.rows:
         print(f"eps={eps:.6g} mse={err:.6g} eig_err={eig_err:.6g} ({wall:.2f}s)")
-    return _report_end(config, table)
-
-
-def _report_end(config, table):
     for eps, message in table.metadata.get("errors", {}).items():
         print(f"eps={eps:.6g} failed: {message}")
     print(f"wrote {Path(config.output_dir) / 'results.csv'}")
@@ -186,7 +176,6 @@ _COMMANDS = {
     "build": _cmd_build,
     "eigs": _cmd_eigs,
     "tune": _cmd_tune,
-    "operator-check": _cmd_operator_check,
     "experiment": _cmd_experiment,
 }
 

@@ -20,13 +20,12 @@ class BandwidthProfile:
     """Per-point bandwidth data shared by every epsilon in a sweep.
 
     ``rho0`` is the pilot bandwidth, ``eps0`` the squared mean pilot
-    bandwidth, ``rho0_tilde`` the pilot rescaled to unit mean, ``q0`` the
-    density estimate, and ``rho = q0**beta`` the final kernel bandwidth.
+    bandwidth, ``q0`` the density estimate, and ``rho = q0**beta`` the final
+    kernel bandwidth.
     """
 
     rho0: np.ndarray
     eps0: float
-    rho0_tilde: np.ndarray
     q0: np.ndarray
     beta: float
     rho: np.ndarray
@@ -105,8 +104,8 @@ def bandwidth_profile(cloud, graph, beta, k0=8, d=None, support=None):
     rho0 = pilot_bandwidth(graph, k0=k0)
     q0, eps0 = kde_pilot(cloud, rho0, d, support=support)
     rho = bandwidth_from_density(q0, beta)
-    return BandwidthProfile(rho0=rho0, eps0=eps0, rho0_tilde=rho0 / np.sqrt(eps0),
-                            q0=q0, beta=beta, rho=rho, d=d)
+    return BandwidthProfile(rho0=rho0, eps0=eps0, q0=q0, beta=beta, rho=rho,
+                            d=d)
 
 
 def save_csv(profile, path):

@@ -1,14 +1,16 @@
 """End-to-end experiments: sweeps, alignment against analytic answers, output.
 
 ``EXPERIMENTS`` holds one frozen :class:`Experiment` per name: defaults,
-dataset, and either analytic target eigenfunctions with a scoring rule or
-a reference operator with the figure's epsilon values. ``circle`` has both
-roles: its operator spec (a uniform grid) runs under :func:`operator_check`.
-Eigen runs and the CLI stage commands start from :func:`setup`, which
-shares one set of support pairs and one bandwidth profile across epsilon;
-operator runs apply the generator to ``analytic.CHECK_F`` with a bandwidth
-from ``analytic.CHECK_G``, skip the KDE and compare against the closed-form
-``analytic.reference_operator``.
+dataset, and either analytic target eigenfunctions with a scoring rule, a
+reference operator with the figure's epsilon values, or neither
+(``outlier_study``). Every run goes through :func:`run_experiment`, which
+resolves the config and hands it to one runner per kind; each runner
+scores its epsilons through one row loop, which records failures instead
+of rows. Eigen runs and the CLI stage commands start from :func:`setup`,
+which shares one set of support pairs and one bandwidth profile across
+epsilon; operator runs apply the generator to ``analytic.CHECK_F`` with a
+bandwidth from ``analytic.CHECK_G``, skip the KDE and compare against the
+closed-form ``analytic.reference_operator``.
 """
 
 import time
@@ -52,6 +54,7 @@ class Experiment:
     Operator experiments set ``reference``, the
     ``analytic.reference_operator`` kind, with the figure's ``eps`` (taken
     for eps = auto) and a default ``k_support`` (None sums all pairs).
+    An experiment with neither is the outlier-removal study.
     """
 
     N: int
@@ -64,7 +67,6 @@ class Experiment:
     reference: str | None = None
     eps: tuple = ()
     k_support: int | None = None
-    operator: "Experiment | None" = None  # an eigen experiment's own check
 
 
 @dataclass(frozen=True)
@@ -124,18 +126,10 @@ class ResultTable:
     metadata: dict = field(default_factory=dict)
 
 
-def resolve(config, operator=False):
-    """Validated config with its spec's defaults filled in, and the spec.
-
-    ``operator`` selects the experiment's operator check.
-    """
+def resolve(config):
+    """Validated config with its spec's defaults filled in, and the spec."""
     config.validate()
     spec = EXPERIMENTS[config.experiment]
-    if operator:
-        spec = spec.operator or spec
-        if spec.reference is None:
-            raise ConfigError("operator checks exist for circle, "
-                              "circle_operator and torus_operator")
     if spec.reference is not None and config.eps == "sweep":
         raise ConfigError("operator checks take eps = auto (the figure's "
                           "values) or a list, not 'sweep'")
@@ -264,30 +258,11 @@ def align_to_targets(spectrum, reference, ref_eigenvalues):
 def run_experiment(config):
     """Run a full experiment sweep, writing CSV output to the output dir."""
     config, spec = resolve(config)
-    if config.experiment == "outlier_study":
-        if (config.eps == "sweep" or config.preset is not None
-                or config.alpha is not None or config.beta is not None):
-            raise ConfigError("outlier_study is fixed-bandwidth with alpha "
-                              "1/2 and its own epsilon grid: it takes no "
-                              "preset, alpha, beta or eps = sweep")
-        return outlier_study(config.N, config.seed, k_support=config.k_support,
-                             eps=None if config.eps == "auto" else config.eps,
-                             eps_multiplier=config.eps_multiplier,
-                             output_dir=config.output_dir, k0=config.k0)
     if spec.reference is not None:
         return _operator_experiment(config, spec)
-    return _eigen_experiment(config, spec)
-
-
-def operator_check(config):
-    """Pointwise generator check against the exact reference operator.
-
-    ``circle_operator`` and ``torus_operator`` run their usual protocol;
-    ``circle`` runs the uniform-grid variant with the fixed bandwidth
-    function rho = exp(cos theta) and alpha 0 by default, which isolates
-    the bandwidth-induced drift term from sampling effects.
-    """
-    return _operator_experiment(*resolve(config, operator=True))
+    if spec.targets is not None:
+        return _eigen_experiment(config, spec)
+    return _outlier_study(config, spec)
 
 
 def _eigen_experiment(config, spec):
@@ -341,12 +316,10 @@ def _operator_experiment(config, spec):
                   one_eps)
 
 
-def _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps, record=None):
-    """Rows of ``one_eps(eps) -> (mse, eig_err)``; failures go to the metadata.
-
-    ``record`` holds further metadata entries that ``one_eps`` fills in.
-    """
-    rows, errors = [], {}
+def _rows(sweep, one_eps, errors):
+    """Rows (eps, mse, eig_err, wall_time_s) of ``one_eps(eps) -> (mse,
+    eig_err)`` over ``sweep``; an epsilon that fails goes to ``errors``."""
+    rows = []
     for eps in sweep:
         t0 = time.perf_counter()
         try:
@@ -355,82 +328,99 @@ def _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps, record=None):
             errors[eps] = f"{type(exc).__name__}: {exc}"
             continue
         rows.append((eps, err, eig_err, time.perf_counter() - t0))
-    table = ResultTable(np.array(rows, dtype=float).reshape(-1, 4),
-                        metadata=_metadata(config, alpha, beta, sweep, curve,
-                                           errors, cloud) | (record or {}))
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps, record=None):
+    """Rows of ``one_eps`` over ``sweep``, written with the run's metadata.
+
+    ``record`` holds further metadata entries that ``one_eps`` fills in.
+    """
+    errors = {}
+    rows = _rows(sweep, one_eps, errors)
+    table = ResultTable(rows, metadata=_metadata(config, alpha, beta, sweep,
+                                                 curve, errors, cloud)
+                        | (record or {}))
     _write_outputs(table, out)
     return table
 
 
-def outlier_study(N, seed, eps=None, k_support=None, output_dir=None, k0=8,
-                  eps_multiplier=1.0):
+def _outlier_study(config, spec):
     """Fixed-bandwidth pipeline with density-based outlier removal.
 
-    For each decade size up to N: estimate the density, drop the
+    For each decade size n up to N: estimate the density, drop the
     floor(sqrt(n)) lowest-density points, rebuild the pipeline on the rest
-    with a fixed bandwidth, sweep epsilon (``eps`` or a grid that follows
-    n, scaled by ``eps_multiplier``), and keep the best masked error of
-    the fourth eigenvector against the fourth Hermite function on [-2, 2].
-    Fits log(best mse) against log(n) across the sizes at the end.
+    with the spec's fixed bandwidth, sweep epsilon (``eps`` or a grid that
+    follows n, scaled by ``eps_multiplier``), and keep the row of the best
+    masked error of the fourth eigenvector against the fourth Hermite
+    function on [-2, 2]. Fits log(best mse) against log(n) across the sizes
+    with a row at the end.
     """
-    sizes = [n for n in (1000, 10000, 100000) if n <= N] or [N]
-    alpha = 0.5
-    rows, removed, per_size = [], [], {}
+    if (config.eps == "sweep" or config.preset is not None
+            or config.alpha is not None or config.beta is not None):
+        raise ConfigError("outlier_study is fixed-bandwidth with alpha "
+                          "1/2 and its own epsilon grid: it takes no "
+                          "preset, alpha, beta or eps = sweep")
+    alpha, beta = spec.alpha_beta
+    out = ensure_dir(config.output_dir)
+    sizes = [n for n in (1000, 10000, 100000) if n <= config.N] or [config.N]
+    rows, fitted, removed, per_size, eps_list = [], [], [], {}, []
     for n in sizes:
-        t0 = time.perf_counter()
-        eps_grid = tuple(e * eps_multiplier for e in
-                         (eps if eps is not None else _outlier_default_eps(n)))
-        cloud = pointcloud.gen_gaussian_nice_1d(n)
-        k = min(n, k_support if k_support is not None else
-                _outlier_default_k(n))
-        q0 = _bandwidth(cloud, 0.0, None, k0)[0].q0
+        cloud = spec.cloud(n, config.seed)
+        q0 = _bandwidth(cloud, beta, None, config.k0)[0].q0
         drop = int(np.floor(np.sqrt(n)))
         keep = np.sort(np.argsort(q0, kind="stable")[drop:])
         removed.append(drop)
         kept = pointcloud.PointCloud(cloud.points[keep], latent=cloud.latent[keep],
-                                     intrinsic_dim=1, label=cloud.label)
-        support = _support(kept, max(k, k0))
+                                     intrinsic_dim=cloud.intrinsic_dim,
+                                     label=cloud.label)
+        k = min(n, config.k_support if config.k_support is not None else
+                _outlier_default_k(n))
+        support = _support(kept, max(k, config.k0))
         rho = np.ones(kept.n_points)
         target = analytic.hermite_target(3).evaluate(kept)
         target *= np.sqrt(kept.n_points) / np.linalg.norm(target)
         mask = np.abs(kept.points[:, 0]) <= 2.0
-        best = None
-        for eps_val in eps_grid:
-            try:
-                gm = kernel.build_generator(kept, rho, eps_val, alpha, d=1,
-                                            support=support)
-                spec = spectral.scale_sqrtN(spectral.eigs_near_zero(gm, 5))
-            except PipelineError:
-                continue
-            finally:
-                # the largest sizes cannot hold two generators at once
-                gm = None
-            est = spec.eigenvectors[:, 3]
+        grid = [e * config.eps_multiplier for e in
+                (_outlier_default_eps(n) if config.eps == "auto" else config.eps)]
+
+        def one_eps(eps):
+            # the generator goes with this frame: the largest sizes cannot
+            # hold two at once
+            gm = kernel.build_generator(kept, rho, eps, alpha,
+                                        d=kept.intrinsic_dim, support=support)
+            spectrum = spectral.scale_sqrtN(
+                spectral.eigs_near_zero(gm, config.eigenfunctions))
+            est = spectrum.eigenvectors[:, 3]
             if est @ target < 0.0:
                 est = -est
-            err = spectral.mse(est, target, mask=mask)
-            lam_err = abs(spec.eigenvalues[3] + 3.0) / 3.0
-            if best is None or err < best[1]:
-                best = (eps_val, err, lam_err)
-        if best is None:
-            per_size[n] = "no epsilon value completed"
-            continue
-        rows.append((best[0], best[1], best[2], time.perf_counter() - t0))
+            return (spectral.mse(est, target, mask=mask),
+                    abs(spectrum.eigenvalues[3] + 3.0) / 3.0)
+
+        errors = {}
+        size_rows = _rows(grid, one_eps, errors)
+        eps_list += grid
         per_size[n] = {"removed": drop, "remaining": kept.n_points,
-                       "eps_grid": list(eps_grid), "best_eps": best[0],
-                       "best_mse": best[1]}
+                       "eps_grid": grid}
+        if size_rows.shape[0]:
+            best = size_rows[np.argmin(size_rows[:, 1])]
+            rows.append(best)
+            fitted.append(n)
+            per_size[n] |= {"best_eps": float(best[0]),
+                            "best_mse": float(best[1])}
+        if errors:
+            per_size[n]["errors"] = errors
     rows = np.array(rows, dtype=float).reshape(-1, 4)
-    meta = {"experiment": "outlier_study", "N": N, "seed": seed,
-            "sizes": sizes, "removed": removed, "alpha": alpha, "beta": 0.0,
-            "per_size": per_size}
-    if rows.shape[0] >= 2:
-        slope, intercept = np.polyfit(np.log(np.array(sizes[:rows.shape[0]])),
-                                      np.log(rows[:, 1]), 1)
+    # N is the study's top size; the cloud of each size holds n points
+    meta = _metadata(config, alpha, beta, eps_list, None, {}, cloud) | {
+        "N": config.N, "sizes": sizes, "removed": removed,
+        "per_size": per_size}
+    if len(fitted) >= 2:
+        slope, intercept = np.polyfit(np.log(fitted), np.log(rows[:, 1]), 1)
         meta["power_law_slope"] = float(slope)
         meta["power_law_intercept"] = float(intercept)
     table = ResultTable(rows, metadata=meta)
-    if output_dir is not None:
-        _write_outputs(table, ensure_dir(output_dir))
+    _write_outputs(table, out)
     return table
 
 
@@ -546,10 +536,7 @@ EXPERIMENTS = {
         targets=lambda m: [analytic.ou2d_target(*o) for o in _OU2D_ORDERS[:m]]),
     "circle": Experiment(
         1500, (0.25, -0.5), lambda n, seed: pointcloud.gen_circle_nonuniform(n),
-        targets=_circle_targets, score=_score_target, primary=1,
-        operator=Experiment(
-            1500, (0.0, 0.0), lambda n, seed: pointcloud.gen_circle_uniform(n),
-            reference="bandwidth_drift", eps=(0.001, 0.01, 0.1))),
+        targets=_circle_targets, score=_score_target, primary=1),
     "circle_random": Experiment(
         1500, (0.25, -0.5),
         lambda n, seed: pointcloud.perturb_circle(
@@ -569,6 +556,11 @@ EXPERIMENTS = {
         8000, (0.25, -0.5),
         lambda n, seed: pointcloud.gen_circle_from_density(n, analytic.CHECK_G),
         reference="gradient_flow", eps=(0.005, 0.01, 0.1)),
+    # a uniform grid with the fixed bandwidth rho = exp(cos theta), alpha 0:
+    # the bandwidth-induced drift alone, free of sampling effects
+    "circle_grid_operator": Experiment(
+        1500, (0.0, 0.0), lambda n, seed: pointcloud.gen_circle_uniform(n),
+        reference="bandwidth_drift", eps=(0.001, 0.01, 0.1)),
     "outlier_study": Experiment(
         100000, (0.5, 0.0), lambda n, seed: pointcloud.gen_gaussian_nice_1d(n)),
 }

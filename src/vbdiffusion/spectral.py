@@ -31,17 +31,16 @@ from . import neighbors
 from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
                      DisconnectedGraph, EmptyMask, SolverFailure)
 
-# up to this size eigh is the solver, for either storage. Measured on one
-# BLAS thread, top 4 or 5 pairs of sphere and ou1d_nice generators at eps*:
-# the dense Cholesky factor plus a first Lanczos pass (41 solves) matched
-# eigh at n = 300-400 and took half its time at n = 600 (0.012 s against
-# 0.022 s); but the solve budget below admits that pass only from
-# n = 16 x 41 = 656, and up to there eigh takes under 0.04 s. The crossover
-# for a sparse Lhat is not measured
-_EIGH_MAX = 600
-# a Lanczos run may take n // _SOLVE_BUDGET solves. Dense eigh costs about
-# n/4.5 solves from n = 1500 to 3000, so a spent budget plus the factor costs
-# about 1.4 to 1.5 times eigh alone; shipped sparse runs take 41 solves
+# a Lanczos run may take n // _SOLVE_BUDGET solves, and a problem whose budget
+# cannot cover a first pass (ncv + 1 solves) takes eigh: below 656 points for
+# up to nine pairs, and whenever n_eig >= n - 1. Dense eigh costs about n/4.5
+# solves from n = 1500 to 3000, so a spent budget plus the factor costs about
+# 1.4 to 1.5 times eigh alone; shipped sparse runs take 41 solves. Measured on
+# one BLAS thread, top 4 or 5 pairs of sphere and ou1d_nice generators at
+# eps*: the dense Cholesky factor plus a first pass (41 solves) matched eigh
+# at n = 300-400 and took half its time at n = 600 (0.012 s against 0.022 s),
+# and up to n = 656 eigh takes under 0.04 s. The crossover for a sparse Lhat
+# is not measured
 _SOLVE_BUDGET = 16
 # ARPACK's stopping tolerance, relative to each Ritz value of the inverse
 _TOL = 1e-10
@@ -65,7 +64,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    scaled: bool = False
     solver: str = "eigh"
 
 
@@ -91,12 +89,9 @@ def eigs_near_zero(gm, n_eig):
     n = gm.P.shape[0]
     _check_connected(lhat)
     dense = not sparse.issparse(lhat)
-    # a Lanczos run whose budget cannot cover its first pass (ncv + 1
-    # solves) could only spend it
-    small = (n <= _EIGH_MAX or n_eig >= n - 1
-             or n // _SOLVE_BUDGET <= _ncv(n, n_eig))
     vals, vecs, solver = None, None, "eigh"
-    if not small:
+    # a Lanczos run whose budget cannot cover its first pass could only spend it
+    if n // _SOLVE_BUDGET > _ncv(n, n_eig):
         vals, vecs, solver = _shift_invert(lhat, n_eig)
     if vals is None:
         # eigh runs once _shift_invert has returned, so that a dense factor
@@ -106,7 +101,7 @@ def eigs_near_zero(gm, n_eig):
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
     return Spectrum(eigenvalues=vals, eigenvectors=vecs / gm.S[:, None],
-                    scaled=False, solver=solver)
+                    solver=solver)
 
 
 def _ncv(n, n_eig):
@@ -263,7 +258,7 @@ def scale_sqrtN(spectrum):
     # symmetric cloud makes equal differ by rounding alone
     lead = (mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0)).argmax(axis=0)
     vecs[:, vecs[lead, np.arange(vecs.shape[1])] < 0.0] *= -1.0
-    return replace(spectrum, eigenvectors=vecs, scaled=True)
+    return replace(spectrum, eigenvectors=vecs)
 
 
 def procrustes_rotation(estimated, reference):

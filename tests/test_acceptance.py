@@ -244,10 +244,11 @@ def test_criterion_8_tuned_circle_spectrum():
     _report(8, body)
 
 
-def test_criterion_9_outlier_removal_scaling():
+def test_criterion_9_outlier_removal_scaling(tmp_path):
     def body():
         t0 = time.perf_counter()
-        table = harness.outlier_study(100000, seed=1)
+        table = harness.run_experiment(harness.ExperimentConfig(
+            experiment="outlier_study", output_dir=str(tmp_path)))
         assert table.metadata["sizes"] == [1000, 10000, 100000]
         assert table.metadata["removed"] == [31, 100, 316]
         mses = table.rows[:, 1]

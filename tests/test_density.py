@@ -126,7 +126,9 @@ def test_kde_estimates_gaussian_density():
 def test_rho0_tilde_has_unit_mean():
     cloud = pointcloud.gen_circle_nonuniform(500)
     prof = _profile(cloud, beta=-0.5)
-    np.testing.assert_allclose(prof.rho0_tilde.mean(), 1.0, atol=1e-12)
+    # rho0 / sqrt(eps0), the pilot rescaled to unit mean
+    np.testing.assert_allclose((prof.rho0 / np.sqrt(prof.eps0)).mean(), 1.0,
+                               atol=1e-12)
     np.testing.assert_allclose(prof.eps0, prof.rho0.mean() ** 2, atol=1e-15)
 
 

@@ -112,14 +112,33 @@ def test_auto_eps_runs_tuning(tmp_path):
     assert table.rows[0, 0] == table.metadata["eps_star"]
 
 
+def _outlier(tmp_path, tag, **kwargs):
+    return harness.run_experiment(harness.ExperimentConfig(
+        experiment="outlier_study", N=100, output_dir=str(tmp_path / tag),
+        **kwargs))
+
+
 def test_outlier_study_small(tmp_path):
-    table = harness.outlier_study(100, seed=1, output_dir=str(tmp_path / "o"))
+    table = _outlier(tmp_path, "o")
     assert table.metadata["removed"] == [10]
     assert table.metadata["sizes"] == [100]
     assert table.metadata["per_size"][100]["remaining"] == 90
     assert table.rows.shape == (1, 4)
     assert "power_law_slope" not in table.metadata
     assert (tmp_path / "o" / "results.csv").is_file()
+
+
+def test_outlier_study_records_failed_epsilons(tmp_path):
+    # eps far below the spacing scale disconnects the kernel support
+    for tag, eps, completed in [("mixed", [1e-12, 1e-3], [1e-3]),
+                                ("failed", [1e-12], [])]:
+        table = _outlier(tmp_path, tag, eps=eps)
+        assert list(table.rows[:, 0]) == completed
+        errors = table.metadata["per_size"][100]["errors"]
+        assert list(errors) == [1e-12]
+        assert errors[1e-12].startswith("DisconnectedGraph: ")
+        meta = (tmp_path / tag / "meta.txt").read_text()
+        assert "{1e-12: 'DisconnectedGraph: " in meta
 
 
 def test_operator_checks_run_with_sympy_blocked(tmp_path):
@@ -130,10 +149,10 @@ def test_operator_checks_run_with_sympy_blocked(tmp_path):
     probe = ("import sys; sys.modules['sympy'] = None\n"
              "from vbdiffusion import harness\n"
              "for name in sys.argv[2:]:\n"
-             "    table = harness.operator_check(harness.ExperimentConfig(\n"
+             "    table = harness.run_experiment(harness.ExperimentConfig(\n"
              "        experiment=name, N=400, output_dir=sys.argv[1] + name))\n"
              "    print(name, table.rows.shape[0], sys.modules['sympy'] is None)\n")
-    names = ["circle", "circle_operator", "torus_operator"]
+    names = ["circle_grid_operator", "circle_operator", "torus_operator"]
     out = subprocess.run([sys.executable, "-c", probe, f"{tmp_path}/", *names],
                          env=env, check=True, capture_output=True, text=True)
     assert out.stdout.splitlines() == [f"{name} 3 True" for name in names]
@@ -176,11 +195,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "pipeline error" in capsys.readouterr().err
     # settings the chosen run cannot honour are usage errors, raised before
     # any output is written
-    for command, sets in [("operator-check", ["experiment=ou1d_nice"]),
+    for command, sets in [("operator-check", ["experiment=circle_operator"]),
                           ("experiment", ["experiment=ou1d_nice",
                                           "formulation=bogus"]),
-                          ("operator-check", ["experiment=circle_operator",
-                                              "formulation=left"]),
+                          ("experiment", ["experiment=circle_grid_operator",
+                                          "eps=sweep"]),
+                          ("experiment", ["experiment=circle_operator",
+                                          "formulation=left"]),
                           ("experiment", ["experiment=ou1d_nice", "eps=0.01",
                                           "eigenfunctions=3"]),
                           ("experiment", ["experiment=ou1d_nice", "eps=0.01",
@@ -230,21 +251,17 @@ def test_single_matrix_commands_take_one_eps(tmp_path, capsys):
 
 
 def test_operator_runs_reject_eps_sweep(tmp_path):
-    for name, run in [("circle_operator", harness.run_experiment),
-                      ("torus_operator", harness.operator_check),
-                      ("circle", harness.operator_check)]:
+    for name in ("circle_operator", "torus_operator", "circle_grid_operator"):
         config = harness.ExperimentConfig(experiment=name, N=400, eps="sweep",
                                           output_dir=str(tmp_path / name))
         with pytest.raises(ValueError, match="sweep"):
-            run(config)
+            harness.run_experiment(config)
     assert not any(tmp_path.iterdir())
 
 
 def test_outlier_study_scales_its_grid_and_rejects_bandwidth_settings(tmp_path):
     def run(tag, **kwargs):
-        return harness.run_experiment(harness.ExperimentConfig(
-            experiment="outlier_study", N=100, output_dir=str(tmp_path / tag),
-            **kwargs))
+        return _outlier(tmp_path, tag, **kwargs)
 
     for kwargs in ({"eps": "sweep"}, {"preset": "laplacian-vb"},
                    {"alpha": 0.5}, {"beta": 0.0}):
@@ -338,19 +355,13 @@ def test_every_experiment_end_to_end(tmp_path, name):
         assert table.rows.shape == (1, 4)
         assert table.metadata["sizes"] == [100]
         assert {p.name for p in tmp_path.iterdir()} == {"results.csv", "meta.txt"}
+        meta = dict(line.split(" = ", 1)
+                    for line in (tmp_path / "meta.txt").read_text().splitlines())
+        assert _META_KEYS <= set(meta)
         return
     operator = harness.EXPERIMENTS[name].reference is not None
     _check_sweep_outputs(tmp_path, table, "operator" if operator else "eigvecs")
     assert ("eps_star" in table.metadata) != operator
-
-
-@pytest.mark.parametrize("name", ["circle", "circle_operator", "torus_operator"])
-def test_operator_check_end_to_end(tmp_path, name):
-    config = harness.ExperimentConfig(experiment=name, output_dir=str(tmp_path),
-                                      **_TINY.get(name, {"N": 300}))
-    table = harness.operator_check(config)
-    assert table.rows.shape[0] == 3
-    _check_sweep_outputs(tmp_path, table, "operator")
 
 
 @pytest.mark.parametrize("latent_dim", [1, 2])
@@ -372,8 +383,9 @@ def test_operator_csv_matches_savetxt_bytes(tmp_path, latent_dim):
 
 def test_circle_operator_check_honours_alpha_and_k_support(tmp_path):
     def run(tag, **kwargs):
-        return harness.operator_check(harness.ExperimentConfig(
-            experiment="circle", N=400, output_dir=str(tmp_path / tag), **kwargs))
+        return harness.run_experiment(harness.ExperimentConfig(
+            experiment="circle_grid_operator", N=400,
+            output_dir=str(tmp_path / tag), **kwargs))
 
     base = run("base")
     assert (base.metadata["alpha"], base.metadata["k_support"]) == (0.0, None)

@@ -25,7 +25,6 @@ def test_dense_path_recovers_planted_spectrum():
     for i in range(4):
         corr = abs(spec.eigenvectors[:, i] @ q[:, i])
         assert corr == pytest.approx(1.0, abs=1e-10)
-    assert not spec.scaled
 
 
 def _assert_matches_eigh(spec, gm):
@@ -254,7 +253,6 @@ def test_scale_sqrtN_norms_and_sign():
     vecs = np.array([[-3.0, 1.0], [1.0, 2.0], [0.5, -0.5]])
     spec = spectral.Spectrum(eigenvalues=np.array([0.0, -1.0]), eigenvectors=vecs)
     scaled = spectral.scale_sqrtN(spec)
-    assert scaled.scaled
     norms = np.linalg.norm(scaled.eigenvectors, axis=0)
     assert np.allclose(norms, np.sqrt(3.0), atol=1e-10)
     # first column led by -3: flipped; second led by +2: kept
