@@ -364,6 +364,19 @@ def test_every_experiment_end_to_end(tmp_path, name):
     assert ("eps_star" in table.metadata) != operator
 
 
+@pytest.mark.parametrize("name", ["circle_grid_operator", "circle_operator",
+                                  "torus_operator"])
+def test_operator_check_end_to_end(tmp_path, name):
+    assert harness.EXPERIMENTS[name].reference is not None
+    config = harness.ExperimentConfig(experiment=name, output_dir=str(tmp_path),
+                                      **_TINY.get(name, {"N": 300}))
+    table = harness.run_experiment(config)
+    # the default operator grid has three epsilons, and none fails here
+    assert table.rows.shape[0] == 3
+    assert "errors" not in table.metadata
+    _check_sweep_outputs(tmp_path, table, "operator")
+
+
 @pytest.mark.parametrize("latent_dim", [1, 2])
 def test_operator_csv_matches_savetxt_bytes(tmp_path, latent_dim):
     rng = np.random.default_rng(2)
