@@ -166,6 +166,10 @@ def _cmd_experiment(config):
         print(f"eps={eps:.6g} mse={err:.6g} eig_err={eig_err:.6g} ({wall:.2f}s)")
     for eps, message in table.metadata.get("errors", {}).items():
         print(f"eps={eps:.6g} failed: {message}")
+    # outlier_study records its failures per size
+    for n, size in table.metadata.get("per_size", {}).items():
+        for eps, message in size.get("errors", {}).items():
+            print(f"N={n} eps={eps:.6g} failed: {message}")
     print(f"wrote {Path(config.output_dir) / 'results.csv'}")
     return 0
 

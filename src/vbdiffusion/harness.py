@@ -28,6 +28,9 @@ from .errors import PipelineError
 # or with k_support, they are truncated to the symmetrized kNN support
 _ALL_PAIRS_MAX = 4000
 
+# rows per block of an operator CSV's formatted text
+_CSV_BLOCK = 4096
+
 DEFAULT_SWEEP = tuple(np.logspace(-5.0, 0.0, 65))
 
 # alpha may depend on the intrinsic dimension, so presets store (fn(d), beta)
@@ -480,12 +483,13 @@ def _write_outputs(table, out):
 def _write_operator_csv(path, cloud, f, est, ref):
     names = ["theta", "phi"][: cloud.latent.shape[1]]
     data = np.column_stack([cloud.latent, f, est, ref])
-    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted in one
-    # pass rather than one call per row
+    # the bytes of np.savetxt(fmt="%.17g", delimiter=","), formatted a block
+    # of rows at a time rather than one call per row or the whole table
     row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(names + ["f", "estimate", "reference"]) + "\n")
-        fh.write((row * data.shape[0]) % tuple(data.ravel().tolist()))
+        for start, stop in neighbors._blocks(data.shape[0], _CSV_BLOCK):
+            fh.write((row * (stop - start)) % tuple(data[start:stop].ravel().tolist()))
 
 
 def _hermite_targets(count):

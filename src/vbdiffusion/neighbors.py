@@ -6,14 +6,14 @@ reproducible even in the presence of exact ties. Every query goes to one
 kd-tree (``scipy.spatial.cKDTree``), exact in any dimension, a block of
 rows at a time. A support, ``symmetrized_support(cloud, k)``, is symmetric
 and stored once, as its strict upper triangle with the diagonal implicit;
-it streams the query blocks and holds no n*k distances, and its pair
-distances and scaled pairs run over blocks of rows.
+it streams the query blocks and holds each pair once from the moment its
+block arrives, never n*k distances, and its pair distances and scaled pairs
+run over blocks of rows.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
@@ -22,8 +22,11 @@ from .errors import KTooLarge
 # rows per block of the kNN queries, and of the support behind the pair
 # distances and of the matrix-free kernel products (support or all pairs);
 # support blocks are small because their pass is memory-bound and runs
-# faster in cache
+# faster in cache. A query block holds at most _QUERY_ENTRIES neighbors,
+# as glibc may keep a freed block's arrays resident (at k = 500, 4096-row
+# blocks left up to 26 MB more); large-k queries run as fast in fewer rows
 _QUERY_BLOCK = 4096
+_QUERY_ENTRIES = 1 << 19
 _SUPPORT_BLOCK = 256
 
 
@@ -47,14 +50,16 @@ def _blocks(n, size):
     return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-def _query_blocks(cloud, k):
+def _query_blocks(cloud, k, size=None):
     """(start, stop, dist, idx, is_self) of each block of rows' exact k
-    nearest neighbors from one kd-tree; every row lists its own point."""
+    nearest neighbors from one kd-tree; every row lists its own point.
+    Blocks are query blocks, or ``size`` rows of one."""
     pts = cloud.points
     if k > pts.shape[0]:
         raise KTooLarge(k, pts.shape[0])
     tree = cKDTree(pts)
-    for start, stop in _blocks(pts.shape[0], _QUERY_BLOCK):
+    block = min(_QUERY_BLOCK, max(1, _QUERY_ENTRIES // k))
+    for start, stop in _blocks(pts.shape[0], block):
         dist, idx = tree.query(pts[start:stop], k=k, workers=-1)
         dist, idx = dist.reshape(-1, k), idx.reshape(-1, k)
         rows = np.arange(start, stop)
@@ -66,7 +71,8 @@ def _query_blocks(cloud, k):
         idx[missing, -1] = rows[missing]
         dist[missing, -1] = 0.0
         is_self[missing, -1] = True
-        yield start, stop, dist, idx, is_self
+        for lo, hi in _blocks(stop - start, size or block):
+            yield start + lo, start + hi, dist[lo:hi], idx[lo:hi], is_self[lo:hi]
         del dist, idx, is_self  # before the next block's query
 
 
@@ -103,37 +109,84 @@ def knn(cloud, k):
 
 def symmetrized_support(cloud, k):
     """Support pairs (i, j), i < j, where either point is among the other's k
-    nearest neighbors (as :func:`knn` finds them), without a NeighborGraph:
-    each query block's sorted int32 rows, less the point itself, are kept
-    and then split at the diagonal; the part below, transposed by a counting
-    sort, merges with the part above as canonical CSRs, and the merged
-    indices are copied out of the merge's buffer, which has room for both."""
+    nearest neighbors (as :func:`knn` finds them), without a NeighborGraph.
+
+    Row i's neighbors above it go, sorted, straight into one packed int32
+    column store as their query block arrives. A neighbor i below row j at
+    distance d adds (i, j) only if row i did not list j: (i, j) and (j, i)
+    get the same distance bit for bit, and every point closer than row i's
+    k-th distance R_i is among its k nearest, so d < R_i is stored already,
+    d > R_i is an extra pair and only d == R_i is looked up in row i's
+    columns. The few extras are inserted in place at the end.
+    """
     n = cloud.n_points
-    below = np.empty(n, dtype=np.int64)
-    chunks = []
-    for start, stop, _, idx, _ in _query_blocks(cloud, k):
-        cols = idx.astype(np.int32)
-        cols.sort(axis=1)
+    if k > n:  # before the column store is allocated
+        raise KTooLarge(k, n)
+    # row i's upper columns are cols[indptr[i]:indptr[i + 1]]; they fill a
+    # prefix of the buffer, whose untouched pages are never resident
+    cols = np.empty(n * (k - 1), dtype=np.int32)
+    # int32 row pointers where they fit, as scipy gives a CSR of this size
+    indptr = np.zeros(n + 1, dtype=np.int32 if cols.size < 2**31 else np.int64)
+    # rows not yet queried have no neighbor at or beyond their k-th distance
+    radius = np.full(n, np.inf)
+    # i * n + j of the pairs (i, j) that row j lists beyond or at R_i
+    beyond, ties = [], []
+    # each query block in blocks of support rows, so that what is derived
+    # from them stays small
+    for start, stop, dist, idx, _ in _query_blocks(cloud, k, _SUPPORT_BLOCK):
+        radius[start:stop] = dist[:, -1]
         mid = np.arange(start, stop, dtype=np.int32)[:, None]
-        below[start:stop] = np.count_nonzero(cols < mid, axis=1)
-        chunks.append((start, stop, cols[cols != mid].reshape(stop - start, k - 1)))
-        del idx, _, cols  # before the next block's query
-    upper, lower = _empty_pattern(k - 1 - below), _empty_pattern(below)
-    # the last chunk first: each is freed from the top of the heap, so the
-    # allocator can hand its memory back before the next one is split
-    while chunks:
-        start, stop, rows = chunks.pop()
-        side = np.arange(k - 1) < below[start:stop, None]
-        lower.indices[lower.indptr[start]:lower.indptr[stop]] = rows[side]
-        upper.indices[upper.indptr[start]:upper.indptr[stop]] = rows[~side]
-        del rows, side
-    lower = lower.T.tocsr()
-    merged = upper + lower
-    del upper, lower
-    indptr, cols = merged.indptr, merged.indices.copy()
-    del merged
+        row = idx.astype(np.int32)
+        row.sort(axis=1)
+        above = row > mid
+        np.cumsum(np.count_nonzero(above, axis=1), out=indptr[start + 1:stop + 1])
+        indptr[start + 1:stop + 1] += indptr[start]
+        np.compress(above.ravel(), row, out=cols[indptr[start]:indptr[stop]])
+        del row, above
+        unsure = dist >= radius[idx]
+        unsure &= idx < mid
+        at = np.flatnonzero(unsure)
+        i = idx.ravel()[at]
+        tie = dist.ravel()[at] == radius[i]
+        key = i * n + at // k + start
+        beyond.append(key[~tie])
+        ties.append(key[tie])
+        del dist, idx, _  # before the next block's query
+    # a pair at R_i is an extra only if row i did not pick it
+    tie = np.concatenate(ties)
+    i, j = np.divmod(tie, n)
+    at = _insertion(cols, indptr, i, j)
+    held = (at < indptr[i + 1]) & (cols[np.minimum(at, cols.size - 1)] == j)
+    key = np.concatenate(beyond + [tie[~held]])
+    del beyond, ties, tie, held
+    key.sort()
+    # the extras of the rows before each row: how far its columns move
+    shift = np.searchsorted(key, np.arange(n + 1) * n)
+    # in place, from the last block back: a block's columns only move up,
+    # over its own old columns and those of blocks already moved
+    for start, stop in reversed(_blocks(n, _QUERY_BLOCK)):
+        lo, hi = shift[start], shift[stop]
+        i, j = np.divmod(key[lo:hi], n)
+        at = _insertion(cols, indptr, i, j) - indptr[start]
+        cols[indptr[start] + lo:indptr[stop] + hi] = np.insert(
+            cols[indptr[start]:indptr[stop]], at, j)
+    del key, i, j, at
+    indptr += shift
+    cols.resize(indptr[-1])
     return SupportPairs(indptr=indptr, indices=cols,
                         r2=_sq_dists(cloud.points, indptr, cols))
+
+
+def _insertion(cols, indptr, i, j):
+    """Where each j would go among row i's sorted columns
+    cols[indptr[i]:indptr[i + 1]]: one binary search over all pairs at once."""
+    lo, hi = indptr[i], indptr[i + 1]
+    while np.any(lo < hi):
+        mid = lo + (hi - lo) // 2
+        right = cols[np.minimum(mid, cols.size - 1)] < j
+        lo = np.where(right & (lo < hi), mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo
 
 
 def _sq_dists(pts, indptr, indices):
@@ -149,16 +202,6 @@ def _sq_dists(pts, indptr, indices):
         diff -= pts[indices[lo:hi]]
         r2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
     return r2
-
-
-def _empty_pattern(counts):
-    """Boolean n-by-n CSR with counts[i] entries in row i, indices unset."""
-    n = counts.shape[0]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return sparse.csr_matrix((np.ones(indptr[-1], dtype=bool),
-                              np.empty(indptr[-1], dtype=np.int32), indptr),
-                             shape=(n, n))
 
 
 @dataclass(frozen=True)

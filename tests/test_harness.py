@@ -141,6 +141,18 @@ def test_outlier_study_records_failed_epsilons(tmp_path):
         assert "{1e-12: 'DisconnectedGraph: " in meta
 
 
+def test_cli_prints_outlier_failures_per_size(tmp_path, capsys):
+    code = cli.main(["experiment", "--set", "experiment=outlier_study",
+                     "--set", "N=100", "--set", "eps=1e-12,1e-3",
+                     "--set", f"output_dir={tmp_path}"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if "failed" in line]
+    assert len(failed) == 1
+    assert failed[0].startswith("N=100 eps=1e-12 failed: DisconnectedGraph: ")
+    assert sum(line.startswith("eps=0.001 mse=") for line in lines) == 1
+
+
 def test_operator_checks_run_with_sympy_blocked(tmp_path):
     # a None entry in sys.modules makes every import of sympy fail, so a
     # fresh interpreter shows that no operator check needs it
@@ -380,18 +392,19 @@ def test_operator_check_end_to_end(tmp_path, name):
 @pytest.mark.parametrize("latent_dim", [1, 2])
 def test_operator_csv_matches_savetxt_bytes(tmp_path, latent_dim):
     rng = np.random.default_rng(2)
-    n = 50
-    cloud = pointcloud.PointCloud(points=rng.standard_normal((n, 3)),
-                                  latent=rng.uniform(0.0, 6.3, (n, latent_dim)),
-                                  label="grid")
-    f, est, ref = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
-    est[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    harness._write_operator_csv(got, cloud, f, est, ref)
-    names = ["theta", "phi"][:latent_dim] + ["f", "estimate", "reference"]
-    np.savetxt(want, np.column_stack([cloud.latent, f, est, ref]), fmt="%.17g",
-               delimiter=",", header=",".join(names), comments="")
-    assert got.read_bytes() == want.read_bytes()
+    # within one block of rows, and across two block seams into a short block
+    for n in (50, 2 * harness._CSV_BLOCK + 3):
+        cloud = pointcloud.PointCloud(points=rng.standard_normal((n, 3)),
+                                      latent=rng.uniform(0.0, 6.3, (n, latent_dim)),
+                                      label="grid")
+        f, est, ref = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
+        est[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        got, want = tmp_path / f"got{n}.csv", tmp_path / f"want{n}.csv"
+        harness._write_operator_csv(got, cloud, f, est, ref)
+        names = ["theta", "phi"][:latent_dim] + ["f", "estimate", "reference"]
+        np.savetxt(want, np.column_stack([cloud.latent, f, est, ref]), fmt="%.17g",
+                   delimiter=",", header=",".join(names), comments="")
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_circle_operator_check_honours_alpha_and_k_support(tmp_path):

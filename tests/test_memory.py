@@ -3,15 +3,22 @@
 numpy reports its array allocations to ``tracemalloc``, so the traced peak
 of a call counts every temporary it holds at once. Each bound is the output
 plus what one block may hold, plus 1 MiB for small arrays and Python
-objects; a whole-support temporary does not fit in it.
+objects; a whole-support temporary does not fit in it. Allocated bytes are
+not resident pages, so the support builder's resident peak is also bounded,
+in a fresh interpreter.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+import vbdiffusion
 from vbdiffusion import kernel, neighbors, pointcloud, spectral
 
 from oracles import mirrored_spectrum, planted_generator
@@ -42,6 +49,11 @@ def pairs(cloud):
     return neighbors.symmetrized_support(cloud, _K)
 
 
+def _query_rows(n, k):
+    """Rows per kd-tree query block."""
+    return min(neighbors._QUERY_BLOCK, neighbors._QUERY_ENTRIES // k, n)
+
+
 def _largest_block(pairs):
     blocks = neighbors._blocks(pairs.n, neighbors._SUPPORT_BLOCK)
     return max(int(pairs.indptr[stop] - pairs.indptr[start]) for start, stop in blocks)
@@ -54,13 +66,25 @@ def _pairs_bytes(pairs):
 def test_knn_holds_one_query_block(cloud):
     graph, peak = _traced_peak(lambda: neighbors.knn(cloud, _K))
     out = graph.indices.nbytes + graph.distances.nbytes
-    rows = min(neighbors._QUERY_BLOCK, _N)
+    rows = _query_rows(_N, _K)
     # per block: the query's distances and indices, the sort key, and the
     # boolean masks and scratch, worth less than one more 8-byte array; the
     # kd-tree keeps a copy of the points and an index per point
     block = 4 * rows * _K * 8
     tree = _N * (cloud.points.shape[1] + 1) * 8
     assert peak <= out + block + tree + _SLACK, (peak, out)
+
+
+def _keys_and_extras(cloud, k, got):
+    """The bytes of the int64 keys that the support builder keeps, one per
+    pair (i, j), i < j, that row j lists at or beyond row i's k-th distance
+    R_i, and per row i the number of its extras: those pairs that row i does
+    not list, inserted into its columns."""
+    graph = neighbors.knn(cloud, k)
+    rows = np.arange(cloud.n_points)[:, None]
+    far = graph.distances >= graph.distances[graph.indices, -1]
+    keys = np.count_nonzero((graph.indices < rows) & far) * 8
+    return keys, np.diff(got.indptr) - np.count_nonzero(graph.indices > rows, axis=1)
 
 
 def test_support_builder_holds_no_neighbor_graph(cloud):
@@ -73,33 +97,87 @@ def test_support_builder_holds_no_neighbor_graph(cloud):
     finally:
         tracemalloc.stop()
     output = _pairs_bytes(got)
-    # every row lists k - 1 points other than itself, each above or below it
+    # every row lists k - 1 points other than itself: the column store has
+    # room for all of them, though only the upper ones are written; beside it
+    # the row pointers and each row's k-th distance R_i
     listed = _N * (_K - 1)
-    # the streamed chunks: an int32 column per listed point and a count per
-    # row; one query block: the distances and indices, the self mask, the
-    # sorted int32 rows and a mask, less than 24 bytes per entry; the
+    store = listed * 4 + (_N + 1) * 8 + _N * 8
+    keys, extras = _keys_and_extras(cloud, _K, got)
+    # one query block: the distances, indices and self mask, 17 bytes per
+    # entry; per block of support rows, a sorted int32 copy and a mask, or
+    # the gathered R_i and two masks, at most 10 bytes per entry; the
     # kd-tree's copy of the points and an index per point
-    chunks = listed * 4 + _N * 8
-    rows = min(neighbors._QUERY_BLOCK, _N)
+    rows = _query_rows(_N, _K)
     tree = _N * (cloud.points.shape[1] + 1) * 8
-    stream = chunks + rows * _K * 24 + tree
-    # the split: the two parts' int32 columns and a bool per listed point,
-    # and their row pointers
-    split = listed * (4 + 1) + 2 * (_N + 1) * 8
+    stream = store + keys + rows * _K * 17 + neighbors._SUPPORT_BLOCK * _K * 10 + tree
+    # the keys twice while they are joined; then in place, each row's shift
+    # and per query block of rows its columns with their extras inserted and
+    # np.insert's mask, 5 bytes per entry, and the decoded pairs, binary
+    # search and insert positions, under 128 bytes per extra
+    blocks = neighbors._blocks(_N, neighbors._QUERY_BLOCK)
+    merge = store + 2 * keys + (_N + 1) * 8 + max(
+        int(got.indptr[stop] - got.indptr[start]) * 5
+        + int(extras[start:stop].sum()) * 128 for start, stop in blocks)
     d = cloud.points.shape[1]
     pair = _largest_block(got) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
-    # one phase after another: the streamed chunks with one query block; the
-    # chunks and the split they are copied into, a chunk freed as it is
-    # copied; the upper part, the transposed lower part and the merge's
-    # buffer, which has room for both (the split twice); that buffer and the
-    # copy of its merged columns; the output and one block of pair distances
-    bound = max(stream, chunks + split, 2 * split, output + pair)
+    # one phase after another: the store with one query block; the store and
+    # one block of the merge; the output and one block of pair distances
+    bound = max(stream, merge, output + pair)
     assert peak <= bound + _SLACK, (peak, bound)
     # the n x k distances of a whole neighbor graph, filled in alongside the
-    # streamed chunks, do not fit
-    assert chunks + _N * _K * 8 > bound + _SLACK
-    # the output owns right-sized arrays: nothing of the buffer is kept
+    # column store, do not fit
+    assert listed * 4 + _N * _K * 8 > bound + _SLACK
+    # the output owns right-sized arrays: nothing of the column store is kept
     assert kept <= output + _SLACK, (kept, output)
+
+
+_STATUS = Path("/proc/self/status")
+
+
+@pytest.mark.skipif(not _STATUS.exists(), reason="no /proc/self/status")
+def test_support_builder_resident_peak():
+    # a grid ties many pairs at the k-th distance; the high-water mark of
+    # resident pages counts what the allocator keeps of freed blocks, which
+    # tracemalloc does not see. A small build first starts the kd-tree's
+    # query threads, whose allocator arenas stay
+    n_side, k = 150, 300
+    probe = ("import sys\n"
+             "from vbdiffusion import neighbors, pointcloud\n"
+             "def status(key):\n"
+             "    for line in open('/proc/self/status'):\n"
+             "        if line.startswith(key + ':'):\n"
+             "            return int(line.split()[1]) * 1024\n"
+             "neighbors.symmetrized_support(pointcloud.gen_torus_grid(10), 8)\n"
+             "cloud = pointcloud.gen_torus_grid(int(sys.argv[1]))\n"
+             "before = status('VmRSS')\n"
+             "neighbors.symmetrized_support(cloud, int(sys.argv[2]))\n"
+             "print(status('VmHWM') - before)\n")
+    src = str(Path(vbdiffusion.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe, str(n_side), str(k)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True)
+    growth = int(out.stdout)
+    cloud = pointcloud.gen_torus_grid(n_side)
+    got = neighbors.symmetrized_support(cloud, k)
+    n, d = cloud.n_points, cloud.points.shape[1]
+    # the phases of test_support_builder_holds_no_neighbor_graph, but only
+    # the written part of the column store is resident, fewer columns than
+    # the output's: so while the query blocks stream, the columns, row
+    # pointers, k-th distances and keys, one query block (17 bytes per
+    # entry), one block of support rows (10) and the kd-tree; the merge
+    # holds less
+    keys, _ = _keys_and_extras(cloud, k, got)
+    rows = _query_rows(n, k)
+    stream = (got.indices.nbytes + n * 16 + keys + rows * k * 17
+              + neighbors._SUPPORT_BLOCK * k * 10 + n * (d + 1) * 8)
+    pair = _largest_block(got) * (2 * d + 1) * 8
+    # glibc raises its mmap threshold to the largest array freed, a query
+    # block's distances, so later blocks of at most that size come from the
+    # heap, which keeps up to twice the threshold free and resident; and
+    # 1 MiB for interpreter pages
+    kept = 2 * rows * k * 8 + _SLACK
+    bound = max(stream, _pairs_bytes(got) + pair) + kept
+    assert growth <= bound, (growth, bound)
 
 
 def test_support_pairs_hold_one_row_block(cloud, pairs):

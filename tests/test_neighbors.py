@@ -200,3 +200,27 @@ def test_support_pairs_follow_csr_order():
     _assert_strict_upper(pairs)
     np.testing.assert_array_equal(
         pairs.r2, pair_sq_dists(pts, support_rows(pairs), pairs.indices))
+
+
+@pytest.mark.parametrize("cloud, k", [
+    (pointcloud.gen_torus_grid(50), 60),
+    (pointcloud.PointCloud(_tied_lattice()), 13),
+], ids=["torus_grid", "lattice"])
+def test_support_decides_pairs_at_the_kth_distance(cloud, k):
+    # a pair whose distance equals row i's k-th distance R_i may or may not
+    # be among row i's picks: the distance alone cannot tell
+    g = neighbors.knn(cloud, k)
+    radius = g.distances[:, -1]
+    lists = [set(row.tolist()) for row in g.indices]
+    both = one = 0
+    for j, (row, dist) in enumerate(zip(g.indices, g.distances)):
+        at_radius = (row < j) & (dist == radius[row])
+        both += sum(j in lists[i] for i in row[at_radius])
+        one += sum(j not in lists[i] for i in row[at_radius])
+    # so both outcomes must occur on these grids to pin the support
+    assert both > 0 and one > 0, (both, one)
+    pairs = neighbors.symmetrized_support(cloud, k)
+    _assert_strict_upper(pairs)
+    expected = {(i, j) for i, row in enumerate(knn_union(g.indices))
+                for j in row if j > i}
+    assert set(zip(support_rows(pairs).tolist(), pairs.indices.tolist())) == expected
