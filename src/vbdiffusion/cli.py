@@ -3,15 +3,17 @@
 Subcommands mirror the pipeline stages: generate, density, build, eigs,
 tune; experiment runs any registered experiment end to end, the operator
 checks and the outlier study included. Configuration comes from an optional
-``key = value`` text file (--config) overridden by repeated --set flags.
-Exit codes: 0 success, 1 usage error, 2 structured pipeline error.
+``key = value`` text file (--config) overridden by repeated --set flags; the
+keys and types are ``harness.ExperimentConfig``'s fields, and the stage
+commands record it resolved in ``meta.txt``. Exit codes: 0 success, 1 usage
+error, 2 structured pipeline error.
 """
 
 import argparse
+import dataclasses
 import sys
+import typing
 from pathlib import Path
-
-import numpy as np
 
 from . import density, harness, kernel, pointcloud, spectral, tuning
 from .errors import PipelineError
@@ -35,49 +37,35 @@ def _parse_eps(raw):
     return values[0] if len(values) == 1 else sorted(values)
 
 
-_COERCE = {
-    "experiment": str,
-    "N": int,
-    "alpha": float,
-    "beta": float,
-    "preset": str,
-    "eps": _parse_eps,
-    "eps_multiplier": float,
-    "k_support": int,
-    "k0": int,
-    "seed": int,
-    "eigenfunctions": int,
-    "formulation": str,
-    "output_dir": str,
-}
+def _coerce(field, raw):
+    """``raw`` as the type of one config field (``int`` for ``int | None``)."""
+    if field.name == "eps":
+        return _parse_eps(raw)
+    (kind,) = set(typing.get_args(field.type) or (field.type,)) - {type(None)}
+    return kind(raw)
 
 
 def load_config(config_path=None, sets=()):
     """Build an ExperimentConfig from a key-value file plus overrides."""
-    raw = {}
+    entries = []
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
             raise _UsageError(f"config file not found: {path}")
-        for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise _UsageError(f"{path}:{line_no}: expected 'key = value'")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            raw[key] = value
-    for item in sets:
-        if "=" not in item:
-            raise _UsageError(f"--set needs key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        raw[key] = value
+        lines = [line.split("#", 1)[0] for line in path.read_text().splitlines()]
+        entries = [(f"{path}:{n}", line) for n, line in enumerate(lines, 1)
+                   if line.strip()]
+    entries += [("--set", item) for item in sets]
+    fields = {f.name: f for f in dataclasses.fields(harness.ExperimentConfig)}
     kwargs = {}
-    for key, value in raw.items():
-        if key not in _COERCE:
+    for where, entry in entries:
+        key, eq, value = (part.strip() for part in entry.partition("="))
+        if not eq:
+            raise _UsageError(f"{where}: expected 'key = value', got {entry!r}")
+        if key not in fields:
             raise _UsageError(f"unknown config key {key!r}")
         try:
-            kwargs[key] = _COERCE[key](value)
+            kwargs[key] = _coerce(fields[key], value)
         except ValueError as exc:
             raise _UsageError(f"bad value for {key!r}: {exc}") from exc
     if "experiment" not in kwargs:
@@ -92,14 +80,16 @@ def load_config(config_path=None, sets=()):
 
 def _generator(config):
     """Shared setup plus the generator at the run's single epsilon."""
-    # one matrix takes one epsilon; a list or 'sweep' would be cut silently
-    if config.eps == "sweep" or np.size(config.eps) > 1:
-        raise _UsageError("build and eigs take one eps value or 'auto'")
-    config, cloud, alpha, beta, profile, support = harness.setup(config)
+    config, _ = harness.resolve(config)
+    # one matrix takes one epsilon; a list or a grid would be cut silently
+    if not isinstance(config.eps, str) and len(config.eps) > 1:
+        raise _UsageError("build and eigs take one eps value, or 'auto' on "
+                          "an eigen run")
+    config, cloud, profile, support = harness.setup(config)
     (eps,), _ = harness.epsilons(config, cloud, profile.rho, support)
-    gm = kernel.build_generator(cloud, profile.rho, eps, alpha,
+    gm = kernel.build_generator(cloud, profile.rho, eps, config.alpha,
                                 d=cloud.intrinsic_dim, support=support)
-    return config, cloud, {"alpha": alpha, "beta": beta, "eps_used": eps}, gm
+    return config, cloud, eps, gm
 
 
 def _cmd_generate(config):
@@ -107,52 +97,53 @@ def _cmd_generate(config):
     out = harness.ensure_dir(config.output_dir)
     cloud = harness.generate_cloud(config)
     pointcloud.save_csv(cloud, out / "cloud.csv")
-    harness.write_meta(out / "meta.txt", vars(config),
-                       {"n_points": cloud.n_points})
+    harness.write_meta(out / "meta.txt",
+                       vars(config) | {"n_points": cloud.n_points})
     print(f"wrote {out / 'cloud.csv'} ({cloud.n_points} points)")
     return 0
 
 
 def _cmd_density(config):
-    config, cloud, alpha, beta, profile, support = harness.setup(config)
+    config, cloud, profile, support = harness.setup(config)
     out = harness.ensure_dir(config.output_dir)
     density.save_csv(profile, out / "bandwidth.csv")
-    harness.write_meta(out / "meta.txt", vars(config), {
-        "alpha": alpha, "beta": beta, "eps0": profile.eps0})
+    harness.write_meta(out / "meta.txt", vars(config) | {"eps0": profile.eps0})
     print(f"wrote {out / 'bandwidth.csv'} (eps0={profile.eps0:.6g})")
     return 0
 
 
 def _cmd_build(config):
-    config, cloud, used, gm = _generator(config)
+    config, cloud, eps, gm = _generator(config)
     out = harness.ensure_dir(config.output_dir)
     kernel.save_sparse_csv(gm.Lhat, out / "lhat.csv")
-    harness.write_meta(out / "meta.txt", vars(config), used)
-    print(f"wrote {out / 'lhat.csv'} (eps={used['eps_used']:.6g})")
+    harness.write_meta(out / "meta.txt", vars(config) | {"eps_used": eps})
+    print(f"wrote {out / 'lhat.csv'} (eps={eps:.6g})")
     return 0
 
 
 def _cmd_eigs(config):
-    config, cloud, used, gm = _generator(config)
+    if harness.EXPERIMENTS[config.experiment].targets is None:
+        raise _UsageError(f"eigs takes an eigen run, not {config.experiment}")
+    config, cloud, eps, gm = _generator(config)
     out = harness.ensure_dir(config.output_dir)
     spec = spectral.scale_sqrtN(
         spectral.eigs_near_zero(gm, config.eigenfunctions))
-    path = harness.eigvecs_path(out, used["eps_used"])
+    path = harness.eigvecs_path(out, eps)
     spectral.save_csv(spec, path, latent=cloud.latent)
-    harness.write_meta(out / "meta.txt", vars(config), used,
-                       {"eigenvalues": list(spec.eigenvalues),
-                        "eigensolver": {used["eps_used"]: spec.solver}})
+    harness.write_meta(out / "meta.txt", vars(config) | {
+        "eps_used": eps, "eigenvalues": list(spec.eigenvalues),
+        "eigensolver": {eps: spec.solver}})
     print(f"wrote {path}")
     print("eigenvalues:", " ".join("%.6g" % v for v in spec.eigenvalues))
     return 0
 
 
 def _cmd_tune(config):
-    config, cloud, alpha, beta, profile, support = harness.setup(config)
+    config, cloud, profile, support = harness.setup(config)
     out = harness.ensure_dir(config.output_dir)
     curve = tuning.s_curve(cloud, profile.rho, support=support)
     tuning.save_csv(curve, out / "tuning.csv")
-    harness.write_meta(out / "meta.txt", vars(config), {
+    harness.write_meta(out / "meta.txt", vars(config) | {
         "eps_star": curve.eps_star, "a_max": curve.a_max, "d_hat": curve.d_hat})
     print(f"wrote {out / 'tuning.csv'}")
     print(f"eps_star={curve.eps_star:.6g} a_max={curve.a_max:.4f} "

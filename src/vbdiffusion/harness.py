@@ -4,13 +4,15 @@
 dataset, and either analytic target eigenfunctions with a scoring rule, a
 reference operator with the figure's epsilon values, or neither
 (``outlier_study``). Every run goes through :func:`run_experiment`, which
-resolves the config and hands it to one runner per kind; each runner
-scores its epsilons through one row loop, which records failures instead
-of rows. Eigen runs and the CLI stage commands start from :func:`setup`,
-which shares one set of support pairs and one bandwidth profile across
-epsilon; operator runs apply the generator to ``analytic.CHECK_F`` with a
-bandwidth from ``analytic.CHECK_G``, skip the KDE and compare against the
-closed-form ``analytic.reference_operator``.
+resolves the config (:func:`resolve`, then :func:`_alpha_beta` once the
+cloud exists) into the one object every stage reads and ``meta.txt``
+records, and hands it to one runner per kind; each runner scores its
+epsilons through one row loop, which records failures instead of rows. Eigen
+runs and the CLI stage commands start from :func:`setup`, which shares one
+set of support pairs and one bandwidth profile across epsilon; operator runs
+apply the generator to ``analytic.CHECK_F`` with a bandwidth from
+``analytic.CHECK_G``, skip the KDE and compare against the closed-form
+``analytic.reference_operator``.
 """
 
 import time
@@ -107,17 +109,15 @@ class ExperimentConfig:
             raise ConfigError("k0 must be at least 2")
         if self.eps_multiplier <= 0.0:
             raise ConfigError("eps_multiplier must be positive")
-        eps = self.eps
-        if isinstance(eps, str):
-            if eps not in ("auto", "sweep"):
+        if isinstance(self.eps, str):
+            if self.eps not in ("auto", "sweep"):
                 raise ConfigError("eps must be a number, a list, 'auto' "
                                   "or 'sweep'")
-        elif np.iterable(eps):
-            arr = np.asarray(list(eps), dtype=float)
-            if arr.size == 0 or np.any(arr <= 0.0) or np.any(np.diff(arr) <= 0.0):
-                raise ConfigError("eps sweep must be strictly increasing and positive")
-        elif not float(eps) > 0.0:
-            raise ConfigError("eps must be positive")
+            return self
+        eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
+        if not (eps.size and np.all(eps > 0.0) and np.all(np.diff(eps) > 0.0)):
+            raise ConfigError("eps must be positive, and a list strictly "
+                              "increasing")
         return self
 
 
@@ -130,70 +130,88 @@ class ResultTable:
 
 
 def resolve(config):
-    """Validated config with its spec's defaults filled in, and the spec."""
+    """Validated config with every setting that needs no data set, and the spec.
+
+    'sweep' becomes the grid, an operator check's 'auto' its figure's values
+    and ``k_support`` the width stored (None: all pairs). Idempotent.
+    """
     config.validate()
     spec = EXPERIMENTS[config.experiment]
-    if spec.reference is not None and config.eps == "sweep":
+    operator, eigen = spec.reference is not None, spec.targets is not None
+    keyword = config.eps if isinstance(config.eps, str) else None
+    if operator and keyword == "sweep":
         raise ConfigError("operator checks take eps = auto (the figure's "
                           "values) or a list, not 'sweep'")
-    if spec.reference is None and config.formulation != "symmetric":
-        raise ConfigError("eigen runs build the symmetric generator; "
-                          "formulation applies to operator checks")
-    if spec.targets is None and config.eigenfunctions is not None:
+    alpha = spec.alpha_beta[0] if config.alpha is None else config.alpha
+    if config.formulation != "symmetric" and (
+            not operator or config.preset is not None or alpha != 0.0):
+        raise ConfigError("eigen runs build the symmetric generator; left and "
+                          "right have no alpha step and take operator checks "
+                          "at alpha 0 with no preset")
+    if not eigen and config.eigenfunctions is not None:
         raise ConfigError("eigenfunctions sets the analytic targets of an "
                           f"eigen run; {config.experiment} takes none")
-    updates = {}
-    if config.N is None:
-        updates["N"] = spec.N
-    if config.eigenfunctions is None:
-        updates["eigenfunctions"] = spec.eigenfunctions
-    if not isinstance(config.eps, str):  # 'auto' and 'sweep' resolve later
-        updates["eps"] = tuple(float(e) for e in np.atleast_1d(config.eps))
-    config = replace(config, **updates) if updates else config
+    if not (operator or eigen) and (
+            keyword == "sweep" or config.preset is not None
+            or config.alpha is not None or config.beta is not None):
+        raise ConfigError("outlier_study is fixed-bandwidth with alpha "
+                          "1/2 and its own epsilon grid: it takes no "
+                          "preset, alpha, beta or eps = sweep")
+    eps = {"sweep": DEFAULT_SWEEP, "auto": spec.eps if operator else "auto",
+           None: config.eps}[keyword]
+    if not isinstance(eps, str):  # eigen 'auto' is tuned on the data
+        eps = tuple(float(e) for e in np.atleast_1d(eps))
+    N = spec.N if config.N is None else config.N
+    k = config.k_support
+    if operator:
+        k = spec.k_support if k is None else k
+    elif eigen:
+        k = _storage_k(N, k, config.k0)
     count = config.eigenfunctions
-    if spec.targets is not None and count <= spec.primary:
+    if eigen and count is None:  # the others take none
+        count = spec.eigenfunctions
+    config = replace(config, N=N, eps=eps, k_support=k, eigenfunctions=count)
+    if eigen and count <= spec.primary:
         raise ConfigError(f"{config.experiment} scores eigenfunction "
                           f"{spec.primary} (from 0): take more than that")
-    if spec.targets is not None and len(spec.targets(count)) < count:
+    if eigen and len(spec.targets(count)) < count:
         raise ConfigError(f"{config.experiment} has fewer than {count} "
                           "analytic eigenfunctions")
     return config, spec
 
 
-def _alpha_beta(config, spec, d):
-    """(alpha, beta): the preset, else the config over the spec's defaults."""
+def _storage_k(n, k_support, k0):
+    """Support width (None: all pairs) of an eigen run's KDE, curve and kernel."""
+    if k_support is None and n <= _ALL_PAIRS_MAX:
+        return None
+    return max(128 if k_support is None else k_support, k0)
+
+
+def _alpha_beta(config, d):
+    """Config with alpha and beta set: a preset's at dimension d, else its own."""
     if config.preset is not None:
         fn, beta = PRESETS[config.preset]
-        alpha, beta = float(fn(d)), float(beta)
-    else:
-        alpha, beta = spec.alpha_beta
-        if config.alpha is not None:
-            alpha = float(config.alpha)
-        if config.beta is not None:
-            beta = float(config.beta)
-    if config.formulation != "symmetric" and alpha != 0.0:  # no alpha step
-        raise ConfigError(f"formulation {config.formulation!r} takes alpha 0, "
-                          f"not {alpha:g}")
-    return alpha, beta
+        return replace(config, alpha=float(fn(d)), beta=float(beta))
+    alpha, beta = EXPERIMENTS[config.experiment].alpha_beta
+    return replace(config,
+                   alpha=float(alpha if config.alpha is None else config.alpha),
+                   beta=float(beta if config.beta is None else config.beta))
 
 
-def generate_cloud(config, spec=None):
-    """Dataset of a resolved config; ``spec`` defaults to the experiment's."""
-    spec = spec or EXPERIMENTS[config.experiment]
-    return spec.cloud(config.N, config.seed)
+def generate_cloud(config):
+    """Dataset of a resolved config."""
+    return EXPERIMENTS[config.experiment].cloud(config.N, config.seed)
 
 
 def _support(cloud, k):
-    """Support pairs of the symmetrized k-nearest-neighbor graph (k at most N)."""
-    return neighbors.symmetrized_support(cloud, min(cloud.n_points, k))
+    """Pairs of the symmetrized kNN graph (k at most N); None for all pairs."""
+    return None if k is None else neighbors.symmetrized_support(
+        cloud, min(cloud.n_points, k))
 
 
-def _bandwidth(cloud, beta, k_support, k0):
+def _bandwidth(cloud, beta, k, k0):
     """Bandwidth profile and support pairs (None: all pairs) of one cloud."""
-    support = None
-    if k_support is not None or cloud.n_points > _ALL_PAIRS_MAX:
-        support = _support(cloud, max(128 if k_support is None else k_support,
-                                      k0))
+    support = _support(cloud, k)
     # the pilot bandwidth reads a graph of its own, k0 neighbors wide
     graph = neighbors.knn(cloud, min(cloud.n_points, k0))
     profile = density.bandwidth_profile(cloud, graph, beta, k0=k0,
@@ -204,14 +222,15 @@ def _bandwidth(cloud, beta, k_support, k0):
 def setup(config):
     """What the epsilons of an eigen run share.
 
-    Returns ``(config, cloud, alpha, beta, profile, support)``, resolved;
-    ``support`` is None on the all-pairs path.
+    Returns ``(config, cloud, profile, support)``: the config resolved with
+    alpha and beta set, and ``support`` None on the all-pairs path.
     """
-    config, spec = resolve(config)
+    config, _ = resolve(config)
     cloud = generate_cloud(config)
-    alpha, beta = _alpha_beta(config, spec, cloud.intrinsic_dim)
-    profile, support = _bandwidth(cloud, beta, config.k_support, config.k0)
-    return config, cloud, alpha, beta, profile, support
+    config = _alpha_beta(config, cloud.intrinsic_dim)
+    profile, support = _bandwidth(cloud, config.beta, config.k_support,
+                                  config.k0)
+    return config, cloud, profile, support
 
 
 def epsilons(config, cloud, rho, support, out=None):
@@ -220,8 +239,6 @@ def epsilons(config, cloud, rho, support, out=None):
     'auto' runs the tuning curve (None otherwise) and writes ``tuning.csv``
     into ``out`` when given.
     """
-    if config.eps == "sweep":
-        return [e * config.eps_multiplier for e in DEFAULT_SWEEP], None
     if not isinstance(config.eps, str):
         return [e * config.eps_multiplier for e in config.eps], None
     curve = tuning.s_curve(cloud, rho, support=support)
@@ -269,7 +286,7 @@ def run_experiment(config):
 
 
 def _eigen_experiment(config, spec):
-    config, cloud, alpha, beta, profile, support = setup(config)
+    config, cloud, profile, support = setup(config)
     out = ensure_dir(config.output_dir)
     sweep, curve = epsilons(config, cloud, profile.rho, support, out)
     targets = spec.targets(config.eigenfunctions)
@@ -277,7 +294,7 @@ def _eigen_experiment(config, spec):
     solvers = {}
 
     def one_eps(eps):
-        gm = kernel.build_generator(cloud, profile.rho, eps, alpha,
+        gm = kernel.build_generator(cloud, profile.rho, eps, config.alpha,
                                     d=cloud.intrinsic_dim, support=support)
         spectrum = spectral.scale_sqrtN(
             spectral.eigs_near_zero(gm, len(targets)))
@@ -286,43 +303,40 @@ def _eigen_experiment(config, spec):
         spectral.save_csv(spectrum, eigvecs_path(out, eps), latent=cloud.latent)
         return scores
 
-    return _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps,
+    return _sweep(config, cloud, sweep, curve, out, one_eps,
                   {"eigensolver": solvers})
 
 
 def _operator_experiment(config, spec):
-    cloud = generate_cloud(config, spec)
+    cloud = generate_cloud(config)
     d = cloud.intrinsic_dim
-    alpha, beta = _alpha_beta(config, spec, d)
+    config = _alpha_beta(config, d)
     out = ensure_dir(config.output_dir)
     theta = cloud.latent[:, 0]
     f = analytic.CHECK_F(theta)
     # drift checks fix rho = exp(g), and their left formulation sees lap f
     # alone; gradient-flow checks sample q = exp(g), rho = q^beta
     drift = spec.reference == "bandwidth_drift"
-    rho = np.exp(analytic.CHECK_G(theta)) ** (1.0 if drift else beta)
+    rho = np.exp(analytic.CHECK_G(theta)) ** (1.0 if drift else config.beta)
     ref = analytic.reference_operator(
         "laplacian" if drift and config.formulation == "left" else spec.reference,
-        cloud, c1=density.c_constants(alpha, beta, d)[0])
-    k = spec.k_support if config.k_support is None else config.k_support
-    support = None if k is None else _support(cloud, k)
-    base = spec.eps if config.eps == "auto" else config.eps
+        cloud, c1=density.c_constants(config.alpha, config.beta, d)[0])
+    support = _support(cloud, config.k_support)
 
     def one_eps(eps):
-        est = kernel.apply_generator(cloud, rho, eps, alpha, config.formulation,
-                                     f, d=d, support=support)
+        est = kernel.apply_generator(cloud, rho, eps, config.alpha,
+                                     config.formulation, f, d=d, support=support)
         _write_operator_csv(out / f"operator_{eps:.6g}.csv", cloud, f, est, ref)
         return spectral.mse(est, ref), 0.0
 
-    return _sweep(config, cloud, alpha, beta,
-                  [float(e) * config.eps_multiplier for e in base], None, out,
-                  one_eps)
+    return _sweep(config, cloud, epsilons(config, cloud, rho, support)[0], None,
+                  out, one_eps)
 
 
-def _rows(sweep, one_eps, errors):
+def _rows(sweep, one_eps):
     """Rows (eps, mse, eig_err, wall_time_s) of ``one_eps(eps) -> (mse,
-    eig_err)`` over ``sweep``; an epsilon that fails goes to ``errors``."""
-    rows = []
+    eig_err)`` over ``sweep``, and the errors of the epsilons that failed."""
+    rows, errors = [], {}
     for eps in sweep:
         t0 = time.perf_counter()
         try:
@@ -331,21 +345,17 @@ def _rows(sweep, one_eps, errors):
             errors[eps] = f"{type(exc).__name__}: {exc}"
             continue
         rows.append((eps, err, eig_err, time.perf_counter() - t0))
-    return np.array(rows, dtype=float).reshape(-1, 4)
+    return np.array(rows, dtype=float).reshape(-1, 4), errors
 
 
-def _sweep(config, cloud, alpha, beta, sweep, curve, out, one_eps, record=None):
+def _sweep(config, cloud, sweep, curve, out, one_eps, record=None):
     """Rows of ``one_eps`` over ``sweep``, written with the run's metadata.
 
     ``record`` holds further metadata entries that ``one_eps`` fills in.
     """
-    errors = {}
-    rows = _rows(sweep, one_eps, errors)
-    table = ResultTable(rows, metadata=_metadata(config, alpha, beta, sweep,
-                                                 curve, errors, cloud)
-                        | (record or {}))
-    _write_outputs(table, out)
-    return table
+    rows, errors = _rows(sweep, one_eps)
+    return _write_outputs(rows, _metadata(config, sweep, curve, errors, cloud)
+                          | (record or {}), out)
 
 
 def _outlier_study(config, spec):
@@ -359,91 +369,83 @@ def _outlier_study(config, spec):
     function on [-2, 2]. Fits log(best mse) against log(n) across the sizes
     with a row at the end.
     """
-    if (config.eps == "sweep" or config.preset is not None
-            or config.alpha is not None or config.beta is not None):
-        raise ConfigError("outlier_study is fixed-bandwidth with alpha "
-                          "1/2 and its own epsilon grid: it takes no "
-                          "preset, alpha, beta or eps = sweep")
-    alpha, beta = spec.alpha_beta
     out = ensure_dir(config.output_dir)
     sizes = [n for n in (1000, 10000, 100000) if n <= config.N] or [config.N]
     rows, fitted, removed, per_size, eps_list = [], [], [], {}, []
     for n in sizes:
         cloud = spec.cloud(n, config.seed)
-        q0 = _bandwidth(cloud, beta, None, config.k0)[0].q0
+        config = _alpha_beta(config, cloud.intrinsic_dim)
+        q0 = _bandwidth(cloud, config.beta, _storage_k(n, None, config.k0),
+                        config.k0)[0].q0
         drop = int(np.floor(np.sqrt(n)))
         keep = np.sort(np.argsort(q0, kind="stable")[drop:])
         removed.append(drop)
-        kept = pointcloud.PointCloud(cloud.points[keep], latent=cloud.latent[keep],
-                                     intrinsic_dim=cloud.intrinsic_dim,
-                                     label=cloud.label)
-        k = min(n, config.k_support if config.k_support is not None else
-                _outlier_default_k(n))
-        support = _support(kept, max(k, config.k0))
+        kept = replace(cloud, points=cloud.points[keep],
+                       latent=cloud.latent[keep])
+        k, grid = _outlier_defaults(n)
+        k = min(kept.n_points, max(config.k0, k if config.k_support is None
+                                   else config.k_support))
+        support = _support(kept, k)
         rho = np.ones(kept.n_points)
         target = analytic.hermite_target(3).evaluate(kept)
         target *= np.sqrt(kept.n_points) / np.linalg.norm(target)
         mask = np.abs(kept.points[:, 0]) <= 2.0
         grid = [e * config.eps_multiplier for e in
-                (_outlier_default_eps(n) if config.eps == "auto" else config.eps)]
+                (grid if config.eps == "auto" else config.eps)]
 
         def one_eps(eps):
             # the generator goes with this frame: the largest sizes cannot
             # hold two at once
-            gm = kernel.build_generator(kept, rho, eps, alpha,
+            gm = kernel.build_generator(kept, rho, eps, config.alpha,
                                         d=kept.intrinsic_dim, support=support)
             spectrum = spectral.scale_sqrtN(
-                spectral.eigs_near_zero(gm, config.eigenfunctions))
+                spectral.eigs_near_zero(gm, spec.eigenfunctions))
             est = spectrum.eigenvectors[:, 3]
             if est @ target < 0.0:
                 est = -est
             return (spectral.mse(est, target, mask=mask),
                     abs(spectrum.eigenvalues[3] + 3.0) / 3.0)
 
-        errors = {}
-        size_rows = _rows(grid, one_eps, errors)
+        size_rows, errors = _rows(grid, one_eps)
         eps_list += grid
         per_size[n] = {"removed": drop, "remaining": kept.n_points,
-                       "eps_grid": grid}
+                       "k_support": k, "eps_grid": grid}
         if size_rows.shape[0]:
             best = size_rows[np.argmin(size_rows[:, 1])]
             rows.append(best)
             fitted.append(n)
+            # at either end of the grid, the minimum may lie outside it
             per_size[n] |= {"best_eps": float(best[0]),
-                            "best_mse": float(best[1])}
+                            "best_mse": float(best[1]),
+                            "best_at_edge": bool(best[0] in (grid[0], grid[-1]))}
         if errors:
             per_size[n]["errors"] = errors
     rows = np.array(rows, dtype=float).reshape(-1, 4)
     # N is the study's top size; the cloud of each size holds n points
-    meta = _metadata(config, alpha, beta, eps_list, None, {}, cloud) | {
-        "N": config.N, "sizes": sizes, "removed": removed,
-        "per_size": per_size}
+    meta = _metadata(config, eps_list, None, {}, cloud) | {
+        "N": config.N, "eigenfunctions": spec.eigenfunctions, "sizes": sizes,
+        "removed": removed, "per_size": per_size}
     if len(fitted) >= 2:
         slope, intercept = np.polyfit(np.log(fitted), np.log(rows[:, 1]), 1)
         meta["power_law_slope"] = float(slope)
         meta["power_law_intercept"] = float(intercept)
-    table = ResultTable(rows, metadata=meta)
-    _write_outputs(table, out)
-    return table
+    return _write_outputs(rows, meta, out)
 
 
-def _outlier_default_k(n):
-    # support wide enough that the kernel is not visibly truncated in the
+def _outlier_defaults(n):
+    # a support wide enough that the kernel is not visibly truncated in the
     # bulk at the working epsilon, capped where banded factorization cost
-    # (which grows with the cube of the support width) stops being worth it
-    return int(min(n, max(128.0, min(632.0, 4.0 * np.sqrt(n)))))
-
-
-def _outlier_default_eps(n):
-    # the usable window sits just above the connectivity scale of the
-    # thinned tails, whose squared spacing shrinks like 1/n
+    # (which grows with the cube of the support width) stops being worth it;
+    # the usable epsilon window sits just above the connectivity scale of
+    # the thinned tails, whose squared spacing shrinks like 1/n
     base = 0.1 / n
-    return (base, float(np.sqrt(10.0)) * base, 10.0 * base)
+    return (int(min(n, max(128.0, min(632.0, 4.0 * np.sqrt(n))))),
+            (base, float(np.sqrt(10.0)) * base, 10.0 * base))
 
 
-def _metadata(config, alpha, beta, sweep, curve, errors, cloud):
+def _metadata(config, sweep, curve, errors, cloud):
     meta = {"experiment": config.experiment, "N": cloud.n_points,
-            "alpha": alpha, "beta": beta, "d": cloud.intrinsic_dim,
+            "alpha": config.alpha, "beta": config.beta, "d": cloud.intrinsic_dim,
             "seed": config.seed,
             "k0": config.k0, "k_support": config.k_support,
             "eigenfunctions": config.eigenfunctions,
@@ -467,17 +469,18 @@ def save_results_csv(table, path):
             fh.write(",".join("%.17g" % v for v in row) + "\n")
 
 
-def write_meta(path, *sections):
-    """Write every entry of each mapping as a ``key = value`` line, in order."""
+def write_meta(path, meta):
+    """Write every entry of a mapping as a ``key = value`` line, in order."""
     with open(path, "w") as fh:
-        for section in sections:
-            for key, value in section.items():
-                fh.write(f"{key} = {value}\n")
+        for key, value in meta.items():
+            fh.write(f"{key} = {value}\n")
 
 
-def _write_outputs(table, out):
+def _write_outputs(rows, metadata, out):
+    table = ResultTable(rows, metadata)
     save_results_csv(table, out / "results.csv")
-    write_meta(out / "meta.txt", table.metadata)
+    write_meta(out / "meta.txt", metadata)
+    return table
 
 
 def _write_operator_csv(path, cloud, f, est, ref):

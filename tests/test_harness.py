@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import re
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import vbdiffusion
-from vbdiffusion import cli, density, harness, neighbors, pointcloud
+from vbdiffusion import cli, density, harness, kernel, neighbors, pointcloud
 
 
 def test_defaults_fill_in():
@@ -24,21 +25,22 @@ def test_defaults_fill_in():
     assert listed.eps == (0.01, 0.02)
 
 
+def _alpha_beta(d, **kwargs):
+    config = harness._alpha_beta(harness.ExperimentConfig(
+        experiment="ou1d_nice", **kwargs), d)
+    return config.alpha, config.beta
+
+
 def test_alpha_beta_resolution():
-    spec = harness.EXPERIMENTS["ou1d_nice"]
-    base = harness.ExperimentConfig(experiment="ou1d_nice")
-    assert harness._alpha_beta(base, spec, 1) == (-0.25, -0.5)
-    override = harness.ExperimentConfig(experiment="ou1d_nice", alpha=0.1)
-    assert harness._alpha_beta(override, spec, 1) == (0.1, -0.5)
+    assert _alpha_beta(1) == (-0.25, -0.5)
+    assert _alpha_beta(1, alpha=0.1) == (0.1, -0.5)
     for preset, d, want in [("laplacian-vb", 1, (0.25, -0.5)),
                             ("laplacian-vb", 2, (0.0, -0.5)),
                             ("gradientflow-vb", 2, (-0.5, -0.5)),
                             ("laplacian-fixed", 3, (1.0, 0.0)),
                             ("gradientflow-fixed", 1, (0.5, 0.0))]:
-        cfg = harness.ExperimentConfig(experiment="ou1d_nice", preset=preset,
-                                       alpha=9.0, beta=9.0)
         # a preset wins over explicit alpha/beta
-        assert harness._alpha_beta(cfg, spec, d) == want
+        assert _alpha_beta(d, preset=preset, alpha=9.0, beta=9.0) == want
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -68,7 +70,7 @@ def test_validate_rejects(kwargs):
 def test_eps_sweep_keyword():
     config = harness.ExperimentConfig(experiment="ou1d_nice", eps="sweep",
                                       eps_multiplier=2.0)
-    sweep, curve = harness.epsilons(config, None, None, None)
+    sweep, curve = harness.epsilons(harness.resolve(config)[0], None, None, None)
     assert curve is None
     assert sweep == [2.0 * e for e in harness.DEFAULT_SWEEP]
 
@@ -289,7 +291,7 @@ def test_outlier_study_scales_its_grid_and_rejects_bandwidth_settings(tmp_path):
 
 def test_small_cloud_with_k_support_truncates_the_kde():
     config = harness.ExperimentConfig(experiment="ou1d_nice", N=300, k_support=10)
-    _, cloud, _, _, profile, support = harness.setup(config)
+    _, cloud, profile, support = harness.setup(config)
     assert support is not None
     # oracle: per-point sums over the symmetrized 10-nearest-neighbor sets
     graph = neighbors.knn(cloud, 10)
@@ -424,3 +426,168 @@ def test_circle_operator_check_honours_alpha_and_k_support(tmp_path):
     cut = run("cut", k_support=3)
     assert cut.metadata["k_support"] == 3
     assert np.all(np.abs(cut.rows[:, 1] / base.rows[:, 1] - 1.0) > 1e-3)
+
+
+def test_outlier_study_records_its_width_and_whether_its_best_sits_at_a_grid_end(
+        tmp_path, monkeypatch):
+    build = neighbors.symmetrized_support
+    widths = []
+
+    def spy(cloud, k):
+        widths.append((cloud.n_points, k))
+        return build(cloud, k)
+
+    monkeypatch.setattr(neighbors, "symmetrized_support", spy)
+    # oracle: the masked error of each epsilon, from a run of that epsilon alone
+    fine = [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]
+    alone = {e: _outlier(tmp_path, f"e{e:g}", eps=[e]).metadata["per_size"][100]
+             for e in fine}
+    flags = set()
+    for tag, grid in [("fine", fine), ("middle", fine[1:4])]:
+        widths.clear()
+        size = _outlier(tmp_path, tag, eps=grid).metadata["per_size"][100]
+        best = min(grid, key=lambda e: alone[e]["best_mse"])
+        assert size["best_eps"] == best
+        assert size["best_at_edge"] == (best in (grid[0], grid[-1]))
+        flags.add(size["best_at_edge"])
+        # the 100-point study keeps 90 points, and its support holds them all
+        assert widths == [(90, size["k_support"])]
+        assert size["k_support"] == 90
+    # both answers of the flag were exercised
+    assert flags == {True, False}
+    cut = _outlier(tmp_path, "cut", k_support=30).metadata["per_size"][100]
+    assert cut["k_support"] == 30
+    narrow = _outlier(tmp_path, "narrow", k_support=3).metadata["per_size"][100]
+    assert narrow["k_support"] == 8  # never below k0
+
+
+# a value for every ExperimentConfig field, as typed on the command line and
+# as the resolved config records it; a new field needs a line here
+_FIELD_SAMPLES = {
+    "experiment": ("circle", "circle"),
+    "N": ("50", "50"),
+    "alpha": ("0.125", "0.125"),
+    "beta": ("-0.375", "-0.375"),
+    "preset": ("laplacian-fixed", "laplacian-fixed"),
+    "eps": ("0.02 0.01", "(0.01, 0.02)"),
+    "eps_multiplier": ("2.5", "2.5"),
+    "k_support": ("20", "20"),
+    "k0": ("5", "5"),
+    "seed": ("3", "3"),
+    "eigenfunctions": ("6", "6"),
+    "formulation": ("left", "left"),
+    "output_dir": (None, None),  # a directory under the test's own
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in
+                                  dataclasses.fields(harness.ExperimentConfig)])
+def test_every_config_field_is_set_through_the_cli(tmp_path, name):
+    raw, recorded = _FIELD_SAMPLES[name]
+    if name == "output_dir":
+        raw = recorded = str(tmp_path / "elsewhere")
+    sets = {"experiment": "circle_grid_operator" if name == "formulation"
+            else "ou1d_nice", "N": "40", "output_dir": str(tmp_path / "out"),
+            name: raw}
+    argv = ["generate"]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli.main(argv) == 0
+    meta = (Path(sets["output_dir"]) / "meta.txt").read_text().splitlines()
+    assert f"{name} = {recorded}" in meta
+    assert cli.main(argv + ["--set", "bogus=1"]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(harness.EXPERIMENTS))
+def test_resolve_is_idempotent(name):
+    checked = 0
+    for preset in (None, *harness.PRESETS):
+        for eps in ("auto", "sweep", 0.01, [0.01, 0.02]):
+            for k_support in (None, 3, 200):
+                config = harness.ExperimentConfig(experiment=name, preset=preset,
+                                                  eps=eps, k_support=k_support)
+                try:
+                    once, _ = harness.resolve(config)
+                except harness.ConfigError:
+                    continue
+                assert harness.resolve(once)[0] == once
+                for d in (1, 2, 3):
+                    both = harness._alpha_beta(once, d)
+                    assert harness._alpha_beta(both, d) == both
+                    assert None not in (both.alpha, both.beta)
+                checked += 1
+    assert checked >= 3
+
+
+def test_resolved_support_widths():
+    def width(name, **kwargs):
+        config = harness.ExperimentConfig(experiment=name, **kwargs)
+        return harness.resolve(config)[0].k_support
+
+    # the operator spec's width, and the storage default of large eigen runs
+    assert width("torus_operator") == harness.EXPERIMENTS["torus_operator"].k_support
+    assert width("torus_operator") == 500
+    assert width("ou1d_random") == width("ou2d") == 128
+    assert width("ou2d", k_support=64) == 64
+    for name in ("ou1d_nice", "circle", "circle_random", "sphere",
+                 "circle_operator", "circle_grid_operator"):
+        assert width(name) is None  # all pairs
+    assert width("ou1d_nice", N=harness._ALL_PAIRS_MAX + 1) == 128
+    # an eigen run's support is never narrower than the pilot's k0 ...
+    assert width("ou1d_nice", k_support=5) == 8
+    assert width("ou2d", k0=200) == 200
+    # ... while an operator check takes the width it is given
+    assert width("circle_grid_operator", k_support=3) == 3
+
+
+@pytest.mark.parametrize("command", ["density", "build", "eigs", "tune"])
+def test_stage_commands_record_what_ran(tmp_path, monkeypatch, command):
+    used = {}
+
+    def spy(module, attr, name, position):
+        real = getattr(module, attr)
+
+        def record(*args, **kwargs):
+            used[name] = args[position]
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, attr, record)
+
+    spy(neighbors, "symmetrized_support", "k", 1)
+    spy(density, "bandwidth_profile", "beta", 2)
+    spy(kernel, "build_generator", "alpha", 3)
+    # laplacian-vb on the circle (d = 1): alpha = 1/2 - d/4, beta = -1/2
+    for tag, sets, width in [("kept", ["k_support=5"], 8), ("all", [], None)]:
+        used.clear()
+        out = tmp_path / tag
+        argv = [command, "--set", "experiment=circle", "--set", "N=200",
+                "--set", "preset=laplacian-vb", "--set", "eps=0.02",
+                "--set", f"output_dir={out}"]
+        for item in sets:
+            argv += ["--set", item]
+        assert cli.main(argv) == 0
+        lines = (out / "meta.txt").read_text().splitlines()
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        assert len(keys) == len(set(keys)), keys
+        meta = dict(line.split(" = ", 1) for line in lines)
+        assert (meta["alpha"], meta["beta"]) == ("0.25", "-0.5")
+        assert meta["k_support"] == str(width)
+        assert used["beta"] == -0.5
+        assert used.get("k") == width  # no support built on all pairs
+        if command in ("build", "eigs"):
+            assert used["alpha"] == 0.25
+            assert meta["eps_used"] == "0.02"
+
+
+def test_readme_config_table_matches_the_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.splitlines()
+    start = lines.index("| key | meaning | default |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, meaning = (cell.strip() for cell in line.split("|")[1:3])
+        rows[key] = meaning
+    assert list(rows) == [f.name for f in dataclasses.fields(harness.ExperimentConfig)]
+    assert sorted(re.findall(r"`(\w+)`", rows["experiment"])) == sorted(
+        harness.EXPERIMENTS)
