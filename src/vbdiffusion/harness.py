@@ -162,10 +162,8 @@ def resolve(config):
     if not isinstance(eps, str):  # eigen 'auto' is tuned on the data
         eps = tuple(float(e) for e in np.atleast_1d(eps))
     N = spec.N if config.N is None else config.N
-    k = config.k_support
-    if operator:
-        k = spec.k_support if k is None else k
-    elif eigen:
+    k = spec.k_support if config.k_support is None else config.k_support
+    if eigen:
         k = _storage_k(N, k, config.k0)
     count = config.eigenfunctions
     if eigen and count is None:  # the others take none
@@ -181,7 +179,7 @@ def resolve(config):
 
 
 def _storage_k(n, k_support, k0):
-    """Support width (None: all pairs) of an eigen run's KDE, curve and kernel."""
+    """Support width (None: all pairs) of the KDE, curve and kernel of n points."""
     if k_support is None and n <= _ALL_PAIRS_MAX:
         return None
     return max(128 if k_support is None else k_support, k0)
@@ -220,14 +218,17 @@ def _bandwidth(cloud, beta, k, k0):
 
 
 def setup(config):
-    """What the epsilons of an eigen run share.
+    """What the epsilons of an eigen run, or of a stage command, share.
 
     Returns ``(config, cloud, profile, support)``: the config resolved with
-    alpha and beta set, and ``support`` None on the all-pairs path.
+    alpha and beta set and the storage rule on the cloud's size for a width
+    the spec leaves None; ``support`` is None on the all-pairs path.
     """
     config, _ = resolve(config)
     cloud = generate_cloud(config)
-    config = _alpha_beta(config, cloud.intrinsic_dim)
+    config = replace(_alpha_beta(config, cloud.intrinsic_dim),
+                     k_support=_storage_k(cloud.n_points, config.k_support,
+                                          config.k0))
     profile, support = _bandwidth(cloud, config.beta, config.k_support,
                                   config.k0)
     return config, cloud, profile, support
@@ -382,16 +383,16 @@ def _outlier_study(config, spec):
         removed.append(drop)
         kept = replace(cloud, points=cloud.points[keep],
                        latent=cloud.latent[keep])
-        k, grid = _outlier_defaults(n)
-        k = min(kept.n_points, max(config.k0, k if config.k_support is None
-                                   else config.k_support))
+        k = min(kept.n_points, _storage_k(
+            n, config.k_support or _outlier_default_k(n), config.k0))
         support = _support(kept, k)
         rho = np.ones(kept.n_points)
         target = analytic.hermite_target(3).evaluate(kept)
         target *= np.sqrt(kept.n_points) / np.linalg.norm(target)
         mask = np.abs(kept.points[:, 0]) <= 2.0
         grid = [e * config.eps_multiplier for e in
-                (grid if config.eps == "auto" else config.eps)]
+                (_outlier_default_eps(n) if config.eps == "auto"
+                 else config.eps)]
 
         def one_eps(eps):
             # the generator goes with this frame: the largest sizes cannot
@@ -432,15 +433,18 @@ def _outlier_study(config, spec):
     return _write_outputs(rows, meta, out)
 
 
-def _outlier_defaults(n):
-    # a support wide enough that the kernel is not visibly truncated in the
+def _outlier_default_k(n):
+    # support wide enough that the kernel is not visibly truncated in the
     # bulk at the working epsilon, capped where banded factorization cost
-    # (which grows with the cube of the support width) stops being worth it;
-    # the usable epsilon window sits just above the connectivity scale of
-    # the thinned tails, whose squared spacing shrinks like 1/n
+    # (which grows with the cube of the support width) stops being worth it
+    return int(min(n, max(128.0, min(632.0, 4.0 * np.sqrt(n)))))
+
+
+def _outlier_default_eps(n):
+    # the usable window sits just above the connectivity scale of the
+    # thinned tails, whose squared spacing shrinks like 1/n
     base = 0.1 / n
-    return (int(min(n, max(128.0, min(632.0, 4.0 * np.sqrt(n))))),
-            (base, float(np.sqrt(10.0)) * base, 10.0 * base))
+    return (base, float(np.sqrt(10.0)) * base, 10.0 * base)
 
 
 def _metadata(config, sweep, curve, errors, cloud):

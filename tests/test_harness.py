@@ -578,6 +578,25 @@ def test_stage_commands_record_what_ran(tmp_path, monkeypatch, command):
             assert meta["eps_used"] == "0.02"
 
 
+
+@pytest.mark.parametrize("name, command", [("outlier_study", "density"),
+                                           ("circle_operator", "build")])
+def test_stage_commands_store_large_clouds_on_a_support(tmp_path, monkeypatch,
+                                                        name, command):
+    # neither spec sets a width: above the all-pairs limit the stage commands
+    # take the storage rule's, never an n x n array
+    widths = []
+    build = neighbors.symmetrized_support
+    monkeypatch.setattr(neighbors, "symmetrized_support",
+                        lambda cloud, k: widths.append(k) or build(cloud, k))
+    n = harness._ALL_PAIRS_MAX + 1
+    assert cli.main([command, "--set", f"experiment={name}", "--set", f"N={n}",
+                     "--set", "eps=0.01", "--set", f"output_dir={tmp_path}"]) == 0
+    assert widths == [128]
+    meta = dict(line.split(" = ", 1)
+                for line in (tmp_path / "meta.txt").read_text().splitlines())
+    assert meta["k_support"] == "128"
+
 def test_readme_config_table_matches_the_config():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = readme.splitlines()
