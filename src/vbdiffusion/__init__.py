@@ -15,8 +15,8 @@ from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
                      NoLatent, NoLinearRegion, PipelineError, SolverFailure,
                      WrongManifold)
 from .harness import ExperimentConfig, ResultTable, run_experiment
-from .kernel import (GeneratorMatrices, ShapeConstants, apply_generator,
-                     build_generator, gaussian_shape_constants, kernel_matrix)
+from .kernel import (GeneratorMatrices, apply_generator, build_generator,
+                     kernel_matrix)
 from .neighbors import NeighborGraph, SupportPairs, knn, symmetrized_support
 from .pointcloud import (PointCloud, gen_circle_from_density,
                          gen_circle_nonuniform, gen_circle_uniform,

@@ -88,7 +88,7 @@ def _generator(config):
     config, cloud, profile, support = harness.setup(config)
     (eps,), _ = harness.epsilons(config, cloud, profile.rho, support)
     gm = kernel.build_generator(cloud, profile.rho, eps, config.alpha,
-                                d=cloud.intrinsic_dim, support=support)
+                                support=support)
     return config, cloud, eps, gm
 
 

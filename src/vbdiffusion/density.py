@@ -2,7 +2,8 @@
 
 The pipeline is: squared-distance average over the first few neighbors gives
 a pilot bandwidth rho0, a Gaussian KDE with that pilot bandwidth gives a
-density estimate q0, and the final kernel bandwidth is rho = q0**beta.
+density estimate q0, and the final kernel bandwidth is rho = q0**beta. The
+KDE normalizes by the cloud's intrinsic dimension, ``cloud.intrinsic_dim``.
 """
 
 from dataclasses import dataclass
@@ -27,9 +28,7 @@ class BandwidthProfile:
     rho0: np.ndarray
     eps0: float
     q0: np.ndarray
-    beta: float
     rho: np.ndarray
-    d: int
 
 
 def pilot_bandwidth(graph, k0=8):
@@ -48,7 +47,7 @@ def pilot_bandwidth(graph, k0=8):
     return rho0
 
 
-def kde_pilot(cloud, rho0, d, support=None):
+def kde_pilot(cloud, rho0, support=None):
     """Variable-bandwidth Gaussian density estimate at the sample points.
 
     Returns ``(q0, eps0)`` where eps0 is the squared mean pilot bandwidth.
@@ -56,12 +55,15 @@ def kde_pilot(cloud, rho0, d, support=None):
 
         q0_i = (2 pi)^(-d/2) / (rho0_i^d N) * sum_l exp(-r_il^2 / (2 rho0_i rho0_l))
 
-    with the l = i term included. Without a ``support``
-    (:class:`neighbors.SupportPairs`) the sum runs over all pairs; with one
-    it is truncated to the support, whose strict upper triangle is stored
-    with the diagonal implicit. Either way each pair is computed once and
+    with d the cloud's intrinsic dimension and the l = i term included.
+    Without a ``support`` (:class:`neighbors.SupportPairs`) the sum runs
+    over all pairs; with one it is truncated to the support, whose strict
+    upper triangle is stored with the diagonal implicit. Either way each pair is computed once and
     added to both of its points' sums.
     """
+    d = cloud.intrinsic_dim
+    if d is None:
+        raise ValueError("the cloud's intrinsic dimension is unknown")
     n = cloud.n_points
     eps0 = float(np.mean(rho0)) ** 2
     if support is None:
@@ -91,21 +93,16 @@ def c_constants(alpha, beta, d):
     return c1, c2
 
 
-def bandwidth_profile(cloud, graph, beta, k0=8, d=None, support=None):
+def bandwidth_profile(cloud, graph, beta, k0=8, support=None):
     """Run the full pilot -> KDE -> power-law cascade for one cloud.
 
     ``support`` (:class:`neighbors.SupportPairs`) truncates the KDE; see
     :func:`kde_pilot`.
     """
-    if d is None:
-        d = cloud.intrinsic_dim
-    if d is None:
-        raise ValueError("intrinsic dimension unknown; pass d explicitly")
     rho0 = pilot_bandwidth(graph, k0=k0)
-    q0, eps0 = kde_pilot(cloud, rho0, d, support=support)
+    q0, eps0 = kde_pilot(cloud, rho0, support=support)
     rho = bandwidth_from_density(q0, beta)
-    return BandwidthProfile(rho0=rho0, eps0=eps0, q0=q0, beta=beta, rho=rho,
-                            d=d)
+    return BandwidthProfile(rho0=rho0, eps0=eps0, q0=q0, rho=rho)
 
 
 def save_csv(profile, path):

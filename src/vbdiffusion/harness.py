@@ -209,9 +209,12 @@ def _support(cloud, k):
 
 def _bandwidth(cloud, beta, k, k0):
     """Bandwidth profile and support pairs (None: all pairs) of one cloud."""
+    if cloud.n_points < k0:
+        raise ConfigError(f"N = {cloud.n_points} points is fewer than k0 = "
+                          f"{k0}, the neighbors the pilot bandwidth reads")
     support = _support(cloud, k)
     # the pilot bandwidth reads a graph of its own, k0 neighbors wide
-    graph = neighbors.knn(cloud, min(cloud.n_points, k0))
+    graph = neighbors.knn(cloud, k0)
     profile = density.bandwidth_profile(cloud, graph, beta, k0=k0,
                                         support=support)
     return profile, support
@@ -296,7 +299,7 @@ def _eigen_experiment(config, spec):
 
     def one_eps(eps):
         gm = kernel.build_generator(cloud, profile.rho, eps, config.alpha,
-                                    d=cloud.intrinsic_dim, support=support)
+                                    support=support)
         spectrum = spectral.scale_sqrtN(
             spectral.eigs_near_zero(gm, len(targets)))
         solvers[float(eps)] = spectrum.solver
@@ -326,7 +329,7 @@ def _operator_experiment(config, spec):
 
     def one_eps(eps):
         est = kernel.apply_generator(cloud, rho, eps, config.alpha,
-                                     config.formulation, f, d=d, support=support)
+                                     config.formulation, f, support=support)
         _write_operator_csv(out / f"operator_{eps:.6g}.csv", cloud, f, est, ref)
         return spectral.mse(est, ref), 0.0
 
@@ -370,7 +373,6 @@ def _outlier_study(config, spec):
     function on [-2, 2]. Fits log(best mse) against log(n) across the sizes
     with a row at the end.
     """
-    out = ensure_dir(config.output_dir)
     sizes = [n for n in (1000, 10000, 100000) if n <= config.N] or [config.N]
     rows, fitted, removed, per_size, eps_list = [], [], [], {}, []
     for n in sizes:
@@ -398,7 +400,7 @@ def _outlier_study(config, spec):
             # the generator goes with this frame: the largest sizes cannot
             # hold two at once
             gm = kernel.build_generator(kept, rho, eps, config.alpha,
-                                        d=kept.intrinsic_dim, support=support)
+                                        support=support)
             spectrum = spectral.scale_sqrtN(
                 spectral.eigs_near_zero(gm, spec.eigenfunctions))
             est = spectrum.eigenvectors[:, 3]
@@ -430,7 +432,7 @@ def _outlier_study(config, spec):
         slope, intercept = np.polyfit(np.log(fitted), np.log(rows[:, 1]), 1)
         meta["power_law_slope"] = float(slope)
         meta["power_law_intercept"] = float(intercept)
-    return _write_outputs(rows, meta, out)
+    return _write_outputs(rows, meta, ensure_dir(config.output_dir))
 
 
 def _outlier_default_k(n):

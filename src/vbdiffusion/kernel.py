@@ -1,6 +1,9 @@
 """Variable-bandwidth Gaussian kernels and the discrete generator cascade.
 
 The kernel between points i and j is exp(-r_ij^2 / (4 eps rho_i rho_j)).
+Its shape h(u) = exp(-u/4) has shape ratio m = m2/m0 = 1 in every
+dimension, so no generator carries that factor; d is always the cloud's
+``intrinsic_dim``.
 :func:`build_generator` runs the cascade as one chain: kernel row sums
 divided by rho^d estimate the sampling density qS; the weights qS^(-alpha)
 on both sides of the kernel remove sampling bias; the row sums D of that
@@ -38,36 +41,6 @@ from scipy.spatial.distance import cdist
 from . import neighbors
 
 FORMULATIONS = ("left", "right", "symmetric")
-
-
-@dataclass(frozen=True)
-class ShapeConstants:
-    """Moments of the kernel shape function h and of its square.
-
-    ``m0`` and ``m2`` are the zeroth and (half) second moments of h, ``m``
-    their ratio, which multiplies the generator prefactor; ``m0_hat`` and
-    ``m2_hat`` are the corresponding moments of h^2 entering variance bounds.
-    """
-
-    m0: float
-    m2: float
-    m: float
-    m0_hat: float
-    m2_hat: float
-
-
-def gaussian_shape_constants(d):
-    """Closed-form shape moments of h(u) = exp(-u/4) in dimension d.
-
-    With this shape, int h(|z|^2) dz = (4 pi)^(d/2) and
-    (1/2) int z1^2 h(|z|^2) dz = (4 pi)^(d/2) as well, so m = m2/m0 = 1.
-    For h^2 both plain moments equal (2 pi)^(d/2).
-    """
-    m0 = (4.0 * np.pi) ** (d / 2.0)
-    m2 = m0
-    m0_hat = (2.0 * np.pi) ** (d / 2.0)
-    m2_hat = m0_hat
-    return ShapeConstants(m0=m0, m2=m2, m=m2 / m0, m0_hat=m0_hat, m2_hat=m2_hat)
 
 
 @dataclass(frozen=True)
@@ -217,7 +190,7 @@ def _scaled(mat, w):
          mat.indices, mat.indptr), shape=mat.shape)
 
 
-def build_generator(cloud, rho, eps, alpha, d=None, support=None):
+def build_generator(cloud, rho, eps, alpha, support=None):
     """Run kernel -> density -> alpha -> conjugation for one epsilon.
 
     With K the kernel: qS = K 1 / rho^d, Kalpha = W K W with
@@ -229,13 +202,11 @@ def build_generator(cloud, rho, eps, alpha, d=None, support=None):
     implicit; Lhat is assembled whole, exactly symmetric, and holds exactly
     the off-diagonal entries that do not underflow to zero.
     """
-    if d is None:
-        d = cloud.intrinsic_dim
-    if d is None:
-        raise ValueError("intrinsic dimension unknown; pass d explicitly")
+    if cloud.intrinsic_dim is None:
+        raise ValueError("the cloud's intrinsic dimension is unknown")
     rho = np.asarray(rho, dtype=float)
     k = kernel_matrix(cloud, rho, eps, support=support)
-    qs = _row_sums(k, 1.0) / rho**d
+    qs = _row_sums(k, 1.0) / rho**cloud.intrinsic_dim
     w = qs ** (-alpha)
     # on a support each step makes new values, and the last are freed before
     # Lhat is summed; dense, all three names are one array
@@ -259,40 +230,39 @@ def build_generator(cloud, rho, eps, alpha, d=None, support=None):
                              D=degree, S=s)
 
 
-def apply_generator(cloud, rho, eps, alpha, formulation, f, d=None, support=None):
+def apply_generator(cloud, rho, eps, alpha, formulation, f, support=None):
     """Apply one kernel-ratio generator estimate to a function sample.
 
     ``formulation`` picks where the bandwidth enters the kernel argument:
     'left' uses eps rho_i, 'right' uses eps rho_j, and 'symmetric' uses
     eps rho_i rho_j. The estimate at point i is
 
-        (sum_j K_ij w_j f_j / sum_j K_ij w_j - f_i) / (eps m rho_i^p)
+        (sum_j K_ij w_j f_j / sum_j K_ij w_j - f_i) / (eps rho_i^p)
 
-    with p = 1 for left/right and p = 2 for symmetric. The weights w_j are
-    identically one except in the symmetric formulation with alpha != 0,
-    where w_j = qS_j^(-alpha) removes sampling-density bias (the i-side
-    factor cancels in the ratio).
+    with p = 1 for left/right and p = 2 for symmetric (the shape ratio m
+    that would multiply eps is 1). The weights w_j are identically one
+    except in the symmetric formulation with alpha != 0, where
+    w_j = qS_j^(-alpha), qS as in :func:`build_generator`, removes
+    sampling-density bias (the i-side factor cancels in the ratio).
     """
     if formulation not in FORMULATIONS:
         raise ValueError(f"formulation must be one of {FORMULATIONS}")
     if alpha != 0.0 and formulation != "symmetric":
         raise ValueError("alpha-normalization applies to the symmetric formulation only")
-    if d is None:
-        d = cloud.intrinsic_dim
-    if alpha != 0.0 and d is None:
-        raise ValueError("alpha-normalization needs the intrinsic dimension")
+    if alpha != 0.0 and cloud.intrinsic_dim is None:
+        raise ValueError("alpha-normalization needs the cloud's intrinsic "
+                         "dimension")
     rho = np.asarray(rho, dtype=float)
     f = np.asarray(f, dtype=float)
-    m = gaussian_shape_constants(d if d is not None else 1).m
     w = np.ones(cloud.n_points)
     if alpha != 0.0:
         # a first pass: kernel row sums give the density estimate behind w
         sums, = kernel_products(cloud, rho, eps, "symmetric", w, support=support)
-        w = (sums / rho**d) ** (-alpha)
+        w = (sums / rho**cloud.intrinsic_dim) ** (-alpha)
     num, den = kernel_products(cloud, rho, eps, formulation, w * f, w,
                                support=support)
     p = 2 if formulation == "symmetric" else 1
-    return (num / den - f) / (eps * m * rho**p)
+    return (num / den - f) / (eps * rho**p)
 
 
 def save_sparse_csv(mat, path):

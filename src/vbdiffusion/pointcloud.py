@@ -15,6 +15,8 @@ from scipy.special import erfinv
 from .errors import InvalidCovariance, InversionFailure, WrongManifold
 
 _FMT = "%.17g"
+# angles at which gen_circle_from_density tabulates its CDF
+_DENSITY_GRID = 200001
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,8 @@ class PointCloud:
         Intrinsic coordinates (angles for circle/torus, the points themselves
         for flat Gaussian data). ``None`` when the construction has none.
     intrinsic_dim : int, optional
-        Manifold dimension d when known.
+        Manifold dimension d when known. The kernel chain and the KDE take
+        d from here alone, and raise without it.
     label : str
         Short name used in output files.
     """
@@ -105,27 +108,23 @@ def _invert_cdf_bisection(cdf, targets, lo, hi, tol=1e-12, max_iter=80):
     )
 
 
-def gen_circle_from_density(N, log_density, seed=None, grid_size=200001):
+def gen_circle_from_density(N, log_density):
     """Circle points distributed with density proportional to exp(log_density).
 
-    With ``seed`` None the points are the deterministic inverse-CDF grid at
-    quantiles i/(N+1); otherwise the quantiles are drawn uniformly at random.
-    The CDF is tabulated by trapezoidal quadrature on a fine angular grid and
-    inverted by monotone interpolation.
+    The points are the deterministic inverse-CDF grid at quantiles i/(N+1).
+    The CDF is tabulated by trapezoidal quadrature on _DENSITY_GRID angles
+    and inverted by monotone interpolation.
 
     Parameters
     ----------
     log_density : callable
         Log of the (unnormalized) angular density, vectorized over theta.
     """
-    grid = np.linspace(0.0, 2.0 * np.pi, grid_size)
+    grid = np.linspace(0.0, 2.0 * np.pi, _DENSITY_GRID)
     dens = np.exp(log_density(grid))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
     cdf /= cdf[-1]
-    if seed is None:
-        targets = np.arange(1, N + 1) / (N + 1)
-    else:
-        targets = np.sort(np.random.default_rng(seed).uniform(size=N))
+    targets = np.arange(1, N + 1) / (N + 1)
     theta = np.interp(targets, cdf, grid)
     return _embed_circle(theta, "circle-density")
 

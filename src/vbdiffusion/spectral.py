@@ -44,9 +44,12 @@ from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
 _SOLVE_BUDGET = 16
 # ARPACK's stopping tolerance, relative to each Ritz value of the inverse
 _TOL = 1e-10
+# relative gap between consecutive eigenvalues that group_by_eigenvalue
+# takes for a repeated one
+_GROUP_TOL = 1e-2
 # relative closeness to a column's largest |v| at which entries tie for its
 # sign: ARPACK stops at a relative residual of _TOL, which moves a vector
-# whose eigenvalue lies 1e-2 apart from the next (the groups of
+# whose eigenvalue lies _GROUP_TOL apart from the next (the groups of
 # group_by_eigenvalue) by 1e-8 in angle, so any entry of the unit vector by
 # at most 1e-8, while its largest entry is at least 1/sqrt(n); 1e-5 covers
 # n up to 1e6
@@ -120,7 +123,7 @@ def _check_connected(lhat):
         raise DisconnectedGraph(np.bincount(labels).tolist())
 
 
-def _dense_components(mat, block=256):
+def _dense_components(mat):
     """Components of a dense symmetric positive pattern, numbered by lowest
     point; breadth-first, reading the frontier's rows a block at a time."""
     labels = np.full(mat.shape[0], -1)
@@ -131,8 +134,9 @@ def _dense_components(mat, block=256):
         while frontier.size:
             labels[frontier] = comp
             reached = np.zeros(labels.size, dtype=bool)
-            for start in range(0, frontier.size, block):
-                reached |= (mat[frontier[start:start + block]] > 0.0).any(axis=0)
+            for start, stop in neighbors._blocks(frontier.size,
+                                                 neighbors._SUPPORT_BLOCK):
+                reached |= (mat[frontier[start:stop]] > 0.0).any(axis=0)
             frontier = np.flatnonzero(reached & (labels < 0))
     return labels
 
@@ -302,8 +306,8 @@ def mse(a, b, mask=None):
     return float(np.mean((a - b) ** 2))
 
 
-def group_by_eigenvalue(eigenvalues, rel_tol=1e-2):
-    """Slices of consecutive (descending) eigenvalues within relative rel_tol.
+def group_by_eigenvalue(eigenvalues):
+    """Slices of consecutive (descending) eigenvalues within relative _GROUP_TOL.
 
     Repeated eigenvalues make individual eigenvectors arbitrary up to
     rotation, so comparisons must align each group as a block.
@@ -316,7 +320,7 @@ def group_by_eigenvalue(eigenvalues, rel_tol=1e-2):
             break
         gap = abs(eigenvalues[i - 1] - eigenvalues[i])
         scale = max(abs(eigenvalues[i - 1]), abs(eigenvalues[i]))
-        if gap > rel_tol * max(scale, 1e-300):
+        if gap > _GROUP_TOL * max(scale, 1e-300):
             groups.append(slice(start, i))
             start = i
     return groups

@@ -45,8 +45,8 @@ def test_criterion_1_pointwise_convergence_on_circle():
         errors = {}
         for formulation, ref in refs.items():
             errors[formulation] = [
-                _rms(kernel.apply_generator(cloud, rho, eps, 0.0, formulation, f,
-                                            d=1), ref)
+                _rms(kernel.apply_generator(cloud, rho, eps, 0.0, formulation, f),
+                     ref)
                 for eps in eps_grid]
             e = errors[formulation]
             assert e[0] > e[1] > e[2], (formulation, e)
@@ -115,6 +115,8 @@ def test_criterion_3_bandwidth_robustness(tmp_path):
 
 
 def test_criterion_4_shape_constant_quadrature():
+    # m = m2/m0 of the kernel shape exp(-|z|^2/4) is 1 in every d, which is
+    # why no generator carries the factor
     def body():
         h_plain = quad(lambda x: np.exp(-x * x / 4.0), -np.inf, np.inf)[0]
         h_x2 = quad(lambda x: x * x * np.exp(-x * x / 4.0), -np.inf, np.inf)[0]
@@ -124,8 +126,6 @@ def test_criterion_4_shape_constant_quadrature():
             m2 = 0.5 * h_x2 * h_plain ** (d - 1)
             m_quad = m2 / m0
             assert abs(m_quad - 1.0) <= 1e-6
-            sc = kernel.gaussian_shape_constants(d)
-            assert abs(sc.m - m_quad) <= 1e-6
             ratios.append(m_quad)
         return "m=" + " ".join(f"{r:.9f}" for r in ratios)
 
@@ -164,7 +164,7 @@ def test_criterion_6_sphere_embedding():
 
         def coordinate_errors(rho, alpha):
             curve = tuning.s_curve(cloud, rho)
-            gm = kernel.build_generator(cloud, rho, curve.eps_star, alpha, d=2)
+            gm = kernel.build_generator(cloud, rho, curve.eps_star, alpha)
             spec = spectral.scale_sqrtN(spectral.eigs_near_zero(gm, 4))
             block = spec.eigenvectors[:, 1:4]
             fitted = block @ spectral.least_squares_map(block, cloud.points)
@@ -194,7 +194,7 @@ def test_criterion_7_structural_invariants():
         cloud = pointcloud.gen_gaussian_nice_1d(200)
         graph = neighbors.knn(cloud, 8)
         profile = density.bandwidth_profile(cloud, graph, -0.5)
-        gm = kernel.build_generator(cloud, profile.rho, 0.05, -0.25, d=1)
+        gm = kernel.build_generator(cloud, profile.rho, 0.05, -0.25)
         scale = np.abs(gm.Lhat).max()
         assert np.abs(gm.Lhat - gm.Lhat.T).max() <= 1e-12 * scale
         kalpha = kernel_alpha(cloud.points, profile.rho, 0.05, -0.25, 1)
@@ -231,7 +231,7 @@ def test_criterion_8_tuned_circle_spectrum():
         # the selection rule is only sharp to one dyadic step; half a step
         # toward small eps sits inside its own stated tolerance
         eps = 0.5 * curve.eps_star
-        gm = kernel.build_generator(cloud, profile.rho, eps, 0.25, d=1)
+        gm = kernel.build_generator(cloud, profile.rho, eps, 0.25)
         spec = spectral.eigs_near_zero(gm, 5)
         vals = spec.eigenvalues
         dev1 = np.abs(vals[1:3] + 1.0).max()

@@ -14,8 +14,7 @@ from vbdiffusion import kernel, pointcloud, spectral
 
 
 def _spectrum(cloud, eps, count):
-    gm = kernel.build_generator(cloud, np.ones(cloud.n_points), eps, 0.0,
-                                d=cloud.intrinsic_dim)
+    gm = kernel.build_generator(cloud, np.ones(cloud.n_points), eps, 0.0)
     return spectral.eigs_near_zero(gm, count).eigenvalues
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,8 +44,8 @@ def test_kde_two_point_oracle():
     # q0 = (2 pi)^{-1/2} (1 + e^{-r^2/2}) / 2 at unit pilot bandwidth;
     # r = sqrt(2) gives 0.2728524717875863 (hand evaluation)
     pts = np.array([[0.0], [np.sqrt(2.0)]])
-    cloud = pointcloud.PointCloud(pts)
-    q0, eps0 = density.kde_pilot(cloud, np.ones(2), 1)
+    cloud = pointcloud.PointCloud(pts, intrinsic_dim=1)
+    q0, eps0 = density.kde_pilot(cloud, np.ones(2))
     np.testing.assert_allclose(q0, 0.2728524717875863, atol=1e-15)
     assert eps0 == 1.0
 
@@ -54,10 +55,10 @@ def test_kde_two_point_with_pilot_bandwidth():
     # q0 = (1 + e^{-1/2}) / (2 r sqrt(2 pi)) = 0.22659696596499324
     r = np.sqrt(2.0)
     pts = np.array([[0.0], [r]])
-    cloud = pointcloud.PointCloud(pts)
+    cloud = pointcloud.PointCloud(pts, intrinsic_dim=1)
     g = neighbors.knn(cloud, 2)
     rho0 = density.pilot_bandwidth(g, k0=2)
-    q0, eps0 = density.kde_pilot(cloud, rho0, 1)
+    q0, eps0 = density.kde_pilot(cloud, rho0)
     np.testing.assert_allclose(q0, 0.22659696596499324, atol=1e-15)
     np.testing.assert_allclose(eps0, 2.0, atol=1e-15)
 
@@ -66,7 +67,7 @@ def test_kde_matches_per_point_naive_sum():
     rng = np.random.default_rng(23)
     pts = rng.standard_normal((50, 2))
     rho0 = np.exp(0.4 * rng.standard_normal(50))
-    q0, _ = density.kde_pilot(pointcloud.PointCloud(pts), rho0, 2)
+    q0, _ = density.kde_pilot(pointcloud.PointCloud(pts, intrinsic_dim=2), rho0)
     want = []
     for i in range(50):
         total = math.fsum(
@@ -82,9 +83,9 @@ def test_kde_sparse_path_matches_dense():
     cloud = pointcloud.gen_circle_uniform(300)
     g = neighbors.knn(cloud, 60)
     rho0 = density.pilot_bandwidth(g)
-    dense_q0, _ = density.kde_pilot(cloud, rho0, 1)
+    dense_q0, _ = density.kde_pilot(cloud, rho0)
     support = neighbors.symmetrized_support(cloud, 60)
-    sparse_q0, _ = density.kde_pilot(cloud, rho0, 1, support=support)
+    sparse_q0, _ = density.kde_pilot(cloud, rho0, support=support)
     np.testing.assert_allclose(sparse_q0, dense_q0, rtol=1e-12)
 
 
@@ -93,12 +94,12 @@ def test_truncated_kde_in_row_blocks(monkeypatch, block):
     rng = np.random.default_rng(29)
     pts = rng.standard_normal((50, 2))
     rho0 = np.exp(0.4 * rng.standard_normal(50))
-    cloud = pointcloud.PointCloud(pts)
+    cloud = pointcloud.PointCloud(pts, intrinsic_dim=2)
     graph = neighbors.knn(cloud, 8)
     support = neighbors.symmetrized_support(cloud, 8)
-    whole, _ = density.kde_pilot(cloud, rho0, 2, support=support)  # one block
+    whole, _ = density.kde_pilot(cloud, rho0, support=support)  # one block
     monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", block)
-    q0, _ = density.kde_pilot(cloud, rho0, 2, support=support)
+    q0, _ = density.kde_pilot(cloud, rho0, support=support)
     np.testing.assert_array_equal(q0, whole)
     want = [math.fsum(
         math.exp(-float(np.sum((pts[i] - pts[j]) ** 2)) / (2.0 * rho0[i] * rho0[j]))
@@ -151,10 +152,13 @@ def test_c_constants_pinned_values():
 def test_profile_requires_dimension():
     cloud = pointcloud.PointCloud(np.random.default_rng(0).standard_normal((20, 2)))
     g = neighbors.knn(cloud, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension"):
         density.bandwidth_profile(cloud, g, beta=-0.5)
-    prof = density.bandwidth_profile(cloud, g, beta=-0.5, d=2)
-    assert prof.d == 2
+    with pytest.raises(ValueError, match="dimension"):
+        density.kde_pilot(cloud, np.ones(20))
+    prof = density.bandwidth_profile(replace(cloud, intrinsic_dim=2), g,
+                                     beta=-0.5)
+    assert np.all(np.isfinite(prof.rho))
 
 
 def test_kde_scaling_invariance():

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import importlib
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -228,6 +230,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+def test_cloud_smaller_than_k0_is_a_usage_error(tmp_path, capsys):
+    # the pilot bandwidth reads k0 = 8 neighbors of each point
+    for command, name, n in [("experiment", "sphere", 5),
+                             ("tune", "ou1d_nice", 6),
+                             ("density", "circle_operator", 5),
+                             ("experiment", "outlier_study", 5)]:
+        code = cli.main([command, "--set", f"experiment={name}",
+                         "--set", f"N={n}",
+                         "--set", f"output_dir={tmp_path / name}"])
+        err = capsys.readouterr().err
+        assert code == 1, (command, name)
+        assert "usage error" in err and f"N = {n}" in err and "k0 = 8" in err
+        assert not (tmp_path / name).exists()
+
+
 def test_load_config_file_and_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment line\n"
@@ -304,7 +321,7 @@ def test_small_cloud_with_k_support_truncates_the_kde():
                       for j in sets[i]) / (math.sqrt(2.0 * math.pi) * rho0[i] * 300)
             for i in range(300)]
     np.testing.assert_allclose(profile.q0, want, rtol=1e-13, atol=0.0)
-    all_pairs, _ = density.kde_pilot(cloud, rho0, 1)
+    all_pairs, _ = density.kde_pilot(cloud, rho0)
     assert np.abs(profile.q0 / all_pairs - 1.0).max() > 1e-3
 
 
@@ -610,3 +627,18 @@ def test_readme_config_table_matches_the_config():
     assert list(rows) == [f.name for f in dataclasses.fields(harness.ExperimentConfig)]
     assert sorted(re.findall(r"`(\w+)`", rows["experiment"])) == sorted(
         harness.EXPERIMENTS)
+
+
+def test_readme_names_only_attributes_that_exist():
+    # every backticked `module.attr` of a package module, called or not, must
+    # resolve, so that README cannot name a deleted function; file names such
+    # as `tuning.csv` share the form and are told apart by their suffix
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    modules = {m.name for m in pkgutil.iter_modules(vbdiffusion.__path__)}
+    named = [(module, attr) for module, attr in
+             re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)[^`]*`", readme)
+             if module in modules and attr not in ("csv", "txt")]
+    assert named
+    missing = [f"{module}.{attr}" for module, attr in named if not hasattr(
+        importlib.import_module(f"vbdiffusion.{module}"), attr)]
+    assert not missing

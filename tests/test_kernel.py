@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.integrate import quad
 
 from vbdiffusion import kernel, neighbors, pointcloud
 from vbdiffusion.pointcloud import PointCloud
@@ -12,26 +11,6 @@ from oracles import generator_dense_nonsymmetric, kernel_alpha, knn_union
 
 # unit roundoff of float64
 _U = np.finfo(float).eps / 2
-
-
-def _quad_moments(shape, sq_weight):
-    # product quadrature: separable integrand, one quad call per axis factor
-    plain, _ = quad(shape, -np.inf, np.inf)
-    weighted, _ = quad(lambda x: x * x * shape(x), -np.inf, np.inf)
-    return plain, weighted
-
-
-def test_shape_constants_match_quadrature():
-    h_plain, h_x2 = _quad_moments(lambda x: np.exp(-x * x / 4.0), True)
-    h2_plain, h2_x2 = _quad_moments(lambda x: np.exp(-x * x / 2.0), True)
-    for d in (1, 2, 3):
-        sc = kernel.gaussian_shape_constants(d)
-        assert sc.m0 == pytest.approx(h_plain**d, rel=1e-8)
-        assert sc.m2 == pytest.approx(0.5 * h_x2 * h_plain ** (d - 1), rel=1e-8)
-        assert sc.m0_hat == pytest.approx(h2_plain**d, rel=1e-8)
-        assert sc.m2_hat == pytest.approx(h2_x2 * h2_plain ** (d - 1), rel=1e-8)
-        assert sc.m == sc.m2 / sc.m0
-        assert abs(sc.m - 1.0) <= 1e-6
 
 
 def _two_point_cloud():
@@ -111,7 +90,7 @@ def test_sparse_generator_is_exactly_symmetric():
     cloud = pointcloud.gen_gaussian_random(2000, 2, seed=3)
     rho = np.exp(0.3 * cloud.points[:, 0])
     support = _pairs(cloud, neighbors.knn(cloud, 20))
-    gm = kernel.build_generator(cloud, rho, 0.01, -0.5, d=2, support=support)
+    gm = kernel.build_generator(cloud, rho, 0.01, -0.5, support=support)
     lhat = gm.Lhat.tocsr()
     assert lhat.has_canonical_format
     mirror = lhat.T.tocsr()
@@ -348,6 +327,33 @@ def test_complete_support_matches_all_pairs(case):
                                      support=support)
         bound = tol * np.abs(f).max() / (eps * rho**p)
         assert np.all(np.abs(got - want) <= bound), formulation
+
+
+@settings(derandomize=True, deadline=None)
+@given(_small_clouds(), st.integers(2, 9))
+def test_apply_generator_is_the_built_markov_generator(case, k):
+    # The symmetric estimate is the Markov generator S^-1 Lhat S of the built
+    # cascade at the same eps and alpha, on all pairs and on a kNN support;
+    # a constant that one side carries and the other lacks breaks this.
+    # Tolerance, from the length n of the row sums as in
+    # test_complete_support_matches_all_pairs: qS, D and the kernel-weighted
+    # mean of f are sums of at most n terms, each within (n - 1) u of its
+    # exact value; w = qS^-alpha carries |alpha| <= 1/2 times the error of
+    # qS, and a relative error delta of the weights moves a weighted mean by
+    # at most 2 delta max|f|; Lhat (S f) sums terms whose magnitudes, over
+    # S_i, add to at most 2 max|f| / (eps rho_i^2), as Kalpha_ij sums to D_i
+    # and the diagonal is at most 1/(eps rho_i^2). 32 n u covers the sum.
+    cloud, rho, eps, _ = case
+    n = cloud.n_points
+    f = np.sin(cloud.points[:, 0])
+    bound = 32 * n * _U * np.abs(f).max() / (eps * rho**2)
+    for support in (None, neighbors.symmetrized_support(cloud, k)):
+        for alpha in (-0.5, 0.0, 0.5):
+            gm = kernel.build_generator(cloud, rho, eps, alpha, support=support)
+            want = gm.Lhat @ (gm.S * f) / gm.S
+            got = kernel.apply_generator(cloud, rho, eps, alpha, "symmetric", f,
+                                         support=support)
+            assert np.all(np.abs(got - want) <= bound), (alpha, support is None)
 
 
 @st.composite

@@ -59,13 +59,6 @@ def test_circle_from_density_matches_bisection_grid():
                                atol=1e-8)
 
 
-def test_circle_from_density_random_quantiles_are_sorted():
-    cloud = pointcloud.gen_circle_from_density(300, np.cos, seed=7)
-    theta = cloud.latent[:, 0]
-    assert np.all(np.diff(theta) >= 0)
-    assert theta.min() >= 0 and theta.max() < 2 * np.pi
-
-
 def test_gaussian_nice_grid_matches_normal_quantiles():
     # oracle: scipy.stats.norm.ppf (ndtri), a separate implementation from erfinv
     cloud = pointcloud.gen_gaussian_nice_1d(5)

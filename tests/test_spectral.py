@@ -228,7 +228,9 @@ def test_disconnected_support_is_reported_with_sizes():
         assert exc.value.component_sizes == [3, 2]
 
 
-def test_dense_components_match_sparse_oracle():
+def test_dense_components_match_sparse_oracle(monkeypatch):
+    # frontiers of 3 rows a block, so that a component's frontier spans blocks
+    monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", 3)
     rng = np.random.default_rng(5)
     for n in (1, 2, 7, 40, 90):
         # up to five groups of random edges; small groups stay isolated points
@@ -239,7 +241,7 @@ def test_dense_components_match_sparse_oracle():
         mat = np.where(pattern, rng.random((n, n)) + 0.5, 0.0)
         mat = 0.5 * (mat + mat.T)
         want = connected_components(sparse.csr_matrix(pattern), directed=False)[1]
-        np.testing.assert_array_equal(spectral._dense_components(mat, block=3), want)
+        np.testing.assert_array_equal(spectral._dense_components(mat), want)
         sizes = sorted(np.bincount(want).tolist(), reverse=True)
         if len(sizes) == 1:
             spectral._check_connected(mat)
