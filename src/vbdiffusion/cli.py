@@ -94,8 +94,8 @@ def _generator(config):
 
 def _cmd_generate(config):
     config, _ = harness.resolve(config)
-    out = harness.ensure_dir(config.output_dir)
     cloud = harness.generate_cloud(config)
+    out = harness.ensure_dir(config.output_dir)
     pointcloud.save_csv(cloud, out / "cloud.csv")
     harness.write_meta(out / "meta.txt",
                        vars(config) | {"n_points": cloud.n_points})

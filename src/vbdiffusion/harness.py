@@ -15,6 +15,7 @@ apply the generator to ``analytic.CHECK_F`` with a bandwidth from
 ``analytic.reference_operator``.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -199,6 +200,15 @@ def _alpha_beta(config, d):
 def generate_cloud(config):
     """Dataset of a resolved config."""
     return EXPERIMENTS[config.experiment].cloud(config.N, config.seed)
+
+
+def _torus_grid(n):
+    """The torus grid of n points, which must be a square."""
+    side = math.isqrt(n)
+    if side * side != n:
+        raise ConfigError(f"torus_operator takes a square N; {n} lies "
+                          f"between {side * side} and {(side + 1) ** 2}")
+    return pointcloud.gen_torus_grid(side)
 
 
 def _support(cloud, k):
@@ -469,10 +479,8 @@ def _metadata(config, sweep, curve, errors, cloud):
 
 def save_results_csv(table, path):
     """Write the result rows under the fixed header."""
-    with open(path, "w") as fh:
-        fh.write("eps,mse,eig_err,wall_time_s\n")
-        for row in table.rows:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    np.savetxt(path, table.rows, fmt="%.17g", delimiter=",",
+               header="eps,mse,eig_err,wall_time_s", comments="")
 
 
 def write_meta(path, meta):
@@ -563,7 +571,7 @@ EXPERIMENTS = {
                                           for a in range(3)])[:m]),
     "torus_operator": Experiment(
         62500, (0.0, 0.0),
-        lambda n, seed: pointcloud.gen_torus_grid(int(round(np.sqrt(n)))),
+        lambda n, seed: _torus_grid(n),
         reference="bandwidth_drift", eps=(0.001, 0.01, 0.1), k_support=500),
     "circle_operator": Experiment(
         8000, (0.25, -0.5),

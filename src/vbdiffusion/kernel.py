@@ -11,23 +11,24 @@ kernel give the Markov normalization; and the conjugation by
 S = rho sqrt(D) turns the Markov generator into a symmetric matrix whose
 eigenvectors are recovered by an un-conjugation.
 
-Matrices are dense ndarrays when no support is given: one n-by-n array
-holds the kernel, is scaled in place into its alpha-normalized form and
-then into Lhat, a block of rows at a time. On a neighbor support, passed as
+Either storage holds one array, scaled in place from the kernel into its
+alpha-normalized form and then into Lhat. Without a support it is an n-by-n
+ndarray, scaled a block of rows at a time. On a neighbor support, passed as
 :class:`neighbors.SupportPairs` (the squared distance of every pair i < j,
 cached once per cloud), each epsilon costs one elementwise pass over the
-cached distances, and the kernel and its alpha-normalized form are CSRs of
-their strict upper triangles with the diagonal implicit; only Lhat is
-assembled whole, for the eigensolver. Only Lhat is returned; its pattern
-is the graph whose connectivity the eigensolver checks. Both storages run
-the same steps through two helpers, row sums and a symmetric diagonal
-scaling, and are exactly symmetric: a dense kernel takes r_ij^2 and r_ji^2
-from one ``cdist`` formula whose terms do not change under the swap, and a
-sparse one evaluates each pair once. All-pairs kernel values come from one
-``cdist`` block of rows against all points at a time, written straight into
-the dense kernel or, in the matrix-free products (:func:`kernel_products`,
-behind :func:`apply_generator` and the truncated KDE), multiplied and freed;
-on a support the products stream over blocks of support rows.
+cached distances into a CSR of the strict upper triangle on the support's
+own index arrays, the diagonal implicit and a pair that underflows kept as
+an explicit zero; only Lhat is assembled whole, for the eigensolver, and
+that sum drops the zeros, so its pattern is the graph whose connectivity the
+eigensolver checks. Both storages run the same steps through two helpers,
+row sums and a symmetric diagonal scaling, and are exactly symmetric: a
+dense kernel takes r_ij^2 and r_ji^2 from one ``cdist`` formula whose terms
+do not change under the swap, and a sparse one evaluates each pair once.
+All-pairs kernel values come from one ``cdist`` block of rows against all
+points at a time, written straight into the dense kernel or, in the
+matrix-free products (:func:`kernel_products`, behind
+:func:`apply_generator` and the truncated KDE), multiplied and freed; on a
+support the products stream over blocks of support rows.
 :func:`build_generator` keeps whole matrices.
 """
 
@@ -71,9 +72,9 @@ def kernel_matrix(cloud, rho, eps, support=None):
 
     Without a ``support`` the full dense matrix is computed. With one (a
     :class:`neighbors.SupportPairs`) the result is the CSR of the strict
-    upper triangle on the support; the diagonal, all ones, is implicit.
-    Entries that underflow to zero are dropped from the sparse structure so
-    that connectivity checks see the numerical graph.
+    upper triangle on the support's own index arrays, which it shares; the
+    diagonal, all ones, is implicit. A pair whose value underflows stays
+    stored as an explicit zero.
     """
     rho = np.asarray(rho, dtype=float)
     if support is None:
@@ -81,13 +82,9 @@ def kernel_matrix(cloud, rho, eps, support=None):
         for start, stop in neighbors._blocks(rho.size, neighbors._SUPPORT_BLOCK):
             _dense_rows(cloud, eps, start, stop, rho, rho, out=k[start:stop])
         return k
-    # eliminate_zeros compacts the index arrays in place, so they are copies
-    out = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (_kernel_values(support, eps, 0, support.n, rho, rho),
-         support.indices.copy(), support.indptr.copy()),
-        shape=(support.n, support.n))
-    out.eliminate_zeros()
-    return out
+         support.indices, support.indptr), shape=(support.n, support.n))
 
 
 def _dense_rows(cloud, eps, start, stop, row_bw, col_bw, out=None):
@@ -100,15 +97,11 @@ def _dense_rows(cloud, eps, start, stop, row_bw, col_bw, out=None):
 
 def _kernel_values(support, eps, start, stop, row_bw, col_bw):
     """exp(-r_ij^2 / (4 eps row_bw_i col_bw_j)) over the entries of rows
-    start:stop of ``support``; a bandwidth given as None is one."""
+    start:stop of ``support``."""
     lo, hi = support.indptr[start], support.indptr[stop]
-    if row_bw is None:
-        den = 4.0 * eps * col_bw[support.indices[lo:hi]]
-    else:
-        den = np.repeat(4.0 * eps * row_bw[start:stop],
-                        np.diff(support.indptr[start:stop + 1]))
-        if col_bw is not None:
-            den *= col_bw[support.indices[lo:hi]]
+    den = np.repeat(4.0 * eps * row_bw[start:stop],
+                    np.diff(support.indptr[start:stop + 1]))
+    den *= col_bw[support.indices[lo:hi]]
     np.divide(support.r2[lo:hi], den, out=den)
     np.negative(den, out=den)
     return np.exp(den, out=den)
@@ -125,11 +118,10 @@ def kernel_products(cloud, rho, eps, formulation, *vectors, support=None):
     pair i < j, and K_ii = 1; every product entry is then summed over its
     row in column order, as the whole matrix would give, whatever the blocks.
     """
-    bw = {"left": (rho, None), "right": (None, rho),
-          "symmetric": (rho, rho)}[formulation]
     n = cloud.n_points
-    if support is None:
-        row_bw, col_bw = (np.ones(n) if b is None else b for b in bw)
+    ones = np.ones(n)
+    row_bw, col_bw = {"left": (rho, ones), "right": (ones, rho),
+                      "symmetric": (rho, rho)}[formulation]
     out = [np.zeros(n) for _ in vectors]
     for start, stop in neighbors._blocks(n, neighbors._SUPPORT_BLOCK):
         if support is None:
@@ -140,9 +132,9 @@ def kernel_products(cloud, rho, eps, formulation, *vectors, support=None):
         else:
             ptr = support.indptr[start:stop + 1] - support.indptr[start]
             cols = support.indices[support.indptr[start]:support.indptr[stop]]
-            upper = _kernel_values(support, eps, start, stop, *bw)
+            upper = _kernel_values(support, eps, start, stop, row_bw, col_bw)
             lower = (upper if formulation == "symmetric" else
-                     _kernel_values(support, eps, start, stop, *bw[::-1]))
+                     _kernel_values(support, eps, start, stop, col_bw, row_bw))
             for product, v in zip(out, vectors):
                 _add_products(product, v, start, ptr, cols, upper, lower, 1.0)
     return out
@@ -179,15 +171,15 @@ def _row_sums(mat, diag):
 
 
 def _scaled(mat, w):
-    """w_i M_ij w_j, of a dense M, which it overwrites a block of rows at a
-    time, or of the CSR of a strict upper triangle, which it leaves."""
-    if not sparse.issparse(mat):
-        for start, stop in neighbors._blocks(w.size, neighbors._SUPPORT_BLOCK):
-            mat[start:stop] *= np.outer(w[start:stop], w)
+    """Overwrite M with w_i M_ij w_j: a dense M a block of rows at a time,
+    or the data of the CSR of a strict upper triangle."""
+    if sparse.issparse(mat):
+        mat.data *= np.repeat(w, np.diff(mat.indptr))
+        mat.data *= w[mat.indices]
         return mat
-    return sparse.csr_matrix(
-        (mat.data * np.repeat(w, np.diff(mat.indptr)) * w[mat.indices],
-         mat.indices, mat.indptr), shape=mat.shape)
+    for start, stop in neighbors._blocks(w.size, neighbors._SUPPORT_BLOCK):
+        mat[start:stop] *= np.outer(w[start:stop], w)
+    return mat
 
 
 def build_generator(cloud, rho, eps, alpha, support=None):
@@ -196,11 +188,12 @@ def build_generator(cloud, rho, eps, alpha, support=None):
     With K the kernel: qS = K 1 / rho^d, Kalpha = W K W with
     W = diag(qS^(-alpha)), D = Kalpha 1, S = rho sqrt(D) and
     Lhat = (S^-1 Kalpha S^-1 - diag(rho^-2)) / eps, whose eigenvectors
-    are S times those of the Markov generator. Without a ``support`` one
-    n-by-n array is K, then Kalpha, then Lhat. On a ``support`` K and Kalpha
-    are strict upper triangles with their diagonals, 1 and qS^(-2 alpha),
-    implicit; Lhat is assembled whole, exactly symmetric, and holds exactly
-    the off-diagonal entries that do not underflow to zero.
+    are S times those of the Markov generator. One array is K, then Kalpha,
+    then Lhat: without a ``support`` an n-by-n array, on one the CSR of a
+    strict upper triangle on the support's pattern, whose diagonals, 1 and
+    qS^(-2 alpha), stay implicit. There Lhat is then assembled whole,
+    exactly symmetric, and holds exactly the off-diagonal entries that do
+    not underflow to zero.
     """
     if cloud.intrinsic_dim is None:
         raise ValueError("the cloud's intrinsic dimension is unknown")
@@ -208,20 +201,16 @@ def build_generator(cloud, rho, eps, alpha, support=None):
     k = kernel_matrix(cloud, rho, eps, support=support)
     qs = _row_sums(k, 1.0) / rho**cloud.intrinsic_dim
     w = qs ** (-alpha)
-    # on a support each step makes new values, and the last are freed before
-    # Lhat is summed; dense, all three names are one array
     kalpha = _scaled(k, w)
-    del k
     degree = _row_sums(kalpha, w * w)
     s = rho * np.sqrt(degree)
     inv_s = 1.0 / s
     shift = 1.0 / rho**2
     lhat = _scaled(kalpha, inv_s)
-    del kalpha
     if sparse.issparse(lhat):
         lhat.data /= eps
         diag = (w * w * inv_s * inv_s - shift) / eps
-        # the sum drops the entries that underflowed in the scaling
+        # the sum stores no zero: the pairs that underflowed leave the pattern
         lhat = sparse.diags(diag, format="csr") + lhat + lhat.T
     else:
         np.fill_diagonal(lhat, lhat.diagonal() - shift)
@@ -267,7 +256,7 @@ def apply_generator(cloud, rho, eps, alpha, formulation, f, support=None):
 
 def save_sparse_csv(mat, path):
     """Write a sparse matrix as (i, j, value) coordinate triples."""
-    coo = mat.tocoo() if sparse.issparse(mat) else sparse.coo_matrix(mat)
+    coo = sparse.coo_matrix(mat)
     out = np.column_stack([coo.row, coo.col, coo.data])
     np.savetxt(path, out, fmt=["%d", "%d", "%.17g"], delimiter=",",
                header="i,j,value", comments="")

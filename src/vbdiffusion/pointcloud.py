@@ -33,14 +33,11 @@ class PointCloud:
     intrinsic_dim : int, optional
         Manifold dimension d when known. The kernel chain and the KDE take
         d from here alone, and raise without it.
-    label : str
-        Short name used in output files.
     """
 
     points: np.ndarray
     latent: np.ndarray | None = None
     intrinsic_dim: int | None = None
-    label: str = "cloud"
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -68,15 +65,15 @@ class PointCloud:
         return self.points.shape[1]
 
 
-def _embed_circle(theta, label):
+def _embed_circle(theta):
     pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    return PointCloud(pts, latent=theta[:, None], intrinsic_dim=1, label=label)
+    return PointCloud(pts, latent=theta[:, None], intrinsic_dim=1)
 
 
 def gen_circle_uniform(N):
     """Uniform angular grid on the unit circle, theta_i = 2*pi*i/N."""
     theta = 2.0 * np.pi * np.arange(N) / N
-    return _embed_circle(theta, "circle-uniform")
+    return _embed_circle(theta)
 
 
 def gen_circle_nonuniform(N):
@@ -90,7 +87,7 @@ def gen_circle_nonuniform(N):
     theta = _invert_cdf_bisection(
         lambda t: (2.0 * t + np.sin(t)) / (4.0 * np.pi), targets, 0.0, 2.0 * np.pi
     )
-    return _embed_circle(theta, "circle-nonuniform")
+    return _embed_circle(theta)
 
 
 def _invert_cdf_bisection(cdf, targets, lo, hi, tol=1e-12, max_iter=80):
@@ -126,14 +123,14 @@ def gen_circle_from_density(N, log_density):
     cdf /= cdf[-1]
     targets = np.arange(1, N + 1) / (N + 1)
     theta = np.interp(targets, cdf, grid)
-    return _embed_circle(theta, "circle-density")
+    return _embed_circle(theta)
 
 
 def gen_gaussian_nice_1d(N):
     """Standard-normal quantile grid on the line, x_i = sqrt(2) erfinv(2 i/(N+1) - 1)."""
     targets = np.arange(1, N + 1) / (N + 1)
     x = np.sqrt(2.0) * erfinv(2.0 * targets - 1.0)
-    return PointCloud(x[:, None], latent=x[:, None], intrinsic_dim=1, label="gauss-nice-1d")
+    return PointCloud(x[:, None], latent=x[:, None], intrinsic_dim=1)
 
 
 def gen_gaussian_random(N, dim, cov=None, seed=0):
@@ -141,7 +138,7 @@ def gen_gaussian_random(N, dim, cov=None, seed=0):
     rng = np.random.default_rng(seed)
     chol = _cholesky(np.eye(dim) if cov is None else cov, dim)
     pts = rng.standard_normal((N, dim)) @ chol.T
-    return PointCloud(pts, latent=pts, intrinsic_dim=dim, label=f"gauss-{dim}d")
+    return PointCloud(pts, latent=pts, intrinsic_dim=dim)
 
 
 def _cholesky(cov, dim):
@@ -174,7 +171,7 @@ def gen_sphere_nonuniform(N, cov=None, seed=0):
         pts[bad] = rng.standard_normal((int(bad.sum()), 3)) @ chol.T
         norms = np.linalg.norm(pts, axis=1)
     pts /= norms[:, None]
-    return PointCloud(pts, intrinsic_dim=2, label="sphere-nonuniform")
+    return PointCloud(pts, intrinsic_dim=2)
 
 
 def gen_torus_grid(n_per_dim):
@@ -183,8 +180,7 @@ def gen_torus_grid(n_per_dim):
     ta, tb = np.meshgrid(angles, angles, indexing="ij")
     ta, tb = ta.ravel(), tb.ravel()
     pts = np.column_stack([np.cos(ta), np.sin(ta), np.cos(tb), np.sin(tb)])
-    return PointCloud(pts, latent=np.column_stack([ta, tb]), intrinsic_dim=2,
-                      label="torus-grid")
+    return PointCloud(pts, latent=np.column_stack([ta, tb]), intrinsic_dim=2)
 
 
 def perturb_circle(cloud, amplitude, seed=0):
@@ -198,7 +194,7 @@ def perturb_circle(cloud, amplitude, seed=0):
     rng = np.random.default_rng(seed)
     theta = np.mod(cloud.latent[:, 0] + amplitude * rng.uniform(size=cloud.n_points),
                    2.0 * np.pi)
-    return _embed_circle(theta, cloud.label + "-perturbed")
+    return _embed_circle(theta)
 
 
 def _latent_names(d):

@@ -329,15 +329,9 @@ def group_by_eigenvalue(eigenvalues):
 def save_csv(spectrum, path, latent=None):
     """Write eigenvalues (first row) then eigenvector rows, latent columns first."""
     vecs = spectrum.eigenvectors
-    lat = None
-    if latent is not None:
-        lat = np.asarray(latent, dtype=float)
-        if lat.ndim == 1:
-            lat = lat[:, None]
-    with open(path, "w") as fh:
-        lead = [""] * (lat.shape[1] if lat is not None else 0)
-        fh.write(",".join(lead + ["%.17g" % v for v in spectrum.eigenvalues]) + "\n")
-        for i in range(vecs.shape[0]):
-            row = [] if lat is None else ["%.17g" % v for v in lat[i]]
-            row += ["%.17g" % v for v in vecs[i]]
-            fh.write(",".join(row) + "\n")
+    data = vecs if latent is None else np.column_stack([latent, vecs])
+    # the eigenvalue row leaves the latent columns blank
+    header = ",".join([""] * (data.shape[1] - vecs.shape[1])
+                      + ["%.17g" % v for v in spectrum.eigenvalues])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header,
+               comments="")

@@ -42,12 +42,11 @@ def test_targets_evaluate_in_latent_coordinates():
     theta = cloud.latent[:, 0]
     got = analytic.circle_target(3, "sin").evaluate(cloud)
     assert np.allclose(got, np.sin(3.0 * theta), atol=1e-12)
-    bare = PointCloud(points=cloud.points, label="no-latent")
+    bare = PointCloud(points=cloud.points)
     with pytest.raises(NoLatent):
         analytic.circle_target(1, "cos").evaluate(bare)
     # hermite targets fall back to the first ambient coordinate
-    line = PointCloud(points=np.linspace(-2, 2, 11)[:, None], intrinsic_dim=1,
-                      label="line")
+    line = PointCloud(points=np.linspace(-2, 2, 11)[:, None], intrinsic_dim=1)
     got = analytic.hermite_target(2).evaluate(line)
     assert np.allclose(got, analytic.hermite(2, line.points[:, 0]), atol=1e-14)
 
@@ -77,8 +76,7 @@ def _at(*angles):
     """A circle (one angle array) or torus (two) cloud at these latent angles."""
     latent = np.column_stack(angles)
     points = np.column_stack([fn(a) for a in angles for fn in (np.cos, np.sin)])
-    return PointCloud(points, latent=latent, intrinsic_dim=len(angles),
-                      label="angles")
+    return PointCloud(points, latent=latent, intrinsic_dim=len(angles))
 
 
 def test_reference_operator_hand_derived_values():
@@ -139,9 +137,9 @@ def test_reference_operator_validation():
         analytic.reference_operator("divergence", cloud)
     with pytest.raises(ValueError, match="c1"):
         analytic.reference_operator("gradient_flow", cloud)
-    no_dim = PointCloud(points=cloud.points, latent=cloud.latent, label="no-d")
+    no_dim = PointCloud(points=cloud.points, latent=cloud.latent)
     with pytest.raises(ValueError, match="intrinsic dimension"):
         analytic.reference_operator("bandwidth_drift", no_dim)
-    bare = PointCloud(points=cloud.points, label="no-latent")
+    bare = PointCloud(points=cloud.points)
     with pytest.raises(NoLatent):
         analytic.reference_operator("laplacian", bare)

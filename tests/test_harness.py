@@ -245,6 +245,24 @@ def test_cloud_smaller_than_k0_is_a_usage_error(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+def test_torus_operator_takes_a_square_n(tmp_path, capsys):
+    # the grid has side x side points: any other N would silently run a
+    # different one
+    for command in ("experiment", "generate"):
+        out = tmp_path / command
+        code = cli.main([command, "--set", "experiment=torus_operator",
+                         "--set", "N=3000", "--set", f"output_dir={out}"])
+        err = capsys.readouterr().err
+        assert code == 1, command
+        assert "usage error" in err and "2916 and 3025" in err
+        assert not out.exists()
+    out = tmp_path / "square"
+    assert cli.main(["generate", "--set", "experiment=torus_operator",
+                     "--set", "N=3025", "--set", f"output_dir={out}"]) == 0
+    assert len((out / "cloud.csv").read_text().splitlines()) == 1 + 3025
+    assert "n_points = 3025" in (out / "meta.txt").read_text().splitlines()
+
+
 def test_load_config_file_and_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment line\n"
@@ -414,8 +432,7 @@ def test_operator_csv_matches_savetxt_bytes(tmp_path, latent_dim):
     # within one block of rows, and across two block seams into a short block
     for n in (50, 2 * harness._CSV_BLOCK + 3):
         cloud = pointcloud.PointCloud(points=rng.standard_normal((n, 3)),
-                                      latent=rng.uniform(0.0, 6.3, (n, latent_dim)),
-                                      label="grid")
+                                      latent=rng.uniform(0.0, 6.3, (n, latent_dim)))
         f, est, ref = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
         est[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
         got, want = tmp_path / f"got{n}.csv", tmp_path / f"want{n}.csv"

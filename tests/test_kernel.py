@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from vbdiffusion import kernel, neighbors, pointcloud
+from vbdiffusion import kernel, neighbors, pointcloud, spectral
+from vbdiffusion.errors import DisconnectedGraph
 from vbdiffusion.pointcloud import PointCloud
 
 from oracles import generator_dense_nonsymmetric, kernel_alpha, knn_union
@@ -15,7 +16,7 @@ _U = np.finfo(float).eps / 2
 
 def _two_point_cloud():
     pts = np.array([[0.0], [2.0]])
-    return PointCloud(points=pts, intrinsic_dim=1, label="pair")
+    return PointCloud(points=pts, intrinsic_dim=1)
 
 
 def test_two_point_kernel_values():
@@ -98,14 +99,37 @@ def test_sparse_generator_is_exactly_symmetric():
         np.testing.assert_array_equal(getattr(lhat, name), getattr(mirror, name))
 
 
-def test_underflowed_entries_are_dropped():
-    pts = np.array([[0.0], [2000.0]])
-    cloud = PointCloud(points=pts, intrinsic_dim=1, label="far-pair")
-    support = neighbors.symmetrized_support(cloud, 2)
-    assert support.nnz == 1
-    k = kernel.kernel_matrix(cloud, np.ones(2), 1e-3, support=support)
-    # exp underflows for the distant pair; only the implicit diagonal is left
-    assert k.nnz == 0
+def test_underflowed_pairs_leave_lhat():
+    # two clusters 50 apart: exp(-r^2 / 4 eps) underflows on every cross pair
+    pts = np.array([[0.0], [0.1], [0.2], [50.0], [50.1], [50.2]])
+    cloud = PointCloud(points=pts, intrinsic_dim=1)
+    support = neighbors.symmetrized_support(cloud, 6)
+    assert support.nnz == 15
+    k = kernel.kernel_matrix(cloud, np.ones(6), 1e-3, support=support)
+    # K keeps the support's pattern: the 9 cross pairs stay as explicit zeros
+    assert k.nnz == 15
+    assert np.count_nonzero(k.data == 0.0) == 9
+    gm = kernel.build_generator(cloud, np.ones(6), 1e-3, 0.0, support=support)
+    # Lhat's sum drops them, so its pattern is the numerical graph
+    assert np.all(gm.Lhat.data != 0.0)
+    assert gm.Lhat.nnz - np.count_nonzero(gm.Lhat.diagonal()) == 12
+    with pytest.raises(DisconnectedGraph) as info:
+        spectral.eigs_near_zero(gm, 2)
+    assert info.value.component_sizes == [3, 3]
+
+
+def test_sparse_chain_shares_the_support_pattern():
+    cloud, rho = _gaussian_line(80)
+    support = neighbors.symmetrized_support(cloud, 20)
+    k = kernel.kernel_matrix(cloud, rho, 0.05, support=support)
+    assert np.shares_memory(k.indices, support.indices)
+    assert np.shares_memory(k.indptr, support.indptr)
+    before = [a.copy() for a in (support.indices, support.indptr, support.r2)]
+    # an epsilon small enough that some pairs underflow
+    for eps in (0.05, 1e-7):
+        kernel.build_generator(cloud, rho, eps, 0.3, support=support)
+    for was, now in zip(before, (support.indices, support.indptr, support.r2)):
+        np.testing.assert_array_equal(now, was)
 
 
 def test_generator_identities():
@@ -264,8 +288,7 @@ def _small_clouds(draw):
     n = draw(st.integers(10, 60))
     dim = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cloud = PointCloud(points=rng.standard_normal((n, dim)), intrinsic_dim=dim,
-                       label="random")
+    cloud = PointCloud(points=rng.standard_normal((n, dim)), intrinsic_dim=dim)
     rho = np.exp(rng.uniform(-0.5, 0.5, n))
     eps = 2.0 ** draw(st.floats(-8.0, 0.0))
     alpha = draw(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.5, 1.0]))
@@ -369,7 +392,7 @@ def _clouds_with_motion(draw):
 
 def _lhats(pts, rho, eps, alpha, k):
     """Whole dense Lhat on all pairs, then on the kNN support of size k."""
-    cloud = PointCloud(points=pts, intrinsic_dim=pts.shape[1], label="moved")
+    cloud = PointCloud(points=pts, intrinsic_dim=pts.shape[1])
     support = neighbors.symmetrized_support(cloud, k)
     for pairs in (None, support):
         lhat = kernel.build_generator(cloud, rho, eps, alpha, support=pairs).Lhat
@@ -452,7 +475,7 @@ def test_apply_generator_validation():
         kernel.apply_generator(cloud, rho, 0.1, 0.0, "center", f)
     with pytest.raises(ValueError, match="symmetric"):
         kernel.apply_generator(cloud, rho, 0.1, 0.5, "left", f)
-    bare = PointCloud(points=cloud.points, label="no-dim")
+    bare = PointCloud(points=cloud.points)
     with pytest.raises(ValueError, match="dimension"):
         kernel.apply_generator(bare, rho, 0.1, 0.5, "symmetric", f)
     with pytest.raises(ValueError, match="dimension"):

@@ -219,7 +219,7 @@ def test_disconnected_support_is_reported_with_sizes():
     # all pairs, and a kNN support whose third neighbors of the pair cross to
     # the triple: the kernel underflows across, so no edge joins the two
     pts = np.array([[0.0], [0.1], [0.2], [1000.0], [1000.1]])
-    cloud = PointCloud(points=pts, intrinsic_dim=1, label="two-clusters")
+    cloud = PointCloud(points=pts, intrinsic_dim=1)
     knn = neighbors.symmetrized_support(cloud, 3)
     for support in (None, knn):
         gm = kernel.build_generator(cloud, np.ones(5), 0.01, 0.0, support=support)

@@ -11,7 +11,7 @@ from vbdiffusion.pointcloud import PointCloud
 def _pair_cloud():
     # two points at distance 2: S(2^i) = (1 + exp(-2^-i))/2 exactly
     pts = np.array([[0.0], [2.0]])
-    return PointCloud(points=pts, intrinsic_dim=1, label="pair")
+    return PointCloud(points=pts, intrinsic_dim=1)
 
 
 def test_two_point_curve_matches_closed_form():
@@ -42,7 +42,7 @@ def test_first_argmax_wins_on_ties():
 
 
 def test_flat_curve_raises():
-    coincident = PointCloud(points=np.zeros((2, 1)), intrinsic_dim=1, label="same")
+    coincident = PointCloud(points=np.zeros((2, 1)), intrinsic_dim=1)
     with pytest.raises(NoLinearRegion):
         tuning.s_curve(coincident, np.ones(2), grid=[-2, -1, 0])
     with pytest.raises(NoLinearRegion):
@@ -77,14 +77,14 @@ def test_curve_matches_naive_double_loop():
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((40, 2))
     rho = np.exp(0.3 * rng.standard_normal(40))
-    cloud = PointCloud(points=pts, intrinsic_dim=2, label="random")
+    cloud = PointCloud(points=pts, intrinsic_dim=2)
     # -40..10 runs from a diagonal-only kernel, across the underflow edge
     # of exp, to saturation
     grid = np.arange(-40, 11)
     want = _naive_s(pts.tolist(), rho.tolist(), grid)
     support = neighbors.symmetrized_support(cloud, 40)
     perm = rng.permutation(40)
-    shuffled = PointCloud(points=pts[perm], intrinsic_dim=2, label="shuffled")
+    shuffled = PointCloud(points=pts[perm], intrinsic_dim=2)
     for got in (tuning.s_curve(cloud, rho, grid=grid),
                 tuning.s_curve(cloud, rho, grid=grid, support=support),
                 tuning.s_curve(shuffled, rho[perm], grid=grid)):
