@@ -6,14 +6,12 @@ sampling density, with automatic scale selection and analytic references
 for validation.
 """
 
-from .density import (BandwidthProfile, bandwidth_from_density,
-                      bandwidth_profile, c_constants, kde_pilot,
-                      pilot_bandwidth)
+from .density import (BandwidthProfile, bandwidth_profile, c_constants,
+                      kde_pilot, pilot_bandwidth)
 from .errors import (AlignmentAmbiguous, DegenerateEigenvector,
                      DisconnectedGraph, DuplicatePoints, EmptyMask,
-                     InvalidCovariance, InversionFailure, KTooLarge,
-                     NoLatent, NoLinearRegion, PipelineError, SolverFailure,
-                     WrongManifold)
+                     InvalidCovariance, KTooLarge, NoLatent, NoLinearRegion,
+                     PipelineError, SolverFailure, WrongManifold)
 from .harness import ExperimentConfig, ResultTable, run_experiment
 from .kernel import (GeneratorMatrices, apply_generator, build_generator,
                      kernel_matrix)

@@ -59,7 +59,6 @@ def circle_eigenfunction(k, parity, theta):
 class AnalyticTarget:
     """A known eigenfunction with its eigenvalue, evaluable on a cloud."""
 
-    label: str
     eigenvalue: float
     evaluate: Callable
 
@@ -70,14 +69,13 @@ def _latent_or_points(cloud):
 
 def hermite_target(n):
     return AnalyticTarget(
-        label=f"hermite-{n}", eigenvalue=float(-n),
-        evaluate=lambda cloud: hermite(n, _latent_or_points(cloud)[:, 0]))
+        float(-n), lambda cloud: hermite(n, _latent_or_points(cloud)[:, 0]))
 
 
 def ou2d_target(nx, ny):
     return AnalyticTarget(
-        label=f"ou2d-{nx}{ny}", eigenvalue=float(-(nx + ny)),
-        evaluate=lambda cloud: ou2d_eigenfunction(nx, ny, _latent_or_points(cloud)))
+        float(-(nx + ny)),
+        lambda cloud: ou2d_eigenfunction(nx, ny, _latent_or_points(cloud)))
 
 
 def circle_target(k, parity):
@@ -85,14 +83,11 @@ def circle_target(k, parity):
         if cloud.latent is None:
             raise NoLatent("circle eigenfunctions need the angular latent")
         return circle_eigenfunction(k, parity, cloud.latent[:, 0])
-    return AnalyticTarget(label=f"circle-{parity}{k}", eigenvalue=float(-k * k),
-                          evaluate=_eval)
+    return AnalyticTarget(float(-k * k), _eval)
 
 
 def sphere_coordinate_target(axis):
-    return AnalyticTarget(
-        label=f"sphere-x{axis + 1}", eigenvalue=-2.0,
-        evaluate=lambda cloud: cloud.points[:, axis])
+    return AnalyticTarget(-2.0, lambda cloud: cloud.points[:, axis])
 
 
 def reference_operator(kind, cloud, c1=None):

@@ -107,8 +107,8 @@ def _cmd_density(config):
     config, cloud, profile, support = harness.setup(config)
     out = harness.ensure_dir(config.output_dir)
     density.save_csv(profile, out / "bandwidth.csv")
-    harness.write_meta(out / "meta.txt", vars(config) | {"eps0": profile.eps0})
-    print(f"wrote {out / 'bandwidth.csv'} (eps0={profile.eps0:.6g})")
+    harness.write_meta(out / "meta.txt", vars(config))
+    print(f"wrote {out / 'bandwidth.csv'}")
     return 0
 
 

@@ -20,13 +20,11 @@ from .neighbors import scaled_pairs
 class BandwidthProfile:
     """Per-point bandwidth data shared by every epsilon in a sweep.
 
-    ``rho0`` is the pilot bandwidth, ``eps0`` the squared mean pilot
-    bandwidth, ``q0`` the density estimate, and ``rho = q0**beta`` the final
-    kernel bandwidth.
+    ``rho0`` is the pilot bandwidth, ``q0`` the density estimate, and
+    ``rho = q0**beta`` the final kernel bandwidth.
     """
 
     rho0: np.ndarray
-    eps0: float
     q0: np.ndarray
     rho: np.ndarray
 
@@ -50,8 +48,7 @@ def pilot_bandwidth(graph, k0=8):
 def kde_pilot(cloud, rho0, support=None):
     """Variable-bandwidth Gaussian density estimate at the sample points.
 
-    Returns ``(q0, eps0)`` where eps0 is the squared mean pilot bandwidth.
-    The estimate at point i is
+    Returns ``q0``, whose entry at point i is
 
         q0_i = (2 pi)^(-d/2) / (rho0_i^d N) * sum_l exp(-r_il^2 / (2 rho0_i rho0_l))
 
@@ -65,7 +62,6 @@ def kde_pilot(cloud, rho0, support=None):
     if d is None:
         raise ValueError("the cloud's intrinsic dimension is unknown")
     n = cloud.n_points
-    eps0 = float(np.mean(rho0)) ** 2
     if support is None:
         vals = np.exp(scaled_pairs(cloud, rho0) / -2.0)
         sums = squareform(vals).sum(axis=1) + 1.0  # + the l = i term
@@ -73,13 +69,7 @@ def kde_pilot(cloud, rho0, support=None):
         # exp(-r^2 / (2 rho0_i rho0_l)) is the generator kernel at eps = 1/2
         sums, = kernel_products(cloud, rho0, 0.5, "symmetric", np.ones(n),
                                 support=support)
-    q0 = (2.0 * np.pi) ** (-d / 2.0) / (rho0**d * n) * sums
-    return q0, eps0
-
-
-def bandwidth_from_density(q0, beta):
-    """Final kernel bandwidth rho = q0**beta (beta = 0 gives a fixed bandwidth)."""
-    return np.asarray(q0, dtype=float) ** beta
+    return (2.0 * np.pi) ** (-d / 2.0) / (rho0**d * n) * sums
 
 
 def c_constants(alpha, beta, d):
@@ -100,9 +90,8 @@ def bandwidth_profile(cloud, graph, beta, k0=8, support=None):
     :func:`kde_pilot`.
     """
     rho0 = pilot_bandwidth(graph, k0=k0)
-    q0, eps0 = kde_pilot(cloud, rho0, support=support)
-    rho = bandwidth_from_density(q0, beta)
-    return BandwidthProfile(rho0=rho0, eps0=eps0, q0=q0, rho=rho)
+    q0 = kde_pilot(cloud, rho0, support=support)
+    return BandwidthProfile(rho0=rho0, q0=q0, rho=q0**beta)
 
 
 def save_csv(profile, path):

@@ -10,14 +10,6 @@ class PipelineError(Exception):
     """Base class for all structured errors in this package."""
 
 
-class InversionFailure(PipelineError):
-    """Iterative inversion of a CDF did not reach the requested tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class InvalidCovariance(PipelineError):
     """Covariance matrix is not symmetric positive definite."""
 

@@ -521,7 +521,7 @@ def _circle_targets(count):
 
 _OU2D_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
                 (3, 0), (2, 1), (1, 2), (0, 3)]
-_CONSTANT = analytic.AnalyticTarget("const", 0.0, lambda c: np.ones(c.n_points))
+_CONSTANT = analytic.AnalyticTarget(0.0, lambda c: np.ones(c.n_points))
 
 
 def _score_target(index, spectrum, cloud, reference, ref_vals):

@@ -1,14 +1,15 @@
 """Exact k-nearest-neighbor queries and sparse support patterns.
 
-Rows of a :class:`NeighborGraph` always start with the point itself at
-distance zero and are sorted by (distance, index) so that results are
-reproducible even in the presence of exact ties. Every query goes to one
-kd-tree (``scipy.spatial.cKDTree``), exact in any dimension, a block of
-rows at a time. A support, ``symmetrized_support(cloud, k)``, is symmetric
-and stored once, as its strict upper triangle with the diagonal implicit;
-it streams the query blocks and holds each pair once from the moment its
-block arrives, never n*k distances, and its pair distances and scaled pairs
-run over blocks of rows.
+Rows of a :class:`NeighborGraph` start with the point itself at distance
+zero, then order the rest by (distance, index); when more points tie at the
+k-th distance than fit in a row, the kd-tree picks which ones it keeps.
+Every query goes to one kd-tree (``scipy.spatial.cKDTree``), exact in any
+dimension, a block of rows at a time. A support,
+``symmetrized_support(cloud, k)``, is symmetric and stored once, as its
+strict upper triangle with the diagonal implicit; it streams the query
+blocks and holds each pair once from the moment its block arrives, never
+n*k distances, and its pair distances and scaled pairs run over blocks of
+rows.
 """
 
 from dataclasses import dataclass
@@ -53,10 +54,8 @@ def _blocks(n, size):
 def _query_blocks(cloud, k, size=None):
     """(start, stop, dist, idx, is_self) of each block of rows' exact k
     nearest neighbors from one kd-tree; every row lists its own point.
-    Blocks are query blocks, or ``size`` rows of one."""
+    Blocks are query blocks, or ``size`` rows of one. Callers check k <= n."""
     pts = cloud.points
-    if k > pts.shape[0]:
-        raise KTooLarge(k, pts.shape[0])
     tree = cKDTree(pts)
     block = min(_QUERY_BLOCK, max(1, _QUERY_ENTRIES // k))
     for start, stop in _blocks(pts.shape[0], block):

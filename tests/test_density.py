@@ -45,9 +45,8 @@ def test_kde_two_point_oracle():
     # r = sqrt(2) gives 0.2728524717875863 (hand evaluation)
     pts = np.array([[0.0], [np.sqrt(2.0)]])
     cloud = pointcloud.PointCloud(pts, intrinsic_dim=1)
-    q0, eps0 = density.kde_pilot(cloud, np.ones(2))
+    q0 = density.kde_pilot(cloud, np.ones(2))
     np.testing.assert_allclose(q0, 0.2728524717875863, atol=1e-15)
-    assert eps0 == 1.0
 
 
 def test_kde_two_point_with_pilot_bandwidth():
@@ -58,16 +57,15 @@ def test_kde_two_point_with_pilot_bandwidth():
     cloud = pointcloud.PointCloud(pts, intrinsic_dim=1)
     g = neighbors.knn(cloud, 2)
     rho0 = density.pilot_bandwidth(g, k0=2)
-    q0, eps0 = density.kde_pilot(cloud, rho0)
+    q0 = density.kde_pilot(cloud, rho0)
     np.testing.assert_allclose(q0, 0.22659696596499324, atol=1e-15)
-    np.testing.assert_allclose(eps0, 2.0, atol=1e-15)
 
 
 def test_kde_matches_per_point_naive_sum():
     rng = np.random.default_rng(23)
     pts = rng.standard_normal((50, 2))
     rho0 = np.exp(0.4 * rng.standard_normal(50))
-    q0, _ = density.kde_pilot(pointcloud.PointCloud(pts, intrinsic_dim=2), rho0)
+    q0 = density.kde_pilot(pointcloud.PointCloud(pts, intrinsic_dim=2), rho0)
     want = []
     for i in range(50):
         total = math.fsum(
@@ -83,9 +81,9 @@ def test_kde_sparse_path_matches_dense():
     cloud = pointcloud.gen_circle_uniform(300)
     g = neighbors.knn(cloud, 60)
     rho0 = density.pilot_bandwidth(g)
-    dense_q0, _ = density.kde_pilot(cloud, rho0)
+    dense_q0 = density.kde_pilot(cloud, rho0)
     support = neighbors.symmetrized_support(cloud, 60)
-    sparse_q0, _ = density.kde_pilot(cloud, rho0, support=support)
+    sparse_q0 = density.kde_pilot(cloud, rho0, support=support)
     np.testing.assert_allclose(sparse_q0, dense_q0, rtol=1e-12)
 
 
@@ -97,9 +95,9 @@ def test_truncated_kde_in_row_blocks(monkeypatch, block):
     cloud = pointcloud.PointCloud(pts, intrinsic_dim=2)
     graph = neighbors.knn(cloud, 8)
     support = neighbors.symmetrized_support(cloud, 8)
-    whole, _ = density.kde_pilot(cloud, rho0, support=support)  # one block
+    whole = density.kde_pilot(cloud, rho0, support=support)  # one block
     monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", block)
-    q0, _ = density.kde_pilot(cloud, rho0, support=support)
+    q0 = density.kde_pilot(cloud, rho0, support=support)
     np.testing.assert_array_equal(q0, whole)
     want = [math.fsum(
         math.exp(-float(np.sum((pts[i] - pts[j]) ** 2)) / (2.0 * rho0[i] * rho0[j]))
@@ -113,6 +111,10 @@ def test_kde_estimates_uniform_circle_density():
     cloud = pointcloud.gen_circle_uniform(1000)
     prof = _profile(cloud, beta=-0.5)
     np.testing.assert_allclose(prof.q0, 1 / (2 * np.pi), rtol=2e-3)
+    # the bandwidth is the density's power: rho = q0^beta, and beta = 0 is
+    # a fixed bandwidth
+    np.testing.assert_array_equal(prof.rho, prof.q0 ** -0.5)
+    np.testing.assert_array_equal(_profile(cloud, beta=0.0).rho, np.ones(1000))
 
 
 def test_kde_estimates_gaussian_density():
@@ -122,23 +124,6 @@ def test_kde_estimates_gaussian_density():
     true = np.exp(-x**2 / 2) / np.sqrt(2 * np.pi)
     bulk = np.abs(x) < 2
     np.testing.assert_allclose(prof.q0[bulk], true[bulk], rtol=2e-2)
-
-
-def test_rho0_tilde_has_unit_mean():
-    cloud = pointcloud.gen_circle_nonuniform(500)
-    prof = _profile(cloud, beta=-0.5)
-    # rho0 / sqrt(eps0), the pilot rescaled to unit mean
-    np.testing.assert_allclose((prof.rho0 / np.sqrt(prof.eps0)).mean(), 1.0,
-                               atol=1e-12)
-    np.testing.assert_allclose(prof.eps0, prof.rho0.mean() ** 2, atol=1e-15)
-
-
-def test_bandwidth_power_law():
-    q0 = np.array([0.25, 1.0, 4.0])
-    np.testing.assert_allclose(density.bandwidth_from_density(q0, -0.5),
-                               [2.0, 1.0, 0.5], atol=1e-15)
-    np.testing.assert_allclose(density.bandwidth_from_density(q0, 0.0),
-                               np.ones(3), atol=1e-15)
 
 
 def test_c_constants_pinned_values():

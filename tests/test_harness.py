@@ -339,7 +339,7 @@ def test_small_cloud_with_k_support_truncates_the_kde():
                       for j in sets[i]) / (math.sqrt(2.0 * math.pi) * rho0[i] * 300)
             for i in range(300)]
     np.testing.assert_allclose(profile.q0, want, rtol=1e-13, atol=0.0)
-    all_pairs, _ = density.kde_pilot(cloud, rho0)
+    all_pairs = density.kde_pilot(cloud, rho0)
     assert np.abs(profile.q0 / all_pairs - 1.0).max() > 1e-3
 
 

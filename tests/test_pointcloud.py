@@ -49,6 +49,21 @@ def test_circle_nonuniform_inverts_its_cdf():
     assert np.all(np.diff(theta) > 0)
 
 
+@pytest.mark.parametrize("n", [2, 10**6])
+def test_cdf_bisection_step_count(n):
+    # every step halves [0, 2 pi], and 2 pi / 2^43 = 7.1e-13 is the first
+    # width at or below the 1e-12 tolerance: 43 cdf calls, whatever N is
+    calls = []
+
+    def cdf(t):
+        calls.append(t.size)
+        return (2.0 * t + np.sin(t)) / (4.0 * np.pi)
+
+    targets = np.arange(1, n + 1) / (n + 1)
+    pointcloud._invert_cdf_bisection(cdf, targets, 0.0, 2.0 * np.pi)
+    assert calls == [n] * 43
+
+
 def test_circle_from_density_matches_bisection_grid():
     # trapezoid-CDF interpolation and direct bisection must agree on the same law
     n = 50
