@@ -111,10 +111,6 @@ def test_kde_estimates_uniform_circle_density():
     cloud = pointcloud.gen_circle_uniform(1000)
     prof = _profile(cloud, beta=-0.5)
     np.testing.assert_allclose(prof.q0, 1 / (2 * np.pi), rtol=2e-3)
-    # the bandwidth is the density's power: rho = q0^beta, and beta = 0 is
-    # a fixed bandwidth
-    np.testing.assert_array_equal(prof.rho, prof.q0 ** -0.5)
-    np.testing.assert_array_equal(_profile(cloud, beta=0.0).rho, np.ones(1000))
 
 
 def test_kde_estimates_gaussian_density():
@@ -124,6 +120,21 @@ def test_kde_estimates_gaussian_density():
     true = np.exp(-x**2 / 2) / np.sqrt(2 * np.pi)
     bulk = np.abs(x) < 2
     np.testing.assert_allclose(prof.q0[bulk], true[bulk], rtol=2e-2)
+
+
+def test_bandwidth_power_law():
+    # the bandwidth is the density's power, rho = q0^beta; on the two-point
+    # cloud with k0 = 2, q0 = 0.22659696596499324 at both points (see
+    # test_kde_two_point_with_pilot_bandwidth), so at beta = -0.5
+    # rho = q0^{-1/2} = 2.100743143385977, and beta = 0 is a fixed bandwidth
+    cloud = pointcloud.PointCloud(np.array([[0.0], [np.sqrt(2.0)]]),
+                                  intrinsic_dim=1)
+    g = neighbors.knn(cloud, 2)
+    prof = density.bandwidth_profile(cloud, g, -0.5, k0=2)
+    np.testing.assert_allclose(prof.rho, 2.100743143385977, atol=1e-14)
+    np.testing.assert_array_equal(prof.rho, prof.q0 ** -0.5)
+    flat = density.bandwidth_profile(cloud, g, 0.0, k0=2)
+    np.testing.assert_array_equal(flat.rho, np.ones(2))
 
 
 def test_c_constants_pinned_values():
