@@ -99,11 +99,12 @@ def _kernel_values(support, eps, start, stop, row_bw, col_bw):
     """exp(-r_ij^2 / (4 eps row_bw_i col_bw_j)) over the entries of rows
     start:stop of ``support``."""
     lo, hi = support.indptr[start], support.indptr[stop]
-    den = np.repeat(4.0 * eps * row_bw[start:stop],
+    # the sign rides on the scale: IEEE products and quotients are exact in
+    # sign, so r2 / -(4 eps a b) is -(r2 / (4 eps a b)) bit for bit
+    den = np.repeat(-4.0 * eps * row_bw[start:stop],
                     np.diff(support.indptr[start:stop + 1]))
     den *= col_bw[support.indices[lo:hi]]
     np.divide(support.r2[lo:hi], den, out=den)
-    np.negative(den, out=den)
     return np.exp(den, out=den)
 
 

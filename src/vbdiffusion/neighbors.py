@@ -171,7 +171,10 @@ def symmetrized_support(cloud, k):
             cols[indptr[start]:indptr[stop]], at, j)
     del key, i, j, at
     indptr += shift
-    cols.resize(indptr[-1])
+    # no view of cols outlives the statement that made it, so the store can
+    # shrink in place; numpy's reference check would also count the copy of
+    # this frame's locals that a tracer or profiler holds, and refuse
+    cols.resize(indptr[-1], refcheck=False)
     return SupportPairs(indptr=indptr, indices=cols,
                         r2=_sq_dists(cloud.points, indptr, cols))
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import vbdiffusion
-from vbdiffusion import cli, density, harness, kernel, neighbors, pointcloud
+from vbdiffusion import cli, density, harness, kernel, neighbors
 
 
 def test_defaults_fill_in():
@@ -429,18 +429,26 @@ def test_operator_check_end_to_end(tmp_path, name):
 @pytest.mark.parametrize("latent_dim", [1, 2])
 def test_operator_csv_matches_savetxt_bytes(tmp_path, latent_dim):
     rng = np.random.default_rng(2)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    names = ["theta", "phi"][:latent_dim] + ["f", "estimate", "reference"]
     # within one block of rows, and across two block seams into a short block
     for n in (50, 2 * harness._CSV_BLOCK + 3):
-        cloud = pointcloud.PointCloud(points=rng.standard_normal((n, 3)),
-                                      latent=rng.uniform(0.0, 6.3, (n, latent_dim)))
-        f, est, ref = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-300, 300, (3, n))
-        est[:5] = [0.0, -0.0, np.inf, -np.inf, np.nan]
-        got, want = tmp_path / f"got{n}.csv", tmp_path / f"want{n}.csv"
-        harness._write_operator_csv(got, cloud, f, est, ref)
-        names = ["theta", "phi"][:latent_dim] + ["f", "estimate", "reference"]
-        np.savetxt(want, np.column_stack([cloud.latent, f, est, ref]), fmt="%.17g",
-                   delimiter=",", header=",".join(names), comments="")
-        assert got.read_bytes() == want.read_bytes()
+        latent = rng.uniform(0.0, 6.3, (n, latent_dim))
+        f, ref = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))
+        f[:5], ref[-5:] = specials, specials
+        template = harness._operator_template(latent, f, ref)
+        kept = list(template)
+        # one template, filled with three estimates in turn
+        for trial in range(3):
+            est = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+            est[trial:trial + 5] = specials
+            got = tmp_path / f"got{n}_{trial}.csv"
+            want = tmp_path / f"want{n}_{trial}.csv"
+            harness._write_operator_csv(got, template, est)
+            np.savetxt(want, np.column_stack([latent, f, est, ref]), fmt="%.17g",
+                       delimiter=",", header=",".join(names), comments="")
+            assert got.read_bytes() == want.read_bytes()
+            assert template == kept
 
 
 def test_circle_operator_check_honours_alpha_and_k_support(tmp_path):

@@ -72,6 +72,22 @@ def test_sparse_kernel_matches_dense_on_support():
     assert np.allclose(coo.data, dense[coo.row, coo.col], rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("eps", [0.001, 2.0**-7, 0.1])
+def test_sparse_kernel_is_the_exponent_of_each_pair(eps):
+    # the sign of the exponent rides on the scale 4 eps; 4 * 0.001 is not a
+    # power of two, so its product rounds, yet every value stays bit for bit
+    # exp(-(r2 / ((4 eps rho_i) rho_j)))
+    rng = np.random.default_rng(9)
+    cloud = PointCloud(points=rng.standard_normal((200, 3)))
+    rho = rng.uniform(0.5, 2.0, 200)
+    support = neighbors.symmetrized_support(cloud, 12)
+    rows = np.repeat(np.arange(support.n), np.diff(support.indptr))
+    arg = [-(r2 / ((4.0 * eps * rho[i]) * rho[j])) for r2, i, j in
+           zip(support.r2.tolist(), rows.tolist(), support.indices.tolist())]
+    got = kernel.kernel_matrix(cloud, rho, eps, support=support)
+    assert got.data.tobytes() == np.exp(np.array(arg)).tobytes()
+
+
 def test_sparse_generator_matches_dense_with_full_support():
     cloud, rho = _gaussian_line(40)
     graph = neighbors.knn(cloud, 40)

@@ -19,7 +19,7 @@ import pytest
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import vbdiffusion
-from vbdiffusion import kernel, neighbors, pointcloud, spectral
+from vbdiffusion import harness, kernel, neighbors, pointcloud, spectral
 
 from oracles import mirrored_spectrum, planted_generator
 
@@ -226,6 +226,32 @@ def test_all_pairs_apply_holds_one_row_block():
     vectors = 10 * n * 8
     block = 2 * neighbors._SUPPORT_BLOCK * n * 8
     assert peak <= vectors + block + _SLACK, peak
+
+
+def test_operator_template_keeps_its_text_alone():
+    n = 20_000
+    rng = np.random.default_rng(5)
+
+    def widest(shape):
+        # negative, three-digit exponents: up to 24 characters of %.17g
+        return -rng.uniform(1.0, 10.0, shape) * 10.0 ** -rng.integers(100, 300, shape)
+
+    latent, f, ref = widest((n, 2)), widest(n), widest(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        template = harness._operator_template(latent, f, ref)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # per row, four values of at most 24 characters, four commas, the
+    # five-character estimate field and a newline, one byte each in ASCII
+    bound = n * (4 * 24 + 10)
+    assert kept <= bound + _SLACK, (kept, bound)
+    # the same text held as one string per row, each with its object header
+    # and a list slot, does not fit
+    text = sum(len(block) for block in template)
+    assert text + n * (sys.getsizeof("") + 8) > bound + _SLACK
 
 
 def test_dense_generator_is_built_in_one_matrix():

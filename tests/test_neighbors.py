@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,25 @@ def test_support_query_blocks_do_not_change_the_support(monkeypatch, block):
         expected = {(i, j) for i, row in enumerate(union) for j in row if j > i}
         assert set(zip(rows.tolist(), pairs.indices.tolist())) == expected
         np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, rows, pairs.indices))
+
+
+@pytest.mark.parametrize("hook, current", [(sys.setprofile, sys.getprofile),
+                                           (sys.settrace, sys.gettrace)],
+                         ids=["setprofile", "settrace"])
+def test_support_builds_under_a_profiler_or_tracer(hook, current):
+    # a trace or profile hook gives every frame's locals one more reference,
+    # which the column store's final shrink must not take for a view
+    cloud = pointcloud.gen_torus_grid(50)
+    want = neighbors.symmetrized_support(cloud, 60)
+    before = current()
+    hook(lambda *args: None)
+    try:
+        got = neighbors.symmetrized_support(cloud, 60)
+    finally:
+        hook(before)
+    for name in ("indptr", "indices", "r2"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_support_pairs_follow_csr_order():
