@@ -9,11 +9,10 @@ KDE normalizes by the cloud's intrinsic dimension, ``cloud.intrinsic_dim``.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
+from . import neighbors
 from .errors import DuplicatePoints
 from .kernel import kernel_products
-from .neighbors import scaled_pairs
 
 
 @dataclass(frozen=True)
@@ -54,22 +53,48 @@ def kde_pilot(cloud, rho0, support=None):
 
     with d the cloud's intrinsic dimension and the l = i term included.
     Without a ``support`` (:class:`neighbors.SupportPairs`) the sum runs
-    over all pairs; with one it is truncated to the support, whose strict
-    upper triangle is stored with the diagonal implicit. Either way each pair is computed once and
-    added to both of its points' sums.
+    over all pairs, held once in ``pdist``'s condensed array, which is
+    exponentiated in place and summed into both points of each pair a block
+    of rows at a time, never as a square matrix. With a support the sum is
+    truncated to it, whose strict upper triangle is stored with the diagonal
+    implicit. Either way each pair is computed once.
     """
     d = cloud.intrinsic_dim
     if d is None:
         raise ValueError("the cloud's intrinsic dimension is unknown")
     n = cloud.n_points
     if support is None:
-        vals = np.exp(scaled_pairs(cloud, rho0) / -2.0)
-        sums = squareform(vals).sum(axis=1) + 1.0  # + the l = i term
+        vals = neighbors.scaled_pairs(cloud, rho0)
+        vals /= -2.0
+        sums = _row_sums(np.exp(vals, out=vals), n) + 1.0  # + the l = i term
     else:
         # exp(-r^2 / (2 rho0_i rho0_l)) is the generator kernel at eps = 1/2
         sums, = kernel_products(cloud, rho0, 0.5, "symmetric", np.ones(n),
                                 support=support)
     return (2.0 * np.pi) ** (-d / 2.0) / (rho0**d * n) * sums
+
+
+def _row_sums(vals, n):
+    """Row sums of the symmetric n-by-n matrix, zero on its diagonal, whose
+    pairs i < j are ``vals`` in ``pdist`` order (``squareform``'s matrix).
+
+    Each block of rows is laid out as that matrix holds it, so numpy sums
+    every row in the same pairwise order, to the same bits.
+    """
+    # pair (j, i), j < i, is vals[first[j] + i]
+    j = np.arange(n)
+    first = j * n - j * (j + 1) // 2 - j - 1
+    sums = np.empty(n)
+    block = np.empty((min(neighbors._SUPPORT_BLOCK, n), n))
+    for start, stop in neighbors._blocks(n, neighbors._SUPPORT_BLOCK):
+        rows = block[:stop - start]
+        for i, row in enumerate(rows, start):
+            # the indices are in range; "clip" gathers into row unbuffered
+            np.take(vals, first[:i] + i, out=row[:i], mode="clip")
+            row[i] = 0.0
+            row[i + 1:] = vals[first[i] + i + 1:first[i] + n]
+        rows.sum(axis=1, out=sums[start:stop])
+    return sums
 
 
 def c_constants(alpha, beta, d):

@@ -9,14 +9,16 @@ eigenfunctions sampled at the data points.
 Only the few eigenpairs nearest zero are wanted, and each storage has one
 path to them. Small problems take a dense ``eigh`` of the top pairs. Larger
 ones run shift-inverted Lanczos (ARPACK), solving with a Cholesky factor of
-sigma I - Lhat: a dense one for all-pairs runs, and for a support a banded
-one in reverse Cuthill-McKee order. Either run may take a fixed number of
-solves. On the dense storage a Lanczos run that spends them or fails hands
-over to ``eigh``; on a sparse one it raises :class:`SolverFailure`.
-:class:`Spectrum` records which path ran.
+sigma I - Lhat: for all-pairs runs a dense one, made in the spare triangle
+of Lhat's own array and undone when the run ends, and for a support a
+banded one in reverse Cuthill-McKee order. Either run may take a fixed
+number of solves. On the dense storage a Lanczos run that spends them or
+fails hands over to ``eigh``; on a sparse one it raises
+:class:`SolverFailure`. :class:`Spectrum` records which path ran.
 """
 
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,8 +83,9 @@ def eigs_near_zero(gm, n_eig):
     and raises :class:`DisconnectedGraph` with the component sizes when it
     splits; a kernel entry whose conjugated value underflows to zero is no
     edge, as for the eigensolver. ``gm.Lhat`` is left as it was: a dense
-    factor is made from a copy, so an all-pairs run holds Lhat and its
-    factor.
+    factor is made in Lhat's spare triangle, so an all-pairs run holds one
+    n-by-n array, and Lhat is whole again on return, or on any error raised;
+    nothing else may read a dense Lhat while the call runs.
     Small problems take dense ``eigh``, larger ones shift-inverted Lanczos.
     A Lanczos run that spends its solve budget or fails hands over to ``eigh``
     on a dense Lhat and raises :class:`SolverFailure` on a sparse one; so
@@ -97,8 +100,8 @@ def eigs_near_zero(gm, n_eig):
     if n // _SOLVE_BUDGET > _ncv(n, n_eig):
         vals, vecs, solver = _shift_invert(lhat, n_eig)
     if vals is None:
-        # eigh runs once _shift_invert has returned, so that a dense factor
-        # is no longer held
+        # eigh runs once _shift_invert has returned, when a dense Lhat is
+        # whole again
         vals, vecs = eigh(lhat if dense else lhat.toarray(),
                           subset_by_index=[max(n - n_eig, 0), n - 1])
     order = np.argsort(vals)[::-1]
@@ -163,12 +166,17 @@ def _shift_invert(lhat, n_eig):
         return solve(x)
 
     try:
-        solve = (_dense_solve if dense else _banded_solve)(lhat, sigma)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vals, vecs = eigsh(lhat, k=n_eig, sigma=sigma, which="LM", tol=_TOL,
-                               v0=v0, ncv=_ncv(n, n_eig), OPinv=LinearOperator(
-                                   (n, n), matvec=counted, dtype=float))
+        # a dense Lhat holds its factor until the block ends, however it ends:
+        # eigsh never multiplies by Lhat, since in shift-invert mode with an
+        # OPinv (ARPACK's mode 3) it takes no matvec
+        with (_dense_solve(lhat, sigma) if dense
+              else nullcontext(_banded_solve(lhat, sigma))) as solve:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                vals, vecs = eigsh(lhat, k=n_eig, sigma=sigma, which="LM",
+                                   tol=_TOL, v0=v0, ncv=_ncv(n, n_eig),
+                                   OPinv=LinearOperator((n, n), matvec=counted,
+                                                        dtype=float))
         return vals, vecs, solver
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"{solver}: sigma I - Lhat is not positive definite, "
@@ -184,26 +192,56 @@ def _shift_invert(lhat, n_eig):
         raise SolverFailure(f"{solver}: {type(exc).__name__}: {exc}") from exc
 
 
+@contextmanager
 def _dense_solve(lhat, sigma):
-    """Solve with Lhat - sigma I by a dense Cholesky factor of sigma I - Lhat.
+    """Yield a solve with Lhat - sigma I by a dense Cholesky factor of
+    sigma I - Lhat made in Lhat's own array.
 
-    The factor overwrites the one n-by-n copy it is made from, and Lhat is
-    left as it was.
+    Lhat is exactly symmetric, so its strict lower triangle holds every
+    value off the diagonal. The factor takes the upper triangle and the
+    diagonal, which are copied back from the lower triangle and a saved
+    diagonal when the block ends, or when the factor fails.
     """
     n = lhat.shape[0]
-    # Lhat is exactly symmetric, so its Fortran-ordered transpose gives
-    # LAPACK a copy of -Lhat to factor in place
-    a = np.negative(lhat.T, order="F")
-    a[np.diag_indices(n)] += sigma
-    c = cho_factor(a, lower=True, overwrite_a=True, check_finite=False)[0]
+    diag = lhat.diagonal().copy()
+    try:
+        # Lhat's Fortran-ordered transpose is sigma I - Lhat in its lower
+        # triangle, which is all that LAPACK reads, and LAPACK factors it in
+        # place; sign flips and sigma - Lhat_ii are the bits of a negated copy
+        for rows, cols, where in _upper_tiles(n):
+            tile = lhat[rows, cols]
+            np.negative(tile, out=tile, where=where)
+        lhat[np.diag_indices(n)] = sigma - diag
+        c = cho_factor(lhat.T, lower=True, overwrite_a=True,
+                       check_finite=False)[0]
 
-    def solve(x):
-        # (Lhat - sigma I)^-1 = -(c c^T)^-1; two triangular matrix-vector
-        # solves take half the time of LAPACK's one-column potrs
-        y = dtrsv(c, dtrsv(c, x, lower=1), lower=1, trans=1, overwrite_x=1)
-        return np.negative(y, out=y)
+        def solve(x):
+            # (Lhat - sigma I)^-1 = -(c c^T)^-1; two triangular matrix-vector
+            # solves take half the time of LAPACK's one-column potrs
+            y = dtrsv(c, dtrsv(c, x, lower=1), lower=1, trans=1, overwrite_x=1)
+            return np.negative(y, out=y)
 
-    return solve
+        yield solve
+    finally:
+        # tile by tile, so that the transposed reads stay in cache; a tile
+        # off the diagonal lies in other rows than its mirror, apart in
+        # memory, so numpy copies it without a buffer
+        for rows, cols, where in _upper_tiles(n):
+            np.copyto(lhat[rows, cols], lhat[cols, rows].T, where=where)
+        lhat[np.diag_indices(n)] = diag
+
+
+def _upper_tiles(n):
+    """(rows, cols, where) of the square tiles that cover the entries right
+    of the diagonal, a block of rows at a time; a tile on the diagonal picks
+    them by its mask."""
+    size = neighbors._SUPPORT_BLOCK
+    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    blocks = [slice(*block) for block in neighbors._blocks(n, size)]
+    for i, rows in enumerate(blocks):
+        yield rows, rows, upper[:rows.stop - rows.start, :rows.stop - rows.start]
+        for cols in blocks[i + 1:]:
+            yield rows, cols, True
 
 
 def _banded_solve(lhat, sigma):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from vbdiffusion import density, neighbors, pointcloud
 from vbdiffusion.errors import DuplicatePoints
@@ -73,6 +74,18 @@ def test_kde_matches_per_point_naive_sum():
             for j in range(50))
         want.append(total / (2.0 * math.pi * rho0[i] ** 2 * 50))
     np.testing.assert_allclose(q0, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, 1000])
+def test_all_pairs_kde_sums_each_square_row(n):
+    # the row sums of squareform's matrix, to the bit, across 256-row blocks
+    cloud = pointcloud.gen_sphere_nonuniform(n, seed=2)
+    rho0 = 0.2 + 0.1 * cloud.points[:, 0] ** 2
+    vals = np.exp(neighbors.scaled_pairs(cloud, rho0) / -2.0)
+    sums = squareform(vals).sum(axis=1) + 1.0
+    d = cloud.intrinsic_dim
+    q0 = (2.0 * np.pi) ** (-d / 2.0) / (rho0**d * n) * sums
+    assert density.kde_pilot(cloud, rho0).tobytes() == q0.tobytes()
 
 
 def test_kde_sparse_path_matches_dense():

@@ -4,8 +4,9 @@ numpy reports its array allocations to ``tracemalloc``, so the traced peak
 of a call counts every temporary it holds at once. Each bound is the output
 plus what one block may hold, plus 1 MiB for small arrays and Python
 objects; a whole-support temporary does not fit in it. Allocated bytes are
-not resident pages, so the support builder's resident peak is also bounded,
-in a fresh interpreter.
+not resident pages, and LAPACK's and ARPACK's work arrays are not traced,
+so the resident peaks of the support builder and of a whole dense run are
+also bounded, each in a fresh interpreter.
 """
 
 import os
@@ -19,7 +20,7 @@ import pytest
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import vbdiffusion
-from vbdiffusion import harness, kernel, neighbors, pointcloud, spectral
+from vbdiffusion import density, harness, kernel, neighbors, pointcloud, spectral
 
 from oracles import mirrored_spectrum, planted_generator
 
@@ -270,6 +271,14 @@ def test_dense_generator_is_built_in_one_matrix():
     assert np.array_equal(gm.Lhat, gm.Lhat.T)
 
 
+def _solve_block(n):
+    """What the dense solve holds besides Lhat and ARPACK's basis, at most:
+    one block of rows of the connectivity check, gathered and compared with
+    zero, 9 bytes per entry; the factor is made and undone in place, one
+    256 x 256 tile at a time, with a copy and a mask of one tile."""
+    return neighbors._SUPPORT_BLOCK * n * (8 + 1)
+
+
 def test_dense_generator_and_solve_hold_lhat_and_its_factor():
     n = 1500
     cloud = pointcloud.gen_sphere_nonuniform(n, seed=1)
@@ -281,11 +290,15 @@ def test_dense_generator_and_solve_hold_lhat_and_its_factor():
 
     (gm, spec), peak = _traced_peak(run)
     assert spec.solver == "dense cholesky shift-invert"
-    # Lhat, kept whole and unchanged for the caller, the Cholesky factor's
-    # own copy, and ARPACK's Lanczos basis as in
-    # test_dense_solve_holds_one_matrix_copy; a third n x n array does not fit
+    # Lhat, which holds its own Cholesky factor while the solve runs, and
+    # beside it the build's two blocks (test_dense_generator_is_built_in_one_matrix)
+    # or what the solve holds (test_dense_solve_holds_one_matrix_copy); a
+    # second n x n array does not fit
     basis = 2 * n * spectral._ncv(n, 5) * 8
-    assert peak <= 2 * n * n * 8 + basis + _SLACK, (peak, 2 * n * n * 8)
+    bound = n * n * 8 + max(2 * neighbors._SUPPORT_BLOCK * n * 8,
+                            basis + _solve_block(n))
+    assert n * n * 8 > bound - n * n * 8 + _SLACK
+    assert peak <= bound + _SLACK, (peak, bound)
     rebuilt = kernel.build_generator(cloud, rho, 0.02, 0.5).Lhat
     np.testing.assert_array_equal(gm.Lhat, rebuilt)
 
@@ -301,12 +314,69 @@ def test_dense_solve_holds_one_matrix_copy(even, odd, lo, solver):
     gm = planted_generator(mirrored_spectrum(even, odd, n, lo=lo))
     spec, peak = _traced_peak(lambda: spectral.eigs_near_zero(gm, 5))
     assert spec.solver == solver
-    # the copy of Lhat that the Cholesky factor overwrites, or that eigh
-    # reduces once the factor is freed, and ARPACK's Lanczos basis
-    # (n x ncv), which it copies to Fortran order to extract eigenvectors;
-    # a second n x n array does not fit
+    # shift-invert factors in Lhat's own array, so it holds ARPACK's Lanczos
+    # basis (n x ncv), which it copies to Fortran order to extract
+    # eigenvectors, and before it one block of rows: no n x n array. eigh
+    # reduces a copy of Lhat once the factor is undone: one n x n array
     basis = 2 * n * spectral._ncv(n, 5) * 8
-    assert peak <= n * n * 8 + basis + _SLACK, (peak, n * n * 8)
+    bound = basis + _solve_block(n)
+    assert n * n * 8 > 2 * (bound + _SLACK)
+    if solver.startswith("eigh"):
+        bound = n * n * 8 + basis
+    assert peak <= bound + _SLACK, (peak, bound)
+
+
+def test_all_pairs_kde_holds_its_pairs_and_one_row_block():
+    n = 3000
+    cloud = pointcloud.gen_sphere_nonuniform(n, seed=1)
+    rho0 = 0.2 + 0.1 * cloud.points[:, 0] ** 2
+    _, peak = _traced_peak(lambda: density.kde_pilot(cloud, rho0))
+    # pdist's condensed array, exponentiated in place, and one 256 x n block
+    # of its rows laid out square; each row's gather index and the length-n
+    # vectors (the pair offsets, sums, rho0^d and products), fewer than ten.
+    # A second condensed array does not fit, nor the square matrix
+    pairs = n * (n - 1) // 2 * 8
+    bound = pairs + neighbors._SUPPORT_BLOCK * n * 8 + 10 * n * 8
+    assert pairs > bound - pairs + _SLACK
+    assert peak <= bound + _SLACK, (peak, bound)
+
+
+@pytest.mark.skipif(not _STATUS.exists(), reason="no /proc/self/status")
+def test_dense_run_resident_peak(tmp_path):
+    # a whole sphere run on the dense path, after a smaller one that loads
+    # every module and starts the BLAS and ARPACK code; tracemalloc does not
+    # see LAPACK's or ARPACK's work arrays, resident pages do
+    n = 1500
+    probe = ("import sys\n"
+             "from vbdiffusion import harness\n"
+             "def status(key):\n"
+             "    for line in open('/proc/self/status'):\n"
+             "        if line.startswith(key + ':'):\n"
+             "            return int(line.split()[1]) * 1024\n"
+             "def run(n, out):\n"
+             "    return harness.run_experiment(harness.ExperimentConfig(\n"
+             "        experiment='sphere', N=n, output_dir=out))\n"
+             "run(700, sys.argv[2] + '/small')\n"
+             "before = status('VmRSS')\n"
+             "table = run(int(sys.argv[1]), sys.argv[2] + '/run')\n"
+             "print(status('VmHWM') - before)\n"
+             "print(*set(table.metadata['eigensolver'].values()))\n")
+    src = str(Path(vbdiffusion.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", probe, str(n), str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True)
+    growth, solvers = out.stdout.splitlines()
+    assert solvers == "dense cholesky shift-invert"
+    # the largest stage holds one n x n array and two 256 x n blocks (the
+    # build, or the solve's basis and blocks); the KDE and the tuning curve
+    # hold less, the condensed pairs and a block. Beside that, for freed
+    # arrays that the allocator keeps resident, the condensed pairs' bytes,
+    # and 1 MiB for interpreter pages. Lhat and a copy of it, or the
+    # condensed pairs twice beside a square matrix, do not fit
+    square, pairs = n * n * 8, n * (n - 1) // 2 * 8
+    bound = square + pairs + 2 * neighbors._SUPPORT_BLOCK * n * 8 + _SLACK
+    assert 2 * square > bound
+    assert int(growth) <= bound, (int(growth), bound)
 
 
 def test_banded_solve_factors_its_band_in_place():

@@ -223,6 +223,18 @@ def test_support_pairs_follow_csr_order():
         pairs.r2, pair_sq_dists(pts, support_rows(pairs), pairs.indices))
 
 
+def test_support_pairs_on_a_torus_grid_match_each_pair_bitwise():
+    # 4-D points gathered by int32 columns; every r2 is the einsum of its own
+    # pair's difference, taken one pair at a time
+    cloud = pointcloud.gen_torus_grid(50)
+    pts = cloud.points
+    pairs = neighbors.symmetrized_support(cloud, 60)
+    diff = np.array([pts[i] - pts[j] for i, j in
+                     zip(support_rows(pairs).tolist(), pairs.indices.tolist())])
+    want = np.einsum("ij,ij->i", diff, diff)
+    assert pairs.r2.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("cloud, k", [
     (pointcloud.gen_torus_grid(50), 60),
     (pointcloud.PointCloud(_tied_lattice()), 13),

@@ -90,18 +90,51 @@ def test_spent_solve_budget_hands_over_to_eigh(monkeypatch):
 
 def test_dense_factor_overwrites_its_one_copy(monkeypatch):
     n = 800
-    lhat = mirrored_spectrum([0.0, -1.0, -2.0], [-1.5], n)
+    gm = planted_generator(mirrored_spectrum([0.0, -1.0, -2.0], [-1.5], n))
     seen = []
 
     def recording(a, **kwargs):
         factor = cho_factor(a, **kwargs)
-        seen.append(np.shares_memory(factor[0], a))
+        seen.append(np.shares_memory(factor[0], gm.Lhat))
         return factor
 
     monkeypatch.setattr(spectral, "cho_factor", recording)
-    spec = spectral.eigs_near_zero(planted_generator(lhat), 4)
+    spec = spectral.eigs_near_zero(gm, 4)
     assert spec.solver == "dense cholesky shift-invert"
     assert seen == [True]
+
+
+@pytest.mark.parametrize("even, odd, lo, error, outcome", [
+    ([0.0, -1.0, -2.0], [-1.5, -3.0], 10.0, None, "dense cholesky shift-invert"),
+    ([0.0, -1.0, -2.0, -2.548], [-2.5475, -2.5481], 2.549, None,
+     "eigh (lanczos budget spent)"),
+    ([0.0, -1.0, -2.0], [-1.5, -3.0], 10.0, ArpackNoConvergence,
+     "eigh (dense cholesky shift-invert failed: ArpackNoConvergence)"),
+    # sigma I - Lhat is indefinite: the factor itself fails part-way
+    ([1.0, 0.0, -1.0], [-2.0], 10.0, None, SolverFailure),
+    ([0.0, -1.0, -2.0], [-1.5, -3.0], 10.0, MemoryError, SolverFailure),
+], ids=["solved", "budget spent", "arpack error", "indefinite", "memory error"])
+def test_dense_lhat_is_left_bitwise_unchanged(monkeypatch, even, odd, lo, error,
+                                               outcome):
+    # the factor takes Lhat's upper triangle and diagonal while the run lasts;
+    # however it ends, every bit of Lhat is back
+    lhat = mirrored_spectrum(even, odd, 800, lo=lo)
+    before = lhat.copy()
+
+    def failing(*args, **kwargs):
+        # after one solve, with the factor in Lhat
+        kwargs["OPinv"].matvec(np.ones(800))
+        raise (error("injected", np.empty(0), np.empty((0, 0)))
+               if error is ArpackNoConvergence else error("injected"))
+
+    if error is not None:
+        monkeypatch.setattr(spectral, "eigsh", failing)
+    if isinstance(outcome, str):
+        assert spectral.eigs_near_zero(planted_generator(lhat), 5).solver == outcome
+    else:
+        with pytest.raises(outcome):
+            spectral.eigs_near_zero(planted_generator(lhat), 5)
+    assert lhat.tobytes() == before.tobytes()
 
 
 def test_eigenvalue_above_shift_raises():
