@@ -13,7 +13,7 @@ eigenvectors are recovered by an un-conjugation.
 
 Either storage holds one array, scaled in place from the kernel into its
 alpha-normalized form and then into Lhat. Without a support it is an n-by-n
-ndarray, scaled a block of rows at a time. On a neighbor support, passed as
+ndarray, scaled a row at a time. On a neighbor support, passed as
 :class:`neighbors.SupportPairs` (the squared distance of every pair i < j,
 cached once per cloud), each epsilon costs one elementwise pass over the
 cached distances into a CSR of the strict upper triangle on the support's
@@ -91,7 +91,13 @@ def _dense_rows(cloud, eps, start, stop, row_bw, col_bw, out=None):
     """exp(-r_ij^2 / (4 eps row_bw_i col_bw_j)) of rows start:stop against
     all points, written into ``out`` when given."""
     k = cdist(cloud.points[start:stop], cloud.points, "sqeuclidean", out=out)
-    k /= -4.0 * eps * np.outer(row_bw[start:stop], col_bw)
+    # one row's divisors at a time, each the IEEE product -4 eps (a_i b_j)
+    # that a whole outer product gives, so no block of divisors is held
+    den = np.empty(col_bw.shape[0])
+    for row, bw in zip(k, row_bw[start:stop]):
+        np.multiply(col_bw, bw, out=den)
+        den *= -4.0 * eps
+        row /= den
     return np.exp(k, out=k)
 
 
@@ -103,7 +109,7 @@ def _kernel_values(support, eps, start, stop, row_bw, col_bw):
     # sign, so r2 / -(4 eps a b) is -(r2 / (4 eps a b)) bit for bit
     den = np.repeat(-4.0 * eps * row_bw[start:stop],
                     np.diff(support.indptr[start:stop + 1]))
-    den *= col_bw[support.indices[lo:hi]]
+    den *= np.take(col_bw, support.indices[lo:hi])
     np.divide(support.r2[lo:hi], den, out=den)
     return np.exp(den, out=den)
 
@@ -172,14 +178,15 @@ def _row_sums(mat, diag):
 
 
 def _scaled(mat, w):
-    """Overwrite M with w_i M_ij w_j: a dense M a block of rows at a time,
-    or the data of the CSR of a strict upper triangle."""
+    """Overwrite M with w_i M_ij w_j: a dense M a row at a time, or the data
+    of the CSR of a strict upper triangle."""
     if sparse.issparse(mat):
         mat.data *= np.repeat(w, np.diff(mat.indptr))
-        mat.data *= w[mat.indices]
+        mat.data *= np.take(w, mat.indices)
         return mat
-    for start, stop in neighbors._blocks(w.size, neighbors._SUPPORT_BLOCK):
-        mat[start:stop] *= np.outer(w[start:stop], w)
+    scale = np.empty(w.size)
+    for row, wi in zip(mat, w):
+        row *= np.multiply(w, wi, out=scale)
     return mat
 
 

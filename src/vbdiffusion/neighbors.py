@@ -248,6 +248,6 @@ def scaled_pairs(cloud, x, support=None):
     for start, stop in _blocks(support.n, _SUPPORT_BLOCK):
         lo, hi = support.indptr[start], support.indptr[stop]
         den = np.repeat(x[start:stop], np.diff(support.indptr[start:stop + 1]))
-        den *= x[support.indices[lo:hi]]
+        den *= np.take(x, support.indices[lo:hi])
         np.divide(support.r2[lo:hi], den, out=t[lo:hi])
     return t

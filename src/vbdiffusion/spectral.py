@@ -128,8 +128,9 @@ def _check_connected(lhat):
 
 def _dense_components(mat):
     """Components of a dense symmetric positive pattern, numbered by lowest
-    point; breadth-first, reading the frontier's rows a block at a time."""
+    point; breadth-first, testing the frontier's rows in place one by one."""
     labels = np.full(mat.shape[0], -1)
+    edge = np.empty(labels.size, dtype=bool)
     for seed in range(labels.size):
         if labels[seed] >= 0:
             continue
@@ -137,9 +138,8 @@ def _dense_components(mat):
         while frontier.size:
             labels[frontier] = comp
             reached = np.zeros(labels.size, dtype=bool)
-            for start, stop in neighbors._blocks(frontier.size,
-                                                 neighbors._SUPPORT_BLOCK):
-                reached |= (mat[frontier[start:stop]] > 0.0).any(axis=0)
+            for i in frontier:
+                reached |= np.greater(mat[i], 0.0, out=edge)
             frontier = np.flatnonzero(reached & (labels < 0))
     return labels
 

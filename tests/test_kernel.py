@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.spatial.distance import cdist
 
 from vbdiffusion import kernel, neighbors, pointcloud, spectral
 from vbdiffusion.errors import DisconnectedGraph
@@ -86,6 +87,37 @@ def test_sparse_kernel_is_the_exponent_of_each_pair(eps):
            zip(support.r2.tolist(), rows.tolist(), support.indices.tolist())]
     got = kernel.kernel_matrix(cloud, rho, eps, support=support)
     assert got.data.tobytes() == np.exp(np.array(arg)).tobytes()
+
+
+def test_sparse_scaling_multiplies_each_entry_by_both_weights_bitwise():
+    # (d w_i) w_j one entry at a time, over the CSR of a strict upper triangle
+    rng = np.random.default_rng(10)
+    cloud = PointCloud(points=rng.standard_normal((300, 3)))
+    support = neighbors.symmetrized_support(cloud, 12)
+    mat = kernel.kernel_matrix(cloud, np.ones(300), 0.5, support=support)
+    w = rng.uniform(0.5, 2.0, 300)
+    ws = w.tolist()
+    rows = np.repeat(np.arange(support.n), np.diff(support.indptr))
+    want = [(d * ws[i]) * ws[j] for d, i, j in
+            zip(mat.data.tolist(), rows.tolist(), support.indices.tolist())]
+    got = kernel._scaled(mat, w)
+    assert got.data.tobytes() == np.array(want).tobytes()
+
+
+def test_dense_kernel_and_scaling_match_whole_matrix_formulas_bitwise():
+    # row by row, the same IEEE products as the whole-matrix expressions:
+    # r2 / (-4 eps (rho_i rho_j)), then K_ij (w_i w_j)
+    rng = np.random.default_rng(11)
+    cloud = PointCloud(points=rng.standard_normal((300, 3)))
+    rho = rng.uniform(0.5, 2.0, 300)
+    w = rng.uniform(0.5, 2.0, 300)
+    eps = 0.001
+    want = np.exp(cdist(cloud.points, cloud.points, "sqeuclidean")
+                  / (-4.0 * eps * np.outer(rho, rho)))
+    got = kernel.kernel_matrix(cloud, rho, eps)
+    assert got.tobytes() == want.tobytes()
+    want *= np.outer(w, w)
+    assert kernel._scaled(got, w).tobytes() == want.tobytes()
 
 
 def test_sparse_generator_matches_dense_with_full_support():

@@ -20,7 +20,8 @@ import pytest
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import vbdiffusion
-from vbdiffusion import density, harness, kernel, neighbors, pointcloud, spectral
+from vbdiffusion import (density, harness, kernel, neighbors, pointcloud, spectral,
+                         tuning)
 
 from oracles import mirrored_spectrum, planted_generator
 
@@ -260,23 +261,31 @@ def test_dense_generator_is_built_in_one_matrix():
     cloud = pointcloud.gen_sphere_nonuniform(n, seed=1)
     rho = 1.0 + 0.1 * cloud.points[:, 2]
     gm, peak = _traced_peak(lambda: kernel.build_generator(cloud, rho, 0.02, 0.5))
-    # Lhat, which is the kernel scaled in place into it, and per block of
-    # rows, the bandwidth product and its multiple by -4 eps; cdist writes
-    # each block's distances straight into the kernel, and r_ij^2 and r_ji^2
-    # come from one formula whose terms do not change under the swap, so the
-    # kernel is exactly symmetric without a condensed copy. A second n x n
-    # array, or half of one, does not fit
-    bound = n * n * 8 + 2 * neighbors._SUPPORT_BLOCK * n * 8
+    # Lhat, which is the kernel scaled in place into it, and _build_vectors;
+    # cdist writes each block's distances straight into the kernel, and
+    # r_ij^2 and r_ji^2 come from one formula whose terms do not change under
+    # the swap, so the kernel is exactly symmetric without a condensed copy.
+    # A second n x n array does not fit, nor one 256 x n block beside Lhat
+    bound = n * n * 8 + _build_vectors(n)
+    assert neighbors._SUPPORT_BLOCK * n * 8 > _build_vectors(n) + _SLACK
     assert peak <= bound + _SLACK, (peak, bound)
     assert np.array_equal(gm.Lhat, gm.Lhat.T)
 
 
+def _build_vectors(n):
+    """What the dense build holds besides Lhat, at most: the length-n
+    vectors of the cascade (qS, its weights, D, S, 1/S, 1/rho^2 and their
+    temporaries) and one row's divisors or scale, fewer than ten."""
+    return 10 * n * 8
+
+
 def _solve_block(n):
     """What the dense solve holds besides Lhat and ARPACK's basis, at most:
-    one block of rows of the connectivity check, gathered and compared with
-    zero, 9 bytes per entry; the factor is made and undone in place, one
-    256 x 256 tile at a time, with a copy and a mask of one tile."""
-    return neighbors._SUPPORT_BLOCK * n * (8 + 1)
+    the connectivity check's labels, frontier and masks, the saved diagonal
+    and ARPACK's start and work vectors, fewer than ten length-n vectors;
+    each frontier row is compared with zero in place, and the factor is made
+    and undone in place, one 256 x 256 tile at a time under one mask."""
+    return 10 * n * 8 + neighbors._SUPPORT_BLOCK ** 2
 
 
 def test_dense_generator_and_solve_hold_lhat_and_its_factor():
@@ -290,13 +299,13 @@ def test_dense_generator_and_solve_hold_lhat_and_its_factor():
 
     (gm, spec), peak = _traced_peak(run)
     assert spec.solver == "dense cholesky shift-invert"
-    # Lhat, which holds its own Cholesky factor while the solve runs, and
-    # beside it the build's two blocks (test_dense_generator_is_built_in_one_matrix)
-    # or what the solve holds (test_dense_solve_holds_one_matrix_copy); a
-    # second n x n array does not fit
+    # Lhat, which holds its own Cholesky factor while the solve runs, the
+    # build's vectors (test_dense_generator_is_built_in_one_matrix), some of
+    # which gm keeps, and what the solve holds
+    # (test_dense_solve_holds_one_matrix_copy); a second n x n array does not
+    # fit
     basis = 2 * n * spectral._ncv(n, 5) * 8
-    bound = n * n * 8 + max(2 * neighbors._SUPPORT_BLOCK * n * 8,
-                            basis + _solve_block(n))
+    bound = n * n * 8 + _build_vectors(n) + basis + _solve_block(n)
     assert n * n * 8 > bound - n * n * 8 + _SLACK
     assert peak <= bound + _SLACK, (peak, bound)
     rebuilt = kernel.build_generator(cloud, rho, 0.02, 0.5).Lhat
@@ -316,11 +325,13 @@ def test_dense_solve_holds_one_matrix_copy(even, odd, lo, solver):
     assert spec.solver == solver
     # shift-invert factors in Lhat's own array, so it holds ARPACK's Lanczos
     # basis (n x ncv), which it copies to Fortran order to extract
-    # eigenvectors, and before it one block of rows: no n x n array. eigh
-    # reduces a copy of Lhat once the factor is undone: one n x n array
+    # eigenvectors, and a few length-n vectors: no n x n array, nor one
+    # 256 x n block of rows. eigh reduces a copy of Lhat once the factor is
+    # undone: one n x n array
     basis = 2 * n * spectral._ncv(n, 5) * 8
     bound = basis + _solve_block(n)
     assert n * n * 8 > 2 * (bound + _SLACK)
+    assert neighbors._SUPPORT_BLOCK * n * 9 > _solve_block(n) + _SLACK
     if solver.startswith("eigh"):
         bound = n * n * 8 + basis
     assert peak <= bound + _SLACK, (peak, bound)
@@ -338,6 +349,25 @@ def test_all_pairs_kde_holds_its_pairs_and_one_row_block():
     pairs = n * (n - 1) // 2 * 8
     bound = pairs + neighbors._SUPPORT_BLOCK * n * 8 + 10 * n * 8
     assert pairs > bound - pairs + _SLACK
+    assert peak <= bound + _SLACK, (peak, bound)
+
+
+def test_tuning_curve_holds_its_pairs_and_one_chunk():
+    n = 3000
+    cloud = pointcloud.gen_sphere_nonuniform(n, seed=1)
+    rho = 1.0 + 0.1 * cloud.points[:, 2]
+    grid = tuning._DEFAULT_EXPONENTS
+    _, peak = _traced_peak(lambda: tuning.s_curve(cloud, rho))
+    # the condensed scaled pairs, sorted in place, each divided while built
+    # by one row's bandwidth products (n values); one _CHUNK buffer that each
+    # exponent exponentiates or squares in place; and the grid-length
+    # vectors (eps, underflow prefixes, visit order and schedule, sums, S,
+    # slopes and temporaries), fewer than twenty. A per-exponent copy of the
+    # pairs does not fit, nor a second chunk buffer for every exponent
+    pairs = n * (n - 1) // 2 * 8
+    bound = pairs + n * 8 + tuning._CHUNK * 8 + 20 * grid.size * 8
+    assert pairs > bound - pairs + _SLACK
+    assert grid.size * tuning._CHUNK * 8 > bound - pairs + _SLACK
     assert peak <= bound + _SLACK, (peak, bound)
 
 
@@ -367,12 +397,13 @@ def test_dense_run_resident_peak(tmp_path):
                          check=True, capture_output=True, text=True)
     growth, solvers = out.stdout.splitlines()
     assert solvers == "dense cholesky shift-invert"
-    # the largest stage holds one n x n array and two 256 x n blocks (the
-    # build, or the solve's basis and blocks); the KDE and the tuning curve
-    # hold less, the condensed pairs and a block. Beside that, for freed
-    # arrays that the allocator keeps resident, the condensed pairs' bytes,
-    # and 1 MiB for interpreter pages. Lhat and a copy of it, or the
-    # condensed pairs twice beside a square matrix, do not fit
+    # the largest stage holds one n x n array and less than two 256 x n
+    # blocks beside it (the solve's basis and vectors); the KDE and the
+    # tuning curve hold less, the condensed pairs and a block or a chunk.
+    # Beside that, for freed arrays that the allocator keeps resident, the
+    # condensed pairs' bytes, and 1 MiB for interpreter pages. Lhat and a
+    # copy of it, or the condensed pairs twice beside a square matrix, do not
+    # fit
     square, pairs = n * n * 8, n * (n - 1) // 2 * 8
     bound = square + pairs + 2 * neighbors._SUPPORT_BLOCK * n * 8 + _SLACK
     assert 2 * square > bound

@@ -235,6 +235,20 @@ def test_support_pairs_on_a_torus_grid_match_each_pair_bitwise():
     assert pairs.r2.tobytes() == want.tobytes()
 
 
+def test_support_scaled_pairs_match_each_pair_bitwise():
+    # r2 / (x_i x_j) one pair at a time, over two blocks of support rows
+    rng = np.random.default_rng(12)
+    cloud = pointcloud.PointCloud(rng.standard_normal((300, 3)))
+    x = rng.uniform(0.5, 2.0, 300)
+    pairs = neighbors.symmetrized_support(cloud, 12)
+    xs = x.tolist()
+    want = [r2 / (xs[i] * xs[j]) for r2, i, j in
+            zip(pairs.r2.tolist(), support_rows(pairs).tolist(),
+                pairs.indices.tolist())]
+    got = neighbors.scaled_pairs(cloud, x, pairs)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("cloud, k", [
     (pointcloud.gen_torus_grid(50), 60),
     (pointcloud.PointCloud(_tied_lattice()), 13),

@@ -78,17 +78,55 @@ def test_curve_matches_naive_double_loop():
     pts = rng.standard_normal((40, 2))
     rho = np.exp(0.3 * rng.standard_normal(40))
     cloud = PointCloud(points=pts, intrinsic_dim=2)
-    # -40..10 runs from a diagonal-only kernel, across the underflow edge
-    # of exp, to saturation
-    grid = np.arange(-40, 11)
-    want = _naive_s(pts.tolist(), rho.tolist(), grid)
     support = neighbors.symmetrized_support(cloud, 40)
     perm = rng.permutation(40)
     shuffled = PointCloud(points=pts[perm], intrinsic_dim=2)
-    for got in (tuning.s_curve(cloud, rho, grid=grid),
-                tuning.s_curve(cloud, rho, grid=grid, support=support),
-                tuning.s_curve(shuffled, rho[perm], grid=grid)):
-        np.testing.assert_allclose(got.S, want, rtol=1e-13, atol=0.0)
+    # -40..10 runs from a diagonal-only kernel, across the underflow edge of
+    # exp, to saturation; the second grid is unsorted, gapped and has a
+    # repeat, so it mixes runs of squarings with direct exps
+    for grid in (np.arange(-40, 11), np.array([3, -7, -6, -5, 0, 1, -30, 10, 1])):
+        want = _naive_s(pts.tolist(), rho.tolist(), grid)
+        for got in (tuning.s_curve(cloud, rho, grid=grid),
+                    tuning.s_curve(cloud, rho, grid=grid, support=support),
+                    tuning.s_curve(shuffled, rho[perm], grid=grid)):
+            np.testing.assert_allclose(got.S, want, rtol=1e-13, atol=0.0)
+
+
+def _direct_sums(t, grid):
+    # the curve without squaring: every exponent its own exp of its own
+    # underflow prefix, summed a chunk at a time in the same order
+    t = np.sort(t)
+    sums = np.zeros(len(grid))
+    for g, eps in enumerate(2.0 ** np.asarray(grid, dtype=float)):
+        stop = int(np.searchsorted(t, tuning._EXP_UNDERFLOW * 4.0 * eps))
+        for start in range(0, stop, tuning._CHUNK):
+            part = t[start:min(start + tuning._CHUNK, stop)] / (-4.0 * eps)
+            sums[g] += np.exp(part, out=part).sum()
+    return sums
+
+
+def test_squared_curve_stays_within_its_bound_of_direct_exps():
+    n = 500
+    cloud = pointcloud.gen_sphere_nonuniform(n, seed=3)
+    rho = 1.0 + 0.2 * cloud.points[:, 2]
+    grid = tuning._DEFAULT_EXPONENTS
+    got = tuning.s_curve(cloud, rho)
+    t = neighbors.scaled_pairs(cloud, rho)
+    assert t.size > 3 * tuning._CHUNK  # several chunks
+    want = (n + 2.0 * _direct_sums(t, grid)) / float(n) ** 2
+    # per value, m <= _REFRESH - 1 squarings of an exp with relative error
+    # at most 2^-52 (tuning._REFRESH) leave 2^m 2^-52 + (2^m - 1) 2^-53;
+    # positive terms keep that bound on each sum. The two sums round in the
+    # same order but on other values: each of numpy's pairwise chunk sums
+    # rounds at most 16 + 3 + log2(_CHUNK / 128) = 27 times along a path,
+    # then one addition per chunk and four for S
+    u = 2.0**-53
+    m = tuning._REFRESH - 1
+    chunks = -(-t.size // tuning._CHUNK)
+    rtol = (2**m * 2 + 2**m - 1) * u + 2 * (27 + chunks + 4) * u
+    np.testing.assert_allclose(got.S, want, rtol=rtol, atol=0.0)
+    slopes = np.diff(np.log(want)) / (np.log(2.0) * np.diff(grid))
+    assert got.eps_star == tuning._select(grid, slopes)[0]
 
 
 def test_circle_slope_estimates_dimension():
