@@ -16,20 +16,24 @@ alpha-normalized form and then into Lhat. Without a support it is an n-by-n
 ndarray, scaled a row at a time. On a neighbor support, passed as
 :class:`neighbors.SupportPairs` (the squared distance of every pair i < j,
 cached once per cloud), each epsilon costs one elementwise pass over the
-cached distances into a CSR of the strict upper triangle on the support's
-own index arrays, the diagonal implicit and a pair that underflows kept as
-an explicit zero; only Lhat is assembled whole, for the eigensolver, and
-that sum drops the zeros, so its pattern is the graph whose connectivity the
-eigensolver checks. Both storages run the same steps through two helpers,
-row sums and a symmetric diagonal scaling, and are exactly symmetric: a
-dense kernel takes r_ij^2 and r_ji^2 from one ``cdist`` formula whose terms
-do not change under the swap, and a sparse one evaluates each pair once.
-All-pairs kernel values come from one ``cdist`` block of rows against all
-points at a time, written straight into the dense kernel or, in the
-matrix-free products (:func:`kernel_products`, behind
-:func:`apply_generator` and the truncated KDE), multiplied and freed; on a
-support the products stream over blocks of support rows.
-:func:`build_generator` keeps whole matrices.
+cached pairs into a CSR of the strict upper triangle on the support's own
+index arrays: on a support scaled by the kernel's bandwidth
+(``neighbors.scale_support``), one divide by -4 eps and one exp per pair; on
+raw r^2, the bandwidth products of each pair besides. Each call picks its
+path once, and a support scaled by any other bandwidth raises
+``ValueError``, so no kernel is computed wrongly scaled. The diagonal is
+implicit and a pair that underflows is kept as an explicit zero; only Lhat
+is assembled whole, for the eigensolver, and that sum drops the zeros, so
+its pattern is the graph whose connectivity the eigensolver checks. Both
+storages run the same steps through two helpers, row sums and a symmetric
+diagonal scaling, and are exactly symmetric: a dense kernel takes r_ij^2 and
+r_ji^2 from one ``cdist`` formula whose terms do not change under the swap,
+and a sparse one evaluates each pair once. All-pairs kernel values come from
+one ``cdist`` block of rows against all points at a time, written straight
+into the dense kernel or, in the matrix-free products
+(:func:`kernel_products`, behind :func:`apply_generator` and the truncated
+KDE), multiplied and freed; on a support the products stream over blocks of
+support rows. :func:`build_generator` keeps whole matrices.
 """
 
 from dataclasses import dataclass
@@ -74,7 +78,9 @@ def kernel_matrix(cloud, rho, eps, support=None):
     :class:`neighbors.SupportPairs`) the result is the CSR of the strict
     upper triangle on the support's own index arrays, which it shares; the
     diagonal, all ones, is implicit. A pair whose value underflows stays
-    stored as an explicit zero.
+    stored as an explicit zero. A support scaled by ``rho`` costs one divide
+    and one exp per pair; one scaled by another bandwidth raises
+    ``ValueError``.
     """
     rho = np.asarray(rho, dtype=float)
     if support is None:
@@ -82,8 +88,9 @@ def kernel_matrix(cloud, rho, eps, support=None):
         for start, stop in neighbors._blocks(rho.size, neighbors._SUPPORT_BLOCK):
             _dense_rows(cloud, eps, start, stop, rho, rho, out=k[start:stop])
         return k
+    row_bw, col_bw = _unscaled(support, rho, rho)
     return sparse.csr_matrix(
-        (_kernel_values(support, eps, 0, support.n, rho, rho),
+        (_kernel_values(support, eps, 0, support.n, row_bw, col_bw),
          support.indices, support.indptr), shape=(support.n, support.n))
 
 
@@ -101,16 +108,36 @@ def _dense_rows(cloud, eps, start, stop, row_bw, col_bw, out=None):
     return np.exp(k, out=k)
 
 
-def _kernel_values(support, eps, start, stop, row_bw, col_bw):
+def _unscaled(support, row_bw, col_bw):
+    """The bandwidths ``_kernel_values`` still has to divide the values of
+    ``support`` by: both, on raw r^2, or (None, None) on a support scaled by
+    the one bandwidth both sides use. Any other pairing raises ``ValueError``,
+    as its kernel would be wrongly scaled."""
+    if support.bandwidth is None:
+        return row_bw, col_bw
+    if row_bw is not col_bw or not np.array_equal(support.bandwidth, row_bw):
+        raise ValueError("the support is scaled by a bandwidth other than "
+                         "the one on both sides of this kernel")
+    return None, None
+
+
+def _kernel_values(support, eps, start, stop, row_bw, col_bw, out=None):
     """exp(-r_ij^2 / (4 eps row_bw_i col_bw_j)) over the entries of rows
-    start:stop of ``support``."""
+    start:stop of ``support``, or, with no bandwidths (see ``_unscaled``),
+    exp(-t_ij / (4 eps)) of a scaled support's t_ij, written into ``out``."""
     lo, hi = support.indptr[start], support.indptr[stop]
     # the sign rides on the scale: IEEE products and quotients are exact in
-    # sign, so r2 / -(4 eps a b) is -(r2 / (4 eps a b)) bit for bit
-    den = np.repeat(-4.0 * eps * row_bw[start:stop],
-                    np.diff(support.indptr[start:stop + 1]))
-    den *= np.take(col_bw, support.indices[lo:hi])
-    np.divide(support.r2[lo:hi], den, out=den)
+    # sign, so r2 / -(4 eps a b) is -(r2 / (4 eps a b)) bit for bit. When
+    # 4 eps is a power of two, (r2 / (a b)) / -(4 eps) is the same double
+    if row_bw is None:
+        den = np.divide(support.r2[lo:hi], -4.0 * eps, out=out)
+    else:
+        # b_j (-4 eps a_i) is the same double as (-4 eps a_i) b_j; "clip"
+        # gathers into out unbuffered, and the columns are in range
+        den = np.take(col_bw, support.indices[lo:hi], out=out, mode="clip")
+        den *= np.repeat(-4.0 * eps * row_bw[start:stop],
+                         np.diff(support.indptr[start:stop + 1]))
+        np.divide(support.r2[lo:hi], den, out=den)
     return np.exp(den, out=den)
 
 
@@ -124,26 +151,37 @@ def kernel_products(cloud, rho, eps, formulation, *vectors, support=None):
     With one (a SupportPairs) K_ij and K_ji both come from the one stored
     pair i < j, and K_ii = 1; every product entry is then summed over its
     row in column order, as the whole matrix would give, whatever the blocks.
+    A support scaled by ``rho`` (symmetric formulation only; anything else
+    raises ``ValueError``) costs one divide and one exp per pair, into one
+    block buffer reused across blocks.
     """
     n = cloud.n_points
     ones = np.ones(n)
     row_bw, col_bw = {"left": (rho, ones), "right": (ones, rho),
                       "symmetric": (rho, rho)}[formulation]
+    blocks = neighbors._blocks(n, neighbors._SUPPORT_BLOCK)
+    if support is not None:
+        row_bw, col_bw = _unscaled(support, row_bw, col_bw)
+        buf = np.empty(max(int(support.indptr[stop] - support.indptr[start])
+                           for start, stop in blocks))
     out = [np.zeros(n) for _ in vectors]
-    for start, stop in neighbors._blocks(n, neighbors._SUPPORT_BLOCK):
+    for start, stop in blocks:
         if support is None:
             k = _dense_rows(cloud, eps, start, stop, row_bw, col_bw)
             for product, v in zip(out, vectors):
                 product[start:stop] = k @ v
             del k  # before the next block's distances
         else:
-            ptr = support.indptr[start:stop + 1] - support.indptr[start]
-            cols = support.indices[support.indptr[start]:support.indptr[stop]]
-            upper = _kernel_values(support, eps, start, stop, row_bw, col_bw)
+            lo, hi = support.indptr[start], support.indptr[stop]
+            ptr = support.indptr[start:stop + 1] - lo
+            cols = support.indices[lo:hi]
+            upper = _kernel_values(support, eps, start, stop, row_bw, col_bw,
+                                   buf[:hi - lo])
             lower = (upper if formulation == "symmetric" else
                      _kernel_values(support, eps, start, stop, col_bw, row_bw))
             for product, v in zip(out, vectors):
                 _add_products(product, v, start, ptr, cols, upper, lower, 1.0)
+            del upper, lower  # before the next block's values
     return out
 
 

@@ -9,10 +9,12 @@ dimension, a block of rows at a time. A support,
 strict upper triangle with the diagonal implicit; it streams the query
 blocks and holds each pair once from the moment its block arrives, never
 n*k distances, and its pair distances and scaled pairs run over blocks of
-rows.
+rows. Once a run's bandwidth rho is fixed, ``scale_support`` divides a
+support's r^2 in place by rho_i rho_j, so that every kernel evaluation after
+it reads t_ij = r_ij^2 / (rho_i rho_j) and never gathers the bandwidth.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -212,17 +214,21 @@ class SupportPairs:
     """Squared distances of the pairs i < j of a symmetric support, in CSR order.
 
     ``indptr`` and ``indices`` are the canonical CSR pattern of the support's
-    strict upper triangle and ``r2[e]`` is the squared distance of entry e.
-    The diagonal is implicit: every point is in its own support, at r^2 = 0.
-    The distances do not depend on epsilon or on the bandwidth, so one
-    instance serves every kernel evaluation on the same cloud and support.
-    Instances share their index arrays with the kernel matrices built on
-    them; nothing may modify them in place.
+    strict upper triangle and ``r2[e]`` is the squared distance of entry e,
+    or, once :func:`scale_support` has run, r^2 / (x_i x_j) for the
+    ``bandwidth`` x it records (None: raw r^2). The diagonal is implicit:
+    every point is in its own support, at r^2 = 0. The values do not depend
+    on epsilon, so one instance serves every kernel evaluation on the same
+    cloud, support and bandwidth. Instances share their index arrays with
+    the kernel matrices built on them, and nothing may modify those in
+    place; only :func:`scale_support` modifies ``r2``, and it consumes the
+    instance it is given.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     r2: np.ndarray
+    bandwidth: np.ndarray | None = None
 
     @property
     def n(self):
@@ -233,10 +239,38 @@ class SupportPairs:
         return self.r2.shape[0]
 
 
+def scale_support(support, x):
+    """The support with each r_ij^2 divided in place by x_i x_j.
+
+    The input is consumed: its ``r2`` is the returned instance's, scaled a
+    block of rows at a time with the arithmetic of :func:`scaled_pairs`, so
+    no second array of the support's size is made. Scaling a support twice
+    raises ``ValueError``.
+    """
+    if support.bandwidth is not None:
+        raise ValueError("the support is already scaled by a bandwidth")
+    x = np.array(x, dtype=float)
+    for start, stop in _blocks(support.n, _SUPPORT_BLOCK):
+        lo, hi = support.indptr[start], support.indptr[stop]
+        support.r2[lo:hi] /= _pair_products(support, x, start, stop)
+    return replace(support, bandwidth=x)
+
+
+def _pair_products(support, x, start, stop, out=None):
+    """x_j x_i (the same double as x_i x_j) over the entries of rows
+    start:stop of ``support``, written into ``out`` when given."""
+    lo, hi = support.indptr[start], support.indptr[stop]
+    # "clip" gathers into out unbuffered; the columns are in range
+    den = np.take(x, support.indices[lo:hi], out=out, mode="clip")
+    den *= np.repeat(x[start:stop], np.diff(support.indptr[start:stop + 1]))
+    return den
+
+
 def scaled_pairs(cloud, x, support=None):
     """r_ij^2 / (x_i x_j) over the unordered pairs i < j: all of them in
     ``pdist`` order, or the entries of a :class:`SupportPairs`, a block of
-    its rows at a time."""
+    its rows at a time; a support already scaled by x gives a copy of its
+    values, and one scaled by another bandwidth raises ``ValueError``."""
     if support is None:
         t = pdist(cloud.points, "sqeuclidean")
         stop = 0
@@ -244,10 +278,13 @@ def scaled_pairs(cloud, x, support=None):
             start, stop = stop, stop + cloud.n_points - 1 - i
             t[start:stop] /= x[i] * x[i + 1:]
         return t
+    if support.bandwidth is not None:
+        if not np.array_equal(support.bandwidth, x):
+            raise ValueError("the support is scaled by another bandwidth")
+        return support.r2.copy()
     t = np.empty(support.nnz)
     for start, stop in _blocks(support.n, _SUPPORT_BLOCK):
         lo, hi = support.indptr[start], support.indptr[stop]
-        den = np.repeat(x[start:stop], np.diff(support.indptr[start:stop + 1]))
-        den *= np.take(x, support.indices[lo:hi])
-        np.divide(support.r2[lo:hi], den, out=t[lo:hi])
+        _pair_products(support, x, start, stop, out=t[lo:hi])
+        np.divide(support.r2[lo:hi], t[lo:hi], out=t[lo:hi])
     return t

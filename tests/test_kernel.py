@@ -89,6 +89,74 @@ def test_sparse_kernel_is_the_exponent_of_each_pair(eps):
     assert got.data.tobytes() == np.exp(np.array(arg)).tobytes()
 
 
+def _scaled_twins(n=600, k=12, seed=9):
+    """A cloud, its bandwidth, a raw support and its twin scaled by rho."""
+    rng = np.random.default_rng(seed)
+    cloud = PointCloud(points=rng.standard_normal((n, 3)), intrinsic_dim=3)
+    rho = rng.uniform(0.5, 2.0, n)
+    raw = neighbors.symmetrized_support(cloud, k)
+    scaled = neighbors.scale_support(
+        neighbors.symmetrized_support(cloud, k), rho)
+    return cloud, rho, raw, scaled
+
+
+@pytest.mark.parametrize("eps", [0.001, 2.0**-7, 0.1])
+def test_scaled_kernel_is_the_exponent_of_each_scaled_pair(eps):
+    # one divide of t = r2 / (rho_i rho_j) by -4 eps, then the exp, per pair
+    cloud, rho, raw, scaled = _scaled_twins()
+    assert scaled.bandwidth is not None and raw.bandwidth is None
+    rows = np.repeat(np.arange(raw.n), np.diff(raw.indptr))
+    rs = rho.tolist()
+    arg = [(r2 / (rs[i] * rs[j])) / (-4.0 * eps) for r2, i, j in
+           zip(raw.r2.tolist(), rows.tolist(), raw.indices.tolist())]
+    got = kernel.kernel_matrix(cloud, rho, eps, support=scaled)
+    assert got.data.tobytes() == np.exp(np.array(arg)).tobytes()
+
+
+@pytest.mark.parametrize("eps", [2.0**-13, 2.0**-7, 0.5, 2.0**5])
+def test_scaled_and_raw_supports_agree_bitwise_at_dyadic_eps(eps):
+    # 4 eps is a power of two: dividing by it is exact, so r2 / ((-4 eps
+    # rho_i) rho_j) and (r2 / (rho_i rho_j)) / (-4 eps) are the same double
+    cloud, rho, raw, scaled = _scaled_twins()
+    want = kernel.kernel_matrix(cloud, rho, eps, support=raw)
+    got = kernel.kernel_matrix(cloud, rho, eps, support=scaled)
+    assert got.data.tobytes() == want.data.tobytes()
+    want = kernel.build_generator(cloud, rho, eps, 0.3, support=raw)
+    got = kernel.build_generator(cloud, rho, eps, 0.3, support=scaled)
+    got, want = ((gm.Lhat.data, gm.Lhat.indices, gm.Lhat.indptr, gm.qS, gm.D,
+                  gm.S) for gm in (got, want))
+    for name, a, b in zip(("data", "indices", "indptr", "qS", "D", "S"),
+                          got, want):
+        assert a.tobytes() == b.tobytes(), name
+    f = np.sin(cloud.points[:, 0])
+    want = kernel.apply_generator(cloud, rho, eps, 0.3, "symmetric", f,
+                                  support=raw)
+    got = kernel.apply_generator(cloud, rho, eps, 0.3, "symmetric", f,
+                                 support=scaled)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scaled_support_refuses_any_other_kernel():
+    # a kernel whose bandwidth is not the one the support is scaled by would
+    # be wrongly scaled, so it is refused rather than computed
+    cloud, rho, _, scaled = _scaled_twins()
+    other = rho * 1.5
+    f = np.sin(cloud.points[:, 0])
+    with pytest.raises(ValueError, match="bandwidth"):
+        kernel.kernel_matrix(cloud, other, 0.01, support=scaled)
+    with pytest.raises(ValueError, match="bandwidth"):
+        kernel.build_generator(cloud, other, 0.01, 0.0, support=scaled)
+    with pytest.raises(ValueError, match="bandwidth"):
+        kernel.apply_generator(cloud, other, 0.01, 0.0, "symmetric", f,
+                               support=scaled)
+    for formulation in ("left", "right"):
+        with pytest.raises(ValueError, match="bandwidth"):
+            kernel.apply_generator(cloud, rho, 0.01, 0.0, formulation, f,
+                                   support=scaled)
+    # the same values as the scaled-by bandwidth are the same kernel
+    kernel.kernel_matrix(cloud, rho.copy(), 0.01, support=scaled)
+
+
 def test_sparse_scaling_multiplies_each_entry_by_both_weights_bitwise():
     # (d w_i) w_j one entry at a time, over the CSR of a strict upper triangle
     rng = np.random.default_rng(10)

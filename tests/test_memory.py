@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -195,11 +196,46 @@ def test_support_pairs_hold_one_row_block(cloud, pairs):
 def test_scaled_pairs_hold_one_row_block(cloud, pairs):
     x = 1.0 + 0.1 * cloud.points[:, 0] ** 2
     got, peak = _traced_peak(lambda: neighbors.scaled_pairs(cloud, x, pairs))
-    # per block: the repeated row values, the gathered column values and
-    # one count per row; a whole-support row index or gather does not fit
-    block = 2 * _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
+    # the column values are gathered straight into the output; per block,
+    # first the 8-byte intp copy of its int32 columns that np.take makes,
+    # then the repeated row values, and one count per row. A whole-support
+    # row index or gather does not fit
+    block = _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
     assert pairs.nnz * 8 > 4 * (block + _SLACK)
     assert peak <= got.nbytes + block + _SLACK, (peak, got.nbytes)
+
+
+def test_scale_support_holds_one_row_block(cloud, pairs):
+    x = 1.0 + 0.1 * cloud.points[:, 0] ** 2
+    twin = replace(pairs, r2=pairs.r2.copy())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = neighbors.scale_support(twin, x)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert got.r2 is twin.r2
+    # the support's r2 is divided in place; per block, the products: their
+    # gathered column values beside either the intp copy of the block's
+    # int32 columns or the repeated row values, and one count per row;
+    # beside them the copy of the bandwidth that the result records. A
+    # second whole-support array does not fit
+    block = 2 * _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
+    bound = block + _N * 8
+    assert pairs.nnz * 8 > bound + _SLACK
+    assert peak <= bound + _SLACK, (peak, bound)
+    assert kept <= _N * 8 + _SLACK, kept
+
+
+def _apply_vectors():
+    """What apply_generator holds besides a block's kernel values, at most:
+    the output and its length-n companions; with alpha != 0 the weights,
+    the row sums and w * f beside the numerator and denominator and
+    kernel_products' ones, or, at the end, the weights, the row sums, the
+    numerator, the denominator and three temporaries of the estimate."""
+    return 7 * _N * 8
 
 
 def test_apply_generator_holds_one_row_block(cloud, pairs):
@@ -207,12 +243,27 @@ def test_apply_generator_holds_one_row_block(cloud, pairs):
     f = np.sin(cloud.points[:, 0])
     _, peak = _traced_peak(lambda: kernel.apply_generator(
         cloud, rho, 0.01, 0.3, "symmetric", f, support=pairs))
-    # the output and its length-n companions (numerator, denominator,
-    # weights, their product and temporaries), then per block the kernel
-    # values and one gathered bandwidth, and the rebased row pointer
-    vectors = 10 * _N * 8
+    # per block, one buffer of kernel values, reused, and beside it either
+    # the intp copy of the block's int32 columns that np.take makes or the
+    # repeated row bandwidths; and the rebased row pointer
     block = 2 * _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
-    assert peak <= vectors + block + _SLACK, peak
+    assert peak <= _apply_vectors() + block + _SLACK, peak
+
+
+def test_apply_generator_on_a_scaled_support_holds_one_block_of_values(
+        cloud, pairs, monkeypatch):
+    rho = 1.0 + 0.1 * cloud.points[:, 0] ** 2
+    f = np.sin(cloud.points[:, 0])
+    scaled = neighbors.scale_support(replace(pairs, r2=pairs.r2.copy()), rho)
+    # blocks wide enough that one more block-sized array exceeds the slack
+    monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", 4096)
+    _, peak = _traced_peak(lambda: kernel.apply_generator(
+        cloud, rho, 0.01, 0.3, "symmetric", f, support=scaled))
+    # per block, the one reused buffer of kernel values and the rebased row
+    # pointer: no gathered bandwidth, nor the intp copy of a gather's index
+    block = _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
+    assert _largest_block(pairs) * 8 > _SLACK
+    assert peak <= _apply_vectors() + block + _SLACK, peak
 
 
 def test_all_pairs_apply_holds_one_row_block():
