@@ -9,15 +9,15 @@ cloud exists) into the one object every stage reads and ``meta.txt``
 records, and hands it to one runner per kind; each runner scores its
 epsilons through one row loop, which records failures instead of rows. Eigen
 runs and the CLI stage commands start from :func:`setup`, which shares one
-set of support pairs and one bandwidth profile across epsilon; once the KDE
-has read the pairs' r^2, they are divided in place by rho_i rho_j, as are an
-operator run's in the symmetric formulation and outlier_study's (by
-rho = 1), so each epsilon's kernel costs one divide and one exp per pair.
-Operator runs apply the generator to ``analytic.CHECK_F`` with a bandwidth from
+set of support pairs and one bandwidth profile across epsilon. Operator runs
+apply the generator to ``analytic.CHECK_F`` with a bandwidth from
 ``analytic.CHECK_G``, skip the KDE and compare against the closed-form
-``analytic.reference_operator``. An operator run formats the columns of its
-CSVs that do not depend on epsilon once, during setup, so each epsilon's
-``wall_time_s`` covers the estimate, its column and the file write.
+``analytic.reference_operator``. In the symmetric formulation an operator
+run divides its support's r^2 in place by rho_i rho_j, so each epsilon's
+kernel costs one divide and one exp per pair. An operator run formats the
+columns of its CSVs that do not depend on epsilon once, during setup, so
+each epsilon's ``wall_time_s`` covers the estimate, its column and the file
+write.
 """
 
 import math
@@ -222,11 +222,6 @@ def _support(cloud, k):
         cloud, min(cloud.n_points, k))
 
 
-def _scaled_support(support, rho):
-    """The support (consumed) with its r^2 divided by rho_i rho_j, if any."""
-    return None if support is None else neighbors.scale_support(support, rho)
-
-
 def _bandwidth(cloud, beta, k, k0):
     """Bandwidth profile and support pairs (None: all pairs) of one cloud."""
     if cloud.n_points < k0:
@@ -254,8 +249,7 @@ def setup(config):
                                           config.k0))
     profile, support = _bandwidth(cloud, config.beta, config.k_support,
                                   config.k0)
-    # the KDE has read raw r^2; every later stage reads r^2 / (rho_i rho_j)
-    return config, cloud, profile, _scaled_support(support, profile.rho)
+    return config, cloud, profile, support
 
 
 def epsilons(config, cloud, rho, support, out=None):
@@ -347,8 +341,9 @@ def _operator_experiment(config, spec):
         "laplacian" if drift and config.formulation == "left" else spec.reference,
         cloud, c1=density.c_constants(config.alpha, config.beta, d)[0])
     support = _support(cloud, config.k_support)
-    if config.formulation == "symmetric":
-        support = _scaled_support(support, rho)
+    if support is not None and config.formulation == "symmetric":
+        # left and right put rho on one side only: they read raw r^2
+        neighbors.scale_support(support, rho)
     template = _operator_template(cloud.latent, f, ref)
 
     def one_eps(eps):
@@ -411,9 +406,8 @@ def _outlier_study(config, spec):
                        latent=cloud.latent[keep])
         k = min(kept.n_points, _storage_k(
             n, config.k_support or _outlier_default_k(n), config.k0))
+        support = _support(kept, k)
         rho = np.ones(kept.n_points)
-        # dividing by rho_i rho_j = 1 is exact: the kernel is unchanged
-        support = _scaled_support(_support(kept, k), rho)
         target = analytic.hermite_target(3).evaluate(kept)
         target *= np.sqrt(kept.n_points) / np.linalg.norm(target)
         mask = np.abs(kept.points[:, 0]) <= 2.0

@@ -9,12 +9,13 @@ dimension, a block of rows at a time. A support,
 strict upper triangle with the diagonal implicit; it streams the query
 blocks and holds each pair once from the moment its block arrives, never
 n*k distances, and its pair distances and scaled pairs run over blocks of
-rows. Once a run's bandwidth rho is fixed, ``scale_support`` divides a
-support's r^2 in place by rho_i rho_j, so that every kernel evaluation after
-it reads t_ij = r_ij^2 / (rho_i rho_j) and never gathers the bandwidth.
+rows. Where a run's bandwidth rho is fixed before its kernels,
+``scale_support`` divides a support's r^2 in place by rho_i rho_j, so that
+every kernel evaluation after it reads t_ij = r_ij^2 / (rho_i rho_j) and
+never gathers the bandwidth.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -221,8 +222,8 @@ class SupportPairs:
     on epsilon, so one instance serves every kernel evaluation on the same
     cloud, support and bandwidth. Instances share their index arrays with
     the kernel matrices built on them, and nothing may modify those in
-    place; only :func:`scale_support` modifies ``r2``, and it consumes the
-    instance it is given.
+    place; only :func:`scale_support` modifies ``r2``, and it records the
+    bandwidth on the same instance.
     """
 
     indptr: np.ndarray
@@ -240,12 +241,13 @@ class SupportPairs:
 
 
 def scale_support(support, x):
-    """The support with each r_ij^2 divided in place by x_i x_j.
+    """Divide each r_ij^2 of ``support`` in place by x_i x_j; return it.
 
-    The input is consumed: its ``r2`` is the returned instance's, scaled a
-    block of rows at a time with the arithmetic of :func:`scaled_pairs`, so
-    no second array of the support's size is made. Scaling a support twice
-    raises ``ValueError``.
+    The values are scaled a block of rows at a time with the arithmetic of
+    :func:`scaled_pairs`, so no second array of the support's size is made,
+    and the instance itself records x as its ``bandwidth``: no handle on it
+    is left that still reads as raw r^2. Scaling a support twice raises
+    ``ValueError``.
     """
     if support.bandwidth is not None:
         raise ValueError("the support is already scaled by a bandwidth")
@@ -253,7 +255,9 @@ def scale_support(support, x):
     for start, stop in _blocks(support.n, _SUPPORT_BLOCK):
         lo, hi = support.indptr[start], support.indptr[stop]
         support.r2[lo:hi] /= _pair_products(support, x, start, stop)
-    return replace(support, bandwidth=x)
+    # the one field of the frozen instance that changes, with its values
+    object.__setattr__(support, "bandwidth", x)
+    return support
 
 
 def _pair_products(support, x, start, stop, out=None):
@@ -269,8 +273,8 @@ def _pair_products(support, x, start, stop, out=None):
 def scaled_pairs(cloud, x, support=None):
     """r_ij^2 / (x_i x_j) over the unordered pairs i < j: all of them in
     ``pdist`` order, or the entries of a :class:`SupportPairs`, a block of
-    its rows at a time; a support already scaled by x gives a copy of its
-    values, and one scaled by another bandwidth raises ``ValueError``."""
+    its rows at a time; a support :func:`scale_support` has scaled raises
+    ``ValueError``, as its pairs would be divided twice."""
     if support is None:
         t = pdist(cloud.points, "sqeuclidean")
         stop = 0
@@ -279,9 +283,7 @@ def scaled_pairs(cloud, x, support=None):
             t[start:stop] /= x[i] * x[i + 1:]
         return t
     if support.bandwidth is not None:
-        if not np.array_equal(support.bandwidth, x):
-            raise ValueError("the support is scaled by another bandwidth")
-        return support.r2.copy()
+        raise ValueError("the support is already scaled by a bandwidth")
     t = np.empty(support.nnz)
     for start, stop in _blocks(support.n, _SUPPORT_BLOCK):
         lo, hi = support.indptr[start], support.indptr[stop]

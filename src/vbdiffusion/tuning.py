@@ -6,10 +6,6 @@ large eps, and bottoms out at 1/N when the kernel is effectively diagonal.
 The maximal slope of log S against log eps therefore sits in the usable
 scaling region and estimates d/2 at the same time.
 
-On a support the curve reads the pairs r^2 / (rho_i rho_j): a support that
-``neighbors.scale_support`` has scaled by rho already holds them, and the
-curve sorts a copy, so the support keeps its CSR order.
-
 A truncated sum can move that region: on ou1d_random (N=20000) eps* is
 4.8e-7 with the default k=128 support and 7.6e-6 with k_support=512.
 
@@ -61,10 +57,10 @@ def s_curve(cloud, rho, grid=None, support=None):
     cascade. Without a support all pairs are summed, which is exact; with
     one (:class:`neighbors.SupportPairs`, its strict upper triangle with the
     diagonal implicit) the sum is truncated to it, which distorts the
-    large-eps saturation and can shift eps*. A support scaled by ``rho``
-    gives its values as they are, copied before the sort; a raw one is
-    divided by rho_i rho_j first. Each unordered pair is summed once, and a
-    pass stops where its kernel underflows to exactly zero.
+    large-eps saturation and can shift eps*. The support must hold raw r^2:
+    one that ``neighbors.scale_support`` has scaled raises ``ValueError``.
+    Each unordered pair is summed once, and a pass stops where its kernel
+    underflows to exactly zero.
 
     The sorted pairs are visited one ``_CHUNK`` at a time, in ascending
     order, and within a chunk the exponents from the largest eps down. An

@@ -470,54 +470,18 @@ def test_circle_operator_check_honours_alpha_and_k_support(tmp_path):
     assert np.all(np.abs(cut.rows[:, 1] / base.rows[:, 1] - 1.0) > 1e-3)
 
 
-def _spy_supports(monkeypatch, module, attr):
-    """Record the support each call of module.attr is given."""
-    seen = []
-    real = getattr(module, attr)
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("support"))
-        return real(*args, **kwargs)
-    monkeypatch.setattr(module, attr, spy)
-    return seen
-
-
-@pytest.mark.parametrize("kwargs, files", [
-    # eps = auto is dyadic, so dividing the scaled pairs by 4 eps is exact
-    ({"experiment": "ou2d", "N": 3000, "k_support": 64}, {"tuning.csv"}),
-    # outlier_study's rho = 1 makes its scaling exact at any eps
-    ({"experiment": "outlier_study", "N": 1000}, set()),
-])
-def test_scaled_support_leaves_a_run_byte_identical(tmp_path, monkeypatch,
-                                                    kwargs, files):
-    # every output is the raw support's, bit for bit
-    def run(tag):
-        harness.run_experiment(harness.ExperimentConfig(
-            seed=1, output_dir=str(tmp_path / tag), **kwargs))
-        return {p.name: p.read_bytes() for p in (tmp_path / tag).iterdir()}
-
-    seen = _spy_supports(monkeypatch, kernel, "build_generator")
-    scaled = run("scaled")
-    assert seen and all(s.bandwidth is not None for s in seen)
-    count = len(seen)
-    monkeypatch.setattr(neighbors, "scale_support", lambda support, x: support)
-    raw = run("raw")
-    assert all(s.bandwidth is None for s in seen[count:])
-    assert scaled.keys() == raw.keys() >= files | {"meta.txt", "results.csv"}
-    for name in scaled:
-        if name == "results.csv":  # whose last column is the wall time
-            scaled[name], raw[name] = (
-                [line.rsplit(b",", 1)[0] for line in out[name].splitlines()]
-                for out in (scaled, raw))
-        assert scaled[name] == raw[name], name
-
-
 @pytest.mark.parametrize("formulation", kernel.FORMULATIONS)
 def test_only_symmetric_operator_runs_scale_their_support(
         tmp_path, monkeypatch, formulation):
     # left and right put the bandwidth on one side only: their kernel reads
     # raw r^2, which a scaled support no longer holds
-    seen = _spy_supports(monkeypatch, kernel, "apply_generator")
+    seen = []
+    apply = kernel.apply_generator
+
+    def spy(*args, support=None):
+        seen.append(support)
+        return apply(*args, support=support)
+    monkeypatch.setattr(kernel, "apply_generator", spy)
     table = harness.run_experiment(harness.ExperimentConfig(
         experiment="torus_operator", N=900, k_support=60,
         formulation=formulation, output_dir=str(tmp_path)))

@@ -216,11 +216,11 @@ def test_scale_support_holds_one_row_block(cloud, pairs):
         kept, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert got.r2 is twin.r2
+    assert got is twin
     # the support's r2 is divided in place; per block, the products: their
     # gathered column values beside either the intp copy of the block's
     # int32 columns or the repeated row values, and one count per row;
-    # beside them the copy of the bandwidth that the result records. A
+    # beside them the copy of the bandwidth that the support records. A
     # second whole-support array does not fit
     block = 2 * _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
     bound = block + _N * 8

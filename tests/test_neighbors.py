@@ -250,8 +250,8 @@ def test_support_scaled_pairs_match_each_pair_bitwise():
 
 
 def test_scale_support_divides_its_pairs_in_place():
-    # the scaled_pairs quotient of every pair, written over the input's r2,
-    # which the returned support records the bandwidth of
+    # the scaled_pairs quotient of every pair, written over the input's r2;
+    # the input itself records the bandwidth, so no handle reads as raw r^2
     rng = np.random.default_rng(12)
     cloud = pointcloud.PointCloud(rng.standard_normal((600, 3)))
     x = rng.uniform(0.5, 2.0, 600)
@@ -259,19 +259,18 @@ def test_scale_support_divides_its_pairs_in_place():
     want = neighbors.scaled_pairs(cloud, x, raw)
     support = neighbors.symmetrized_support(cloud, 12)
     r2 = support.r2
-    got = neighbors.scale_support(support, x)
-    assert got.r2 is r2 and got.indices is support.indices
-    assert got.r2.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(got.bandwidth, x)
+    assert neighbors.scale_support(support, x) is support
+    assert support.r2 is r2
+    assert support.r2.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(support.bandwidth, x)
     assert raw.bandwidth is None
-    # the scaled values again, as a copy that may be sorted
-    again = neighbors.scaled_pairs(cloud, x.copy(), got)
-    assert again.tobytes() == want.tobytes()
-    assert not np.shares_memory(again, got.r2)
-    with pytest.raises(ValueError, match="another bandwidth"):
-        neighbors.scaled_pairs(cloud, 2.0 * x, got)
+    # a second scaling, or scaled pairs of the scaled values, would divide
+    # each pair twice
     with pytest.raises(ValueError, match="already scaled"):
-        neighbors.scale_support(got, x)
+        neighbors.scale_support(support, x)
+    with pytest.raises(ValueError, match="already scaled"):
+        neighbors.scaled_pairs(cloud, x, support)
+    assert support.r2.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("cloud, k", [

@@ -92,22 +92,6 @@ def test_curve_matches_naive_double_loop():
             np.testing.assert_allclose(got.S, want, rtol=1e-13, atol=0.0)
 
 
-def test_curve_on_a_scaled_support_is_the_raw_support_curve():
-    # a support scaled by rho already holds the curve's scaled pairs; the
-    # curve sorts a copy of them and leaves the support as it was
-    cloud = pointcloud.gen_sphere_nonuniform(600, seed=3)
-    rho = 1.0 + 0.2 * cloud.points[:, 2]
-    raw = neighbors.symmetrized_support(cloud, 40)
-    scaled = neighbors.scale_support(neighbors.symmetrized_support(cloud, 40),
-                                     rho)
-    before = scaled.r2.copy()
-    want = tuning.s_curve(cloud, rho, support=raw)
-    got = tuning.s_curve(cloud, rho, support=scaled)
-    assert got.S.tobytes() == want.S.tobytes()
-    assert got.eps_star == want.eps_star
-    assert scaled.r2.tobytes() == before.tobytes()
-
-
 def _direct_sums(t, grid):
     # the curve without squaring: every exponent its own exp of its own
     # underflow prefix, summed a chunk at a time in the same order
