@@ -1,12 +1,12 @@
 """End-to-end experiments: sweeps, alignment against analytic answers, output.
 
 ``EXPERIMENTS`` holds one frozen :class:`Experiment` per name: defaults,
-dataset, and either analytic target eigenfunctions with a scoring rule, a
-reference operator with the figure's epsilon values, or neither
-(``outlier_study``). Every run goes through :func:`run_experiment`, which
-resolves the config (:func:`resolve`, then :func:`_alpha_beta` once the
-cloud exists) into the one object every stage reads and ``meta.txt``
-records, and hands it to one runner per kind; each runner scores its
+dataset, and either analytic target eigenfunctions with a scoring rule or a
+reference operator with the figure's epsilon values. Every run goes through
+:func:`run_experiment`, which resolves the config (:func:`resolve`, then
+:func:`_alpha_beta` once the cloud exists) into the one object every stage
+reads and ``meta.txt`` records, and hands it to one runner per kind (an
+eigen spec with ``sizes`` to one eigen run per size); each runner scores its
 epsilons through one row loop, which records failures instead of rows. Eigen
 runs and the CLI stage commands start from :func:`setup`, which shares one
 set of support pairs and one bandwidth profile across epsilon. Operator runs
@@ -23,6 +23,7 @@ write.
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -62,10 +63,11 @@ class Experiment:
     ``targets`` (count -> up to count analytic eigenfunctions, eigenvalues
     descending), ``primary``, the highest index the ``score`` ((primary,
     spectrum, cloud, reference, eigenvalues) -> (mse, eig_err)) reads.
-    Operator experiments set ``reference``, the
+    ``trim`` drops the floor(sqrt(N)) points of lowest density estimate q0
+    in :func:`setup`, and ``sizes`` runs the experiment once per size up to
+    N (see :func:`_over_sizes`). Operator experiments set ``reference``, the
     ``analytic.reference_operator`` kind, with the figure's ``eps`` (taken
     for eps = auto) and a default ``k_support`` (None sums all pairs).
-    An experiment with neither is the outlier-removal study.
     """
 
     N: int
@@ -78,6 +80,8 @@ class Experiment:
     reference: str | None = None
     eps: tuple = ()
     k_support: int | None = None
+    trim: bool = False
+    sizes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -113,17 +117,23 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.k0 < 2:
             raise ConfigError("k0 must be at least 2")
-        if self.eps_multiplier <= 0.0:
-            raise ConfigError("eps_multiplier must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+        if not (math.isfinite(self.eps_multiplier) and self.eps_multiplier > 0.0):
+            raise ConfigError("eps_multiplier must be finite and positive")
         if isinstance(self.eps, str):
             if self.eps not in ("auto", "sweep"):
                 raise ConfigError("eps must be a number, a list, 'auto' "
                                   "or 'sweep'")
             return self
         eps = np.atleast_1d(np.asarray(self.eps, dtype=float))
-        if not (eps.size and np.all(eps > 0.0) and np.all(np.diff(eps) > 0.0)):
-            raise ConfigError("eps must be positive, and a list strictly "
-                              "increasing")
+        # the run's epsilons: each times eps_multiplier, in floats that
+        # overflow to inf and underflow to 0 without a warning
+        scaled = [e * self.eps_multiplier for e in eps.tolist()]
+        if not (scaled and all(0.0 < e < math.inf for e in scaled)
+                and np.all(np.diff(eps) > 0.0)):
+            raise ConfigError("eps, and eps times eps_multiplier, must be "
+                              "finite and positive; a list strictly increasing")
         return self
 
 
@@ -157,12 +167,6 @@ def resolve(config):
     if not eigen and config.eigenfunctions is not None:
         raise ConfigError("eigenfunctions sets the analytic targets of an "
                           f"eigen run; {config.experiment} takes none")
-    if not (operator or eigen) and (
-            keyword == "sweep" or config.preset is not None
-            or config.alpha is not None or config.beta is not None):
-        raise ConfigError("outlier_study is fixed-bandwidth with alpha "
-                          "1/2 and its own epsilon grid: it takes no "
-                          "preset, alpha, beta or eps = sweep")
     eps = {"sweep": DEFAULT_SWEEP, "auto": spec.eps if operator else "auto",
            None: config.eps}[keyword]
     if not isinstance(eps, str):  # eigen 'auto' is tuned on the data
@@ -222,33 +226,38 @@ def _support(cloud, k):
         cloud, min(cloud.n_points, k))
 
 
-def _bandwidth(cloud, beta, k, k0):
-    """Bandwidth profile and support pairs (None: all pairs) of one cloud."""
-    if cloud.n_points < k0:
-        raise ConfigError(f"N = {cloud.n_points} points is fewer than k0 = "
-                          f"{k0}, the neighbors the pilot bandwidth reads")
-    support = _support(cloud, k)
-    # the pilot bandwidth reads a graph of its own, k0 neighbors wide
-    graph = neighbors.knn(cloud, k0)
-    profile = density.bandwidth_profile(cloud, graph, beta, k0=k0,
-                                        support=support)
-    return profile, support
-
-
 def setup(config):
     """What the epsilons of an eigen run, or of a stage command, share.
 
     Returns ``(config, cloud, profile, support)``: the config resolved with
     alpha and beta set and the storage rule on the cloud's size for a width
-    the spec leaves None; ``support`` is None on the all-pairs path.
+    the spec leaves None; ``support`` is None on the all-pairs path. A spec
+    that trims drops the floor(sqrt(N)) points of lowest q0 (ties by index):
+    the cloud and profile are then those of the points kept, and the
+    support is rebuilt on them at the same width.
     """
-    config, _ = resolve(config)
+    config, spec = resolve(config)
     cloud = generate_cloud(config)
+    if cloud.n_points < config.k0:
+        raise ConfigError(f"N = {cloud.n_points} points is fewer than k0 = "
+                          f"{config.k0}, the neighbors the pilot bandwidth reads")
     config = replace(_alpha_beta(config, cloud.intrinsic_dim),
                      k_support=_storage_k(cloud.n_points, config.k_support,
                                           config.k0))
-    profile, support = _bandwidth(cloud, config.beta, config.k_support,
-                                  config.k0)
+    support = _support(cloud, config.k_support)
+    # the pilot bandwidth reads a graph of its own, k0 neighbors wide
+    profile = density.bandwidth_profile(
+        cloud, neighbors.knn(cloud, config.k0), config.beta, k0=config.k0,
+        support=support)
+    if spec.trim:
+        keep = np.sort(np.argsort(profile.q0, kind="stable")[
+            math.isqrt(cloud.n_points):])
+        cloud = replace(cloud, points=cloud.points[keep],
+                        latent=cloud.latent[keep])
+        profile = density.BandwidthProfile(profile.rho0[keep], profile.q0[keep],
+                                           profile.rho[keep])
+        support = None  # the whole cloud's pairs go before the kept ones come
+        support = _support(cloud, config.k_support)
     return config, cloud, profile, support
 
 
@@ -296,16 +305,18 @@ def align_to_targets(spectrum, reference, ref_eigenvalues):
 
 def run_experiment(config):
     """Run a full experiment sweep, writing CSV output to the output dir."""
-    config, spec = resolve(config)
+    resolved, spec = resolve(config)
     if spec.reference is not None:
-        return _operator_experiment(config, spec)
-    if spec.targets is not None:
-        return _eigen_experiment(config, spec)
-    return _outlier_study(config, spec)
+        return _operator_experiment(resolved, spec)
+    if spec.sizes:
+        return _over_sizes(config, spec)
+    return _eigen_experiment(resolved, spec)
 
 
 def _eigen_experiment(config, spec):
     config, cloud, profile, support = setup(config)
+    # a trimmed run's N is the points it kept
+    record = {"removed": config.N - cloud.n_points} if spec.trim else {}
     out = ensure_dir(config.output_dir)
     sweep, curve = epsilons(config, cloud, profile.rho, support, out)
     targets = spec.targets(config.eigenfunctions)
@@ -323,7 +334,7 @@ def _eigen_experiment(config, spec):
         return scores
 
     return _sweep(config, cloud, sweep, curve, out, one_eps,
-                  {"eigensolver": solvers})
+                  {"eigensolver": solvers} | record)
 
 
 def _operator_experiment(config, spec):
@@ -377,81 +388,56 @@ def _sweep(config, cloud, sweep, curve, out, one_eps, record=None):
     ``record`` holds further metadata entries that ``one_eps`` fills in.
     """
     rows, errors = _rows(sweep, one_eps)
-    return _write_outputs(rows, _metadata(config, sweep, curve, errors, cloud)
+    return _write_outputs(rows, _metadata(config, sweep, curve, errors,
+                                          cloud.n_points, cloud.intrinsic_dim)
                           | (record or {}), out)
 
 
-def _outlier_study(config, spec):
-    """Fixed-bandwidth pipeline with density-based outlier removal.
+def _over_sizes(config, spec):
+    """An eigen run per size of ``spec.sizes`` up to N (N alone below them).
 
-    For each decade size n up to N: estimate the density, drop the
-    floor(sqrt(n)) lowest-density points, rebuild the pipeline on the rest
-    with the spec's fixed bandwidth, sweep epsilon (``eps`` or a grid that
-    follows n, scaled by ``eps_multiplier``), and keep the row of the best
-    masked error of the fourth eigenvector against the fourth Hermite
-    function on [-2, 2]. Fits log(best mse) against log(n) across the sizes
-    with a row at the end.
+    Each size runs into the subdirectory ``n<size>`` of the output
+    directory, at the width and epsilon grid that follow its size unless
+    the config sets them (``eps_multiplier`` scales either grid), and keeps
+    its row of lowest mse. Fits log(mse) against log(size) across the sizes
+    with a row.
     """
-    sizes = [n for n in (1000, 10000, 100000) if n <= config.N] or [config.N]
-    rows, fitted, removed, per_size, eps_list = [], [], [], {}, []
+    top, _ = resolve(config)
+    sizes = [n for n in spec.sizes if n <= top.N] or [top.N]
+    rows, fitted, per_size, eps_list = [], [], {}, []
     for n in sizes:
-        cloud = spec.cloud(n, config.seed)
-        config = _alpha_beta(config, cloud.intrinsic_dim)
-        q0 = _bandwidth(cloud, config.beta, _storage_k(n, None, config.k0),
-                        config.k0)[0].q0
-        drop = int(np.floor(np.sqrt(n)))
-        keep = np.sort(np.argsort(q0, kind="stable")[drop:])
-        removed.append(drop)
-        kept = replace(cloud, points=cloud.points[keep],
-                       latent=cloud.latent[keep])
-        k = min(kept.n_points, _storage_k(
-            n, config.k_support or _outlier_default_k(n), config.k0))
-        support = _support(kept, k)
-        rho = np.ones(kept.n_points)
-        target = analytic.hermite_target(3).evaluate(kept)
-        target *= np.sqrt(kept.n_points) / np.linalg.norm(target)
-        mask = np.abs(kept.points[:, 0]) <= 2.0
-        grid = [e * config.eps_multiplier for e in
-                (_outlier_default_eps(n) if config.eps == "auto"
-                 else config.eps)]
-
-        def one_eps(eps):
-            # the generator goes with this frame: the largest sizes cannot
-            # hold two at once
-            gm = kernel.build_generator(kept, rho, eps, config.alpha,
-                                        support=support)
-            spectrum = spectral.scale_sqrtN(
-                spectral.eigs_near_zero(gm, spec.eigenfunctions))
-            est = spectrum.eigenvectors[:, 3]
-            if est @ target < 0.0:
-                est = -est
-            return (spectral.mse(est, target, mask=mask),
-                    abs(spectrum.eigenvalues[3] + 3.0) / 3.0)
-
-        size_rows, errors = _rows(grid, one_eps)
+        table = _eigen_experiment(*resolve(replace(
+            top, N=n, output_dir=str(Path(top.output_dir) / f"n{n}"),
+            k_support=config.k_support or _outlier_default_k(n),
+            eps=_outlier_default_eps(n) if top.eps == "auto" else top.eps)))
+        meta = table.metadata
+        grid = meta["eps_list"]
         eps_list += grid
-        per_size[n] = {"removed": drop, "remaining": kept.n_points,
-                       "k_support": k, "eps_grid": grid}
-        if size_rows.shape[0]:
-            best = size_rows[np.argmin(size_rows[:, 1])]
+        per_size[n] = {"removed": meta["removed"], "remaining": meta["N"],
+                       "k_support": meta["k_support"], "eps_grid": grid}
+        if table.rows.shape[0]:
+            best = table.rows[np.argmin(table.rows[:, 1])]
             rows.append(best)
             fitted.append(n)
             # at either end of the grid, the minimum may lie outside it
             per_size[n] |= {"best_eps": float(best[0]),
                             "best_mse": float(best[1]),
                             "best_at_edge": bool(best[0] in (grid[0], grid[-1]))}
-        if errors:
-            per_size[n]["errors"] = errors
+        if "errors" in meta:
+            per_size[n]["errors"] = meta["errors"]
     rows = np.array(rows, dtype=float).reshape(-1, 4)
-    # N is the study's top size; the cloud of each size holds n points
-    meta = _metadata(config, eps_list, None, {}, cloud) | {
-        "N": config.N, "eigenfunctions": spec.eigenfunctions, "sizes": sizes,
-        "removed": removed, "per_size": per_size}
+    # N is the top size; k_support the width set for every size, None when
+    # each size takes its own
+    meta = _metadata(replace(_alpha_beta(top, meta["d"]),
+                             k_support=config.k_support),
+                     eps_list, None, {}, top.N, meta["d"]) | {
+        "sizes": sizes, "removed": [per_size[n]["removed"] for n in sizes],
+        "per_size": per_size}
     if len(fitted) >= 2:
         slope, intercept = np.polyfit(np.log(fitted), np.log(rows[:, 1]), 1)
         meta["power_law_slope"] = float(slope)
         meta["power_law_intercept"] = float(intercept)
-    return _write_outputs(rows, meta, ensure_dir(config.output_dir))
+    return _write_outputs(rows, meta, ensure_dir(top.output_dir))
 
 
 def _outlier_default_k(n):
@@ -468,9 +454,9 @@ def _outlier_default_eps(n):
     return (base, float(np.sqrt(10.0)) * base, 10.0 * base)
 
 
-def _metadata(config, sweep, curve, errors, cloud):
-    meta = {"experiment": config.experiment, "N": cloud.n_points,
-            "alpha": config.alpha, "beta": config.beta, "d": cloud.intrinsic_dim,
+def _metadata(config, sweep, curve, errors, n, d):
+    meta = {"experiment": config.experiment, "N": n,
+            "alpha": config.alpha, "beta": config.beta, "d": d,
             "seed": config.seed,
             "k0": config.k0, "k_support": config.k_support,
             "eigenfunctions": config.eigenfunctions,
@@ -547,11 +533,14 @@ _OU2D_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
 _CONSTANT = analytic.AnalyticTarget(0.0, lambda c: np.ones(c.n_points))
 
 
-def _score_target(index, spectrum, cloud, reference, ref_vals):
-    """Errors of one aligned target eigenfunction and of its eigenvalue."""
+def _score_target(index, spectrum, cloud, reference, ref_vals, window=None):
+    """Errors of one aligned target eigenfunction, over the points whose
+    first coordinate lies within ``window`` of 0 when given, and of its
+    eigenvalue."""
     est = align_to_targets(spectrum, reference, ref_vals)
     lam = ref_vals[index]
-    return (spectral.mse(est[:, index], reference[:, index]),
+    mask = None if window is None else np.abs(cloud.points[:, 0]) <= window
+    return (spectral.mse(est[:, index], reference[:, index], mask=mask),
             float(abs(spectrum.eigenvalues[index] - lam) / abs(lam)))
 
 
@@ -605,6 +594,10 @@ EXPERIMENTS = {
     "circle_grid_operator": Experiment(
         1500, (0.0, 0.0), lambda n, seed: pointcloud.gen_circle_uniform(n),
         reference="bandwidth_drift", eps=(0.001, 0.01, 0.1)),
+    # fixed bandwidth loses the tails: drop the lowest-density points, and
+    # score the fourth eigenfunction on [-2, 2] only
     "outlier_study": Experiment(
-        100000, (0.5, 0.0), lambda n, seed: pointcloud.gen_gaussian_nice_1d(n)),
+        100000, (0.5, 0.0), lambda n, seed: pointcloud.gen_gaussian_nice_1d(n),
+        targets=_hermite_targets, score=partial(_score_target, window=2.0),
+        primary=3, trim=True, sizes=(1000, 10000, 100000)),
 }

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import vbdiffusion
-from vbdiffusion import cli, density, harness, kernel, neighbors
+from vbdiffusion import (analytic, cli, density, harness, kernel, neighbors,
+                         pointcloud, spectral)
 
 
 def test_defaults_fill_in():
@@ -62,7 +63,20 @@ def test_alpha_beta_resolution():
     {"experiment": "sphere", "eigenfunctions": 5},
     # settings the run would ignore
     {"experiment": "sphere", "formulation": "left", "alpha": 0.0},
-    {"experiment": "outlier_study", "eigenfunctions": 5},
+    # the outlier study scores eigenfunction 3 like ou1d_nice
+    {"experiment": "outlier_study", "eigenfunctions": 3},
+    # epsilons that are not finite and positive, given or after the
+    # multiplier, and seeds the generators cannot take
+    {"experiment": "ou1d_nice", "eps": math.inf},
+    {"experiment": "ou1d_nice", "eps": math.nan},
+    {"experiment": "circle_operator", "eps": [0.01, math.inf]},
+    {"experiment": "ou1d_nice", "eps_multiplier": math.nan},
+    {"experiment": "ou1d_nice", "eps_multiplier": math.inf},
+    {"experiment": "ou1d_nice", "eps_multiplier": -2.0},
+    {"experiment": "ou1d_nice", "eps": 1e300, "eps_multiplier": 1e10},
+    {"experiment": "ou1d_nice", "eps": [1e-3, 1e300], "eps_multiplier": 1e10},
+    {"experiment": "ou1d_nice", "eps": 1e-300, "eps_multiplier": 1e-300},
+    {"experiment": "ou1d_nice", "seed": -1},
 ])
 def test_validate_rejects(kwargs):
     with pytest.raises(harness.ConfigError):
@@ -221,7 +235,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                           ("experiment", ["experiment=ou1d_nice", "eps=0.01",
                                           "eigenfunctions=3"]),
                           ("experiment", ["experiment=ou1d_nice", "eps=0.01",
-                                          "eigenfunctions=8"])]:
+                                          "eigenfunctions=8"]),
+                          ("experiment", ["experiment=ou1d_nice", "eps=inf"]),
+                          ("experiment", ["experiment=circle_operator",
+                                          "eps=inf"]),
+                          ("experiment", ["experiment=ou1d_nice",
+                                          "eps_multiplier=nan"]),
+                          ("experiment", ["experiment=ou1d_nice",
+                                          "eps_multiplier=inf"]),
+                          ("experiment", ["experiment=ou1d_nice", "eps=1e300",
+                                          "eps_multiplier=1e10"]),
+                          ("experiment", ["experiment=ou1d_nice", "seed=-1"])]:
         argv = [command, "--set", f"output_dir={tmp_path / 'bad'}", "--set", "N=300"]
         for item in sets:
             argv += ["--set", item]
@@ -308,14 +332,21 @@ def test_operator_runs_reject_eps_sweep(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_outlier_study_scales_its_grid_and_rejects_bandwidth_settings(tmp_path):
+def test_outlier_study_scales_its_grid_and_takes_bandwidth_settings(tmp_path):
     def run(tag, **kwargs):
         return _outlier(tmp_path, tag, **kwargs)
 
-    for kwargs in ({"eps": "sweep"}, {"preset": "laplacian-vb"},
-                   {"alpha": 0.5}, {"beta": 0.0}):
-        with pytest.raises(ValueError, match="outlier_study"):
-            run("bad", **kwargs)
+    # an eigen run like any other: presets, alpha, beta and the sweep grid
+    # reach every size, and its meta.txt
+    for tag, kwargs, want in [
+            ("preset", {"preset": "laplacian-vb"}, (0.25, -0.5)),
+            ("alpha", {"alpha": 0.25, "beta": -0.5}, (0.25, -0.5))]:
+        table = run(tag, eps=[1e-3], **kwargs)
+        sub = (tmp_path / tag / "n100" / "meta.txt").read_text().splitlines()
+        assert (table.metadata["alpha"], table.metadata["beta"]) == want
+        assert f"alpha = {want[0]}" in sub and f"beta = {want[1]}" in sub
+    swept = run("sweep", eps="sweep").metadata["per_size"][100]["eps_grid"]
+    assert swept == list(harness.DEFAULT_SWEEP)
     grid = run("base").metadata["per_size"][100]["eps_grid"]
     scaled = run("scaled", eps_multiplier=4.0)
     assert scaled.metadata["per_size"][100]["eps_grid"] == [4.0 * e for e in grid]
@@ -369,8 +400,9 @@ _META_KEYS = {"experiment", "N", "alpha", "beta", "d", "seed", "k0",
               "eps_multiplier", "eps_list"}
 
 
-def _check_sweep_outputs(out, table, prefix):
-    """Output contract of one sweep: rows, files and metadata keys."""
+def _check_sweep_outputs(out, table, prefix, extra=frozenset()):
+    """Output contract of one sweep: rows, files and metadata keys, besides
+    the ``extra`` ones."""
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == "eps,mse,eig_err,wall_time_s"
     assert len(lines) == 1 + table.rows.shape[0] >= 2
@@ -382,7 +414,8 @@ def _check_sweep_outputs(out, table, prefix):
                 for line in (out / "meta.txt").read_text().splitlines())
     tuned = {"eps_star", "a_max", "d_hat"} if "eps_star" in table.metadata else set()
     eigen = {"eigensolver"} if prefix == "eigvecs" else set()
-    assert set(meta) == _META_KEYS | tuned | eigen | ({"errors"} if failed else set())
+    assert set(meta) == _META_KEYS | tuned | eigen | set(extra) | (
+        {"errors"} if failed else set())
     if eigen:
         # every epsilon with a row names the eigensolver path that ran
         solvers = ast.literal_eval(meta["eigensolver"])
@@ -403,10 +436,20 @@ def test_every_experiment_end_to_end(tmp_path, name):
     if name == "outlier_study":
         assert table.rows.shape == (1, 4)
         assert table.metadata["sizes"] == [100]
-        assert {p.name for p in tmp_path.iterdir()} == {"results.csv", "meta.txt"}
+        assert {p.name for p in tmp_path.iterdir()} == {"results.csv", "meta.txt",
+                                                        "n100"}
         meta = dict(line.split(" = ", 1)
                     for line in (tmp_path / "meta.txt").read_text().splitlines())
         assert _META_KEYS <= set(meta)
+        # each size is an eigen run of its own, in its own directory
+        sub = tmp_path / "n100"
+        size = dict(line.split(" = ", 1)
+                    for line in (sub / "meta.txt").read_text().splitlines())
+        rows = np.loadtxt(sub / "results.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert size["removed"] == "10" and size["N"] == "90"
+        _check_sweep_outputs(sub, harness.ResultTable(rows, {
+            "eps_list": ast.literal_eval(size["eps_list"])}), "eigvecs",
+            {"removed"})
         return
     operator = harness.EXPERIMENTS[name].reference is not None
     _check_sweep_outputs(tmp_path, table, "operator" if operator else "eigvecs")
@@ -513,15 +556,74 @@ def test_outlier_study_records_its_width_and_whether_its_best_sits_at_a_grid_end
         assert size["best_eps"] == best
         assert size["best_at_edge"] == (best in (grid[0], grid[-1]))
         flags.add(size["best_at_edge"])
-        # the 100-point study keeps 90 points, and its support holds them all
-        assert widths == [(90, size["k_support"])]
-        assert size["k_support"] == 90
+        # the 100-point study's KDE and the support of the 90 points it
+        # keeps both take its width of 100: all points
+        assert widths == [(100, 100), (90, 90)]
+        assert size["k_support"] == 100
     # both answers of the flag were exercised
     assert flags == {True, False}
     cut = _outlier(tmp_path, "cut", k_support=30).metadata["per_size"][100]
     assert cut["k_support"] == 30
     narrow = _outlier(tmp_path, "narrow", k_support=3).metadata["per_size"][100]
     assert narrow["k_support"] == 8  # never below k0
+
+
+def test_trim_keeps_all_but_the_lowest_density_points_on_a_rebuilt_support():
+    config = harness.ExperimentConfig(experiment="outlier_study", N=1000,
+                                      k_support=40)
+    config, cloud, profile, support = harness.setup(config)
+    # oracle: the density stage alone on the whole cloud, at the same width
+    full = pointcloud.gen_gaussian_nice_1d(1000)
+    whole = density.bandwidth_profile(
+        full, neighbors.knn(full, 8), 0.0, k0=8,
+        support=neighbors.symmetrized_support(full, 40))
+    lowest = np.argsort(whole.q0, kind="stable")[:31]  # floor(sqrt(1000))
+    keep = np.setdiff1d(np.arange(1000), lowest)
+    assert whole.q0[lowest].max() <= whole.q0[keep].min()
+    assert (config.N, config.k_support, cloud.n_points) == (1000, 40, 969)
+    np.testing.assert_array_equal(cloud.points, full.points[keep])
+    np.testing.assert_array_equal(cloud.latent, full.latent[keep])
+    for name in ("rho0", "q0", "rho"):
+        np.testing.assert_array_equal(getattr(profile, name),
+                                      getattr(whole, name)[keep])
+    kept = pointcloud.PointCloud(full.points[keep], latent=full.latent[keep],
+                                 intrinsic_dim=1)
+    want = neighbors.symmetrized_support(kept, 40)
+    for name in ("indptr", "indices", "r2"):
+        np.testing.assert_array_equal(getattr(support, name), getattr(want, name))
+    assert support.bandwidth is None
+
+
+def test_outlier_study_scores_each_size_as_its_own_pipeline_did(tmp_path):
+    # oracle: the study's former pipeline, written out: the all-pairs KDE
+    # of the whole cloud, the kept points on a support of the size's width,
+    # the fourth eigenvector with its sign set by the target, and the masked
+    # error on [-2, 2]
+    table = harness.run_experiment(harness.ExperimentConfig(
+        experiment="outlier_study", N=1000, output_dir=str(tmp_path)))
+    got = np.loadtxt(tmp_path / "n1000" / "results.csv", delimiter=",",
+                     skiprows=1, ndmin=2)
+    full = pointcloud.gen_gaussian_nice_1d(1000)
+    q0 = density.kde_pilot(full, density.pilot_bandwidth(neighbors.knn(full, 8)))
+    keep = np.sort(np.argsort(q0, kind="stable")[31:])
+    kept = pointcloud.PointCloud(full.points[keep], latent=full.latent[keep],
+                                 intrinsic_dim=1)
+    support = neighbors.symmetrized_support(kept, 128)
+    target = analytic.hermite_target(3).evaluate(kept)
+    target *= np.sqrt(kept.n_points) / np.linalg.norm(target)
+    mask = np.abs(kept.points[:, 0]) <= 2.0
+    want = []
+    for eps in (1e-4, 1e-4 * np.sqrt(10.0), 1e-3):
+        gm = kernel.build_generator(kept, np.ones(kept.n_points), eps, 0.5,
+                                    support=support)
+        spec = spectral.scale_sqrtN(spectral.eigs_near_zero(gm, 5))
+        est = spec.eigenvectors[:, 3]
+        est = -est if est @ target < 0.0 else est
+        want.append([eps, spectral.mse(est, target, mask=mask),
+                     abs(spec.eigenvalues[3] + 3.0) / 3.0])
+    np.testing.assert_allclose(got[:, :3], want, rtol=1e-9, atol=0.0)
+    best = got[np.argmin(got[:, 1])]
+    np.testing.assert_array_equal(table.rows[:, :3], [best[:3]])
 
 
 # a value for every ExperimentConfig field, as typed on the command line and
@@ -647,7 +749,8 @@ def test_stage_commands_record_what_ran(tmp_path, monkeypatch, command):
 def test_stage_commands_store_large_clouds_on_a_support(tmp_path, monkeypatch,
                                                         name, command):
     # neither spec sets a width: above the all-pairs limit the stage commands
-    # take the storage rule's, never an n x n array
+    # take the storage rule's, never an n x n array; the outlier study builds
+    # a second support, of the points its trim keeps
     widths = []
     build = neighbors.symmetrized_support
     monkeypatch.setattr(neighbors, "symmetrized_support",
@@ -655,7 +758,7 @@ def test_stage_commands_store_large_clouds_on_a_support(tmp_path, monkeypatch,
     n = harness._ALL_PAIRS_MAX + 1
     assert cli.main([command, "--set", f"experiment={name}", "--set", f"N={n}",
                      "--set", "eps=0.01", "--set", f"output_dir={tmp_path}"]) == 0
-    assert widths == [128]
+    assert widths == [128] * (2 if name == "outlier_study" else 1)
     meta = dict(line.split(" = ", 1)
                 for line in (tmp_path / "meta.txt").read_text().splitlines())
     assert meta["k_support"] == "128"
