@@ -85,11 +85,18 @@ def _generator(config):
     if not isinstance(config.eps, str) and len(config.eps) > 1:
         raise _UsageError("build and eigs take one eps value, or 'auto' on "
                           "an eigen run")
-    config, cloud, profile, support = harness.setup(config)
+    config, cloud, profile, support, kept = harness.setup(config)
     (eps,), _ = harness.epsilons(config, cloud, profile.rho, support)
     gm = kernel.build_generator(cloud, profile.rho, eps, config.alpha,
                                 support=support)
-    return config, cloud, eps, gm
+    return config, cloud, eps, gm, _record(config, kept)
+
+
+def _record(config, kept):
+    """What a stage command's ``meta.txt`` opens with: the resolved config
+    and, as an eigen run records it, the count of points a trim removed."""
+    trim = harness.EXPERIMENTS[config.experiment].trim
+    return vars(config) | ({"removed": config.N - kept.size} if trim else {})
 
 
 def _cmd_generate(config):
@@ -104,19 +111,19 @@ def _cmd_generate(config):
 
 
 def _cmd_density(config):
-    config, cloud, profile, support = harness.setup(config)
+    config, cloud, profile, support, kept = harness.setup(config)
     out = harness.ensure_dir(config.output_dir)
-    density.save_csv(profile, out / "bandwidth.csv")
-    harness.write_meta(out / "meta.txt", vars(config))
+    density.save_csv(profile, out / "bandwidth.csv", index=kept)
+    harness.write_meta(out / "meta.txt", _record(config, kept))
     print(f"wrote {out / 'bandwidth.csv'}")
     return 0
 
 
 def _cmd_build(config):
-    config, cloud, eps, gm = _generator(config)
+    config, cloud, eps, gm, record = _generator(config)
     out = harness.ensure_dir(config.output_dir)
     kernel.save_sparse_csv(gm.Lhat, out / "lhat.csv")
-    harness.write_meta(out / "meta.txt", vars(config) | {"eps_used": eps})
+    harness.write_meta(out / "meta.txt", record | {"eps_used": eps})
     print(f"wrote {out / 'lhat.csv'} (eps={eps:.6g})")
     return 0
 
@@ -124,13 +131,13 @@ def _cmd_build(config):
 def _cmd_eigs(config):
     if harness.EXPERIMENTS[config.experiment].targets is None:
         raise _UsageError(f"eigs takes an eigen run, not {config.experiment}")
-    config, cloud, eps, gm = _generator(config)
+    config, cloud, eps, gm, record = _generator(config)
     out = harness.ensure_dir(config.output_dir)
     spec = spectral.scale_sqrtN(
         spectral.eigs_near_zero(gm, config.eigenfunctions))
     path = harness.eigvecs_path(out, eps)
     spectral.save_csv(spec, path, latent=cloud.latent)
-    harness.write_meta(out / "meta.txt", vars(config) | {
+    harness.write_meta(out / "meta.txt", record | {
         "eps_used": eps, "eigenvalues": list(spec.eigenvalues),
         "eigensolver": {eps: spec.solver}})
     print(f"wrote {path}")
@@ -139,11 +146,11 @@ def _cmd_eigs(config):
 
 
 def _cmd_tune(config):
-    config, cloud, profile, support = harness.setup(config)
+    config, cloud, profile, support, kept = harness.setup(config)
     out = harness.ensure_dir(config.output_dir)
     curve = tuning.s_curve(cloud, profile.rho, support=support)
     tuning.save_csv(curve, out / "tuning.csv")
-    harness.write_meta(out / "meta.txt", vars(config) | {
+    harness.write_meta(out / "meta.txt", _record(config, kept) | {
         "eps_star": curve.eps_star, "a_max": curve.a_max, "d_hat": curve.d_hat})
     print(f"wrote {out / 'tuning.csv'}")
     print(f"eps_star={curve.eps_star:.6g} a_max={curve.a_max:.4f} "

@@ -119,9 +119,11 @@ def bandwidth_profile(cloud, graph, beta, k0=8, support=None):
     return BandwidthProfile(rho0=rho0, q0=q0, rho=q0**beta)
 
 
-def save_csv(profile, path):
-    """Write per-point bandwidth columns as CSV (i, rho0, q0, rho)."""
-    n = profile.rho0.shape[0]
-    out = np.column_stack([np.arange(n), profile.rho0, profile.q0, profile.rho])
+def save_csv(profile, path, index=None):
+    """Write per-point bandwidth columns as CSV (i, rho0, q0, rho), i the
+    points' ``index`` in their cloud (default 0..n-1)."""
+    if index is None:
+        index = np.arange(profile.rho0.shape[0])
+    out = np.column_stack([index, profile.rho0, profile.q0, profile.rho])
     np.savetxt(path, out, fmt=["%d", "%.17g", "%.17g", "%.17g"], delimiter=",",
                header="i,rho0,q0,rho", comments="")

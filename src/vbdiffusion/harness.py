@@ -9,15 +9,16 @@ reads and ``meta.txt`` records, and hands it to one runner per kind (an
 eigen spec with ``sizes`` to one eigen run per size); each runner scores its
 epsilons through one row loop, which records failures instead of rows. Eigen
 runs and the CLI stage commands start from :func:`setup`, which shares one
-set of support pairs and one bandwidth profile across epsilon. Operator runs
+set of support pairs and one bandwidth profile across epsilon and names the
+points of the generated cloud that a trim kept. Operator runs
 apply the generator to ``analytic.CHECK_F`` with a bandwidth from
 ``analytic.CHECK_G``, skip the KDE and compare against the closed-form
 ``analytic.reference_operator``. In the symmetric formulation an operator
-run divides its support's r^2 in place by rho_i rho_j, so each epsilon's
-kernel costs one divide and one exp per pair. An operator run formats the
-columns of its CSVs that do not depend on epsilon once, during setup, so
-each epsilon's ``wall_time_s`` covers the estimate, its column and the file
-write.
+run builds its support with rho, so that the support holds
+r^2 / (rho_i rho_j) and each epsilon's kernel costs one divide and one exp
+per pair. An operator run formats the columns of its CSVs that do not
+depend on epsilon once, during setup, so each epsilon's ``wall_time_s``
+covers the estimate, its column and the file write.
 """
 
 import math
@@ -220,18 +221,22 @@ def _torus_grid(n):
     return pointcloud.gen_torus_grid(side)
 
 
-def _support(cloud, k):
-    """Pairs of the symmetrized kNN graph (k at most N); None for all pairs."""
-    return None if k is None else neighbors.symmetrized_support(
-        cloud, min(cloud.n_points, k))
+def _support(cloud, k, bandwidth=None):
+    """Pairs of the symmetrized kNN graph (k at most N), divided by
+    bandwidth_i bandwidth_j when one is given; None for all pairs."""
+    if k is None:
+        return None
+    scale = {} if bandwidth is None else {"bandwidth": bandwidth}
+    return neighbors.symmetrized_support(cloud, min(cloud.n_points, k), **scale)
 
 
 def setup(config):
     """What the epsilons of an eigen run, or of a stage command, share.
 
-    Returns ``(config, cloud, profile, support)``: the config resolved with
-    alpha and beta set and the storage rule on the cloud's size for a width
-    the spec leaves None; ``support`` is None on the all-pairs path. A spec
+    Returns ``(config, cloud, profile, support, kept)``: the config resolved
+    with alpha and beta set and the storage rule on the cloud's size for a
+    width the spec leaves None; ``support`` is None on the all-pairs path;
+    ``kept`` the indices of the cloud's points in the generated one. A spec
     that trims drops the floor(sqrt(N)) points of lowest q0 (ties by index):
     the cloud and profile are then those of the points kept, and the
     support is rebuilt on them at the same width.
@@ -249,16 +254,17 @@ def setup(config):
     profile = density.bandwidth_profile(
         cloud, neighbors.knn(cloud, config.k0), config.beta, k0=config.k0,
         support=support)
+    kept = np.arange(cloud.n_points)
     if spec.trim:
-        keep = np.sort(np.argsort(profile.q0, kind="stable")[
+        kept = np.sort(np.argsort(profile.q0, kind="stable")[
             math.isqrt(cloud.n_points):])
-        cloud = replace(cloud, points=cloud.points[keep],
-                        latent=cloud.latent[keep])
-        profile = density.BandwidthProfile(profile.rho0[keep], profile.q0[keep],
-                                           profile.rho[keep])
+        cloud = replace(cloud, points=cloud.points[kept],
+                        latent=cloud.latent[kept])
+        profile = density.BandwidthProfile(profile.rho0[kept], profile.q0[kept],
+                                           profile.rho[kept])
         support = None  # the whole cloud's pairs go before the kept ones come
         support = _support(cloud, config.k_support)
-    return config, cloud, profile, support
+    return config, cloud, profile, support, kept
 
 
 def epsilons(config, cloud, rho, support, out=None):
@@ -314,7 +320,7 @@ def run_experiment(config):
 
 
 def _eigen_experiment(config, spec):
-    config, cloud, profile, support = setup(config)
+    config, cloud, profile, support, _ = setup(config)
     # a trimmed run's N is the points it kept
     record = {"removed": config.N - cloud.n_points} if spec.trim else {}
     out = ensure_dir(config.output_dir)
@@ -351,10 +357,9 @@ def _operator_experiment(config, spec):
     ref = analytic.reference_operator(
         "laplacian" if drift and config.formulation == "left" else spec.reference,
         cloud, c1=density.c_constants(config.alpha, config.beta, d)[0])
-    support = _support(cloud, config.k_support)
-    if support is not None and config.formulation == "symmetric":
-        # left and right put rho on one side only: they read raw r^2
-        neighbors.scale_support(support, rho)
+    # left and right put rho on one side only: they read raw r^2
+    support = _support(cloud, config.k_support,
+                       rho if config.formulation == "symmetric" else None)
     template = _operator_template(cloud.latent, f, ref)
 
     def one_eps(eps):

@@ -16,17 +16,19 @@ alpha-normalized form and then into Lhat. Without a support it is an n-by-n
 ndarray, scaled a row at a time. On a neighbor support, passed as
 :class:`neighbors.SupportPairs` (the squared distance of every pair i < j,
 cached once per cloud), each epsilon costs one elementwise pass over the
-cached pairs into a CSR of the strict upper triangle on the support's own
-index arrays: on a support scaled by the kernel's bandwidth
-(``neighbors.scale_support``), one divide by -4 eps and one exp per pair; on
-raw r^2, the bandwidth products of each pair besides. Each call picks its
-path once, and a support scaled by any other bandwidth raises
-``ValueError``, so no kernel is computed wrongly scaled. The diagonal is
-implicit and a pair that underflows is kept as an explicit zero; only Lhat
-is assembled whole, for the eigensolver, and that sum drops the zeros, so
-its pattern is the graph whose connectivity the eigensolver checks. Both
-storages run the same steps through two helpers, row sums and a symmetric
-diagonal scaling, and are exactly symmetric: a dense kernel takes r_ij^2 and
+cached pairs, a block of support rows at a time, into a CSR of the strict
+upper triangle on the support's own index arrays: on a support built with
+the kernel's bandwidth (``neighbors.symmetrized_support(cloud, k,
+bandwidth=rho)``), one divide by -4 eps and one exp per pair; on raw r^2,
+the bandwidth products of each pair besides. Each call picks its path
+once, and a support scaled by any other bandwidth raises ``ValueError``, so
+no kernel is computed wrongly scaled. The diagonal is implicit and a pair
+that underflows is kept as an explicit zero; only Lhat is assembled whole,
+for the eigensolver, and that sum drops the zeros, so its pattern is the
+graph whose connectivity the eigensolver checks. Both storages run the same
+steps through two helpers, row sums and a symmetric diagonal scaling (of a
+CSR's values a block of rows at a time, so that no temporary spans the
+whole pattern), and are exactly symmetric: a dense kernel takes r_ij^2 and
 r_ji^2 from one ``cdist`` formula whose terms do not change under the swap,
 and a sparse one evaluates each pair once. All-pairs kernel values come from
 one ``cdist`` block of rows against all points at a time, written straight
@@ -77,10 +79,10 @@ def kernel_matrix(cloud, rho, eps, support=None):
     Without a ``support`` the full dense matrix is computed. With one (a
     :class:`neighbors.SupportPairs`) the result is the CSR of the strict
     upper triangle on the support's own index arrays, which it shares; the
-    diagonal, all ones, is implicit. A pair whose value underflows stays
-    stored as an explicit zero. A support scaled by ``rho`` costs one divide
-    and one exp per pair; one scaled by another bandwidth raises
-    ``ValueError``.
+    diagonal, all ones, is implicit, and the values are computed a block of
+    rows at a time. A pair whose value underflows stays stored as an
+    explicit zero. A support scaled by ``rho`` costs one divide and one exp
+    per pair; one scaled by another bandwidth raises ``ValueError``.
     """
     rho = np.asarray(rho, dtype=float)
     if support is None:
@@ -89,9 +91,12 @@ def kernel_matrix(cloud, rho, eps, support=None):
             _dense_rows(cloud, eps, start, stop, rho, rho, out=k[start:stop])
         return k
     row_bw, col_bw = _unscaled(support, rho, rho)
-    return sparse.csr_matrix(
-        (_kernel_values(support, eps, 0, support.n, row_bw, col_bw),
-         support.indices, support.indptr), shape=(support.n, support.n))
+    data = np.empty(support.nnz)
+    for start, stop in neighbors._blocks(support.n, neighbors._SUPPORT_BLOCK):
+        lo, hi = support.indptr[start], support.indptr[stop]
+        _kernel_values(support, eps, start, stop, row_bw, col_bw, data[lo:hi])
+    return sparse.csr_matrix((data, support.indices, support.indptr),
+                             shape=(support.n, support.n))
 
 
 def _dense_rows(cloud, eps, start, stop, row_bw, col_bw, out=None):
@@ -217,10 +222,13 @@ def _row_sums(mat, diag):
 
 def _scaled(mat, w):
     """Overwrite M with w_i M_ij w_j: a dense M a row at a time, or the data
-    of the CSR of a strict upper triangle."""
+    of the CSR of a strict upper triangle a block of rows at a time."""
     if sparse.issparse(mat):
-        mat.data *= np.repeat(w, np.diff(mat.indptr))
-        mat.data *= np.take(w, mat.indices)
+        ptr = mat.indptr
+        for start, stop in neighbors._blocks(w.size, neighbors._SUPPORT_BLOCK):
+            data = mat.data[ptr[start]:ptr[stop]]
+            data *= np.repeat(w[start:stop], np.diff(ptr[start:stop + 1]))
+            data *= np.take(w, mat.indices[ptr[start]:ptr[stop]])
         return mat
     scale = np.empty(w.size)
     for row, wi in zip(mat, w):

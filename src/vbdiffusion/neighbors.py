@@ -9,10 +9,11 @@ dimension, a block of rows at a time. A support,
 strict upper triangle with the diagonal implicit; it streams the query
 blocks and holds each pair once from the moment its block arrives, never
 n*k distances, and its pair distances and scaled pairs run over blocks of
-rows. Where a run's bandwidth rho is fixed before its kernels,
-``scale_support`` divides a support's r^2 in place by rho_i rho_j, so that
-every kernel evaluation after it reads t_ij = r_ij^2 / (rho_i rho_j) and
-never gathers the bandwidth.
+rows. Where a run's bandwidth rho is fixed before its kernels, the support
+is built with it: each block of pair distances is divided by rho_i rho_j as
+it is computed, so that every kernel evaluation reads t_ij = r_ij^2 /
+(rho_i rho_j) and never gathers the bandwidth. A support's arrays are
+read-only.
 """
 
 from dataclasses import dataclass
@@ -109,9 +110,11 @@ def knn(cloud, k):
     return NeighborGraph(k=k, indices=indices, distances=distances)
 
 
-def symmetrized_support(cloud, k):
+def symmetrized_support(cloud, k, bandwidth=None):
     """Support pairs (i, j), i < j, where either point is among the other's k
     nearest neighbors (as :func:`knn` finds them), without a NeighborGraph.
+    With a ``bandwidth`` x the pairs hold r_ij^2 / (x_i x_j), and the support
+    records a copy of x.
 
     Row i's neighbors above it go, sorted, straight into one packed int32
     column store as their query block arrives. A neighbor i below row j at
@@ -178,8 +181,9 @@ def symmetrized_support(cloud, k):
     # shrink in place; numpy's reference check would also count the copy of
     # this frame's locals that a tracer or profiler holds, and refuse
     cols.resize(indptr[-1], refcheck=False)
+    x = None if bandwidth is None else np.array(bandwidth, dtype=float)
     return SupportPairs(indptr=indptr, indices=cols,
-                        r2=_sq_dists(cloud.points, indptr, cols))
+                        r2=_sq_dists(cloud.points, indptr, cols, x), bandwidth=x)
 
 
 def _insertion(cols, indptr, i, j):
@@ -194,8 +198,9 @@ def _insertion(cols, indptr, i, j):
     return lo
 
 
-def _sq_dists(pts, indptr, indices):
-    """Squared distance of every CSR entry (i, j), a block of rows at a time.
+def _sq_dists(pts, indptr, indices, x=None):
+    """Squared distance of every CSR entry (i, j), a block of rows at a time,
+    divided by x_j x_i (the same double as x_i x_j) when ``x`` is given.
 
     Each block repeats its own points against the gathered columns and
     reduces the differences with one ``einsum``; ``np.take`` gathers the
@@ -207,6 +212,9 @@ def _sq_dists(pts, indptr, indices):
         diff = np.repeat(pts[start:stop], np.diff(indptr[start:stop + 1]), axis=0)
         diff -= np.take(pts, indices[lo:hi], axis=0)
         r2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
+        del diff  # before the block's products
+        if x is not None:
+            r2[lo:hi] /= _pair_products(indptr, indices, x, start, stop)
     return r2
 
 
@@ -216,20 +224,24 @@ class SupportPairs:
 
     ``indptr`` and ``indices`` are the canonical CSR pattern of the support's
     strict upper triangle and ``r2[e]`` is the squared distance of entry e,
-    or, once :func:`scale_support` has run, r^2 / (x_i x_j) for the
-    ``bandwidth`` x it records (None: raw r^2). The diagonal is implicit:
-    every point is in its own support, at r^2 = 0. The values do not depend
-    on epsilon, so one instance serves every kernel evaluation on the same
-    cloud, support and bandwidth. Instances share their index arrays with
-    the kernel matrices built on them, and nothing may modify those in
-    place; only :func:`scale_support` modifies ``r2``, and it records the
-    bandwidth on the same instance.
+    or r^2 / (x_i x_j) for the ``bandwidth`` x it records (None: raw r^2).
+    The diagonal is implicit: every point is in its own support, at r^2 = 0.
+    The values do not depend on epsilon, so one instance serves every kernel
+    evaluation on the same cloud, support and bandwidth. Instances share
+    their index arrays with the kernel matrices built on them, and nothing
+    may modify those in place: construction marks the four arrays read-only,
+    the caller's own arrays and not copies of them.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     r2: np.ndarray
     bandwidth: np.ndarray | None = None
+
+    def __post_init__(self):
+        for arr in (self.indptr, self.indices, self.r2, self.bandwidth):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n(self):
@@ -240,40 +252,20 @@ class SupportPairs:
         return self.r2.shape[0]
 
 
-def scale_support(support, x):
-    """Divide each r_ij^2 of ``support`` in place by x_i x_j; return it.
-
-    The values are scaled a block of rows at a time with the arithmetic of
-    :func:`scaled_pairs`, so no second array of the support's size is made,
-    and the instance itself records x as its ``bandwidth``: no handle on it
-    is left that still reads as raw r^2. Scaling a support twice raises
-    ``ValueError``.
-    """
-    if support.bandwidth is not None:
-        raise ValueError("the support is already scaled by a bandwidth")
-    x = np.array(x, dtype=float)
-    for start, stop in _blocks(support.n, _SUPPORT_BLOCK):
-        lo, hi = support.indptr[start], support.indptr[stop]
-        support.r2[lo:hi] /= _pair_products(support, x, start, stop)
-    # the one field of the frozen instance that changes, with its values
-    object.__setattr__(support, "bandwidth", x)
-    return support
-
-
-def _pair_products(support, x, start, stop, out=None):
-    """x_j x_i (the same double as x_i x_j) over the entries of rows
-    start:stop of ``support``, written into ``out`` when given."""
-    lo, hi = support.indptr[start], support.indptr[stop]
+def _pair_products(indptr, indices, x, start, stop, out=None):
+    """x_j x_i (the same double as x_i x_j) over the CSR entries of rows
+    start:stop, written into ``out`` when given."""
+    lo, hi = indptr[start], indptr[stop]
     # "clip" gathers into out unbuffered; the columns are in range
-    den = np.take(x, support.indices[lo:hi], out=out, mode="clip")
-    den *= np.repeat(x[start:stop], np.diff(support.indptr[start:stop + 1]))
+    den = np.take(x, indices[lo:hi], out=out, mode="clip")
+    den *= np.repeat(x[start:stop], np.diff(indptr[start:stop + 1]))
     return den
 
 
 def scaled_pairs(cloud, x, support=None):
     """r_ij^2 / (x_i x_j) over the unordered pairs i < j: all of them in
     ``pdist`` order, or the entries of a :class:`SupportPairs`, a block of
-    its rows at a time; a support :func:`scale_support` has scaled raises
+    its rows at a time; a support built with a bandwidth raises
     ``ValueError``, as its pairs would be divided twice."""
     if support is None:
         t = pdist(cloud.points, "sqeuclidean")
@@ -287,6 +279,7 @@ def scaled_pairs(cloud, x, support=None):
     t = np.empty(support.nnz)
     for start, stop in _blocks(support.n, _SUPPORT_BLOCK):
         lo, hi = support.indptr[start], support.indptr[stop]
-        _pair_products(support, x, start, stop, out=t[lo:hi])
+        _pair_products(support.indptr, support.indices, x, start, stop,
+                       out=t[lo:hi])
         np.divide(support.r2[lo:hi], t[lo:hi], out=t[lo:hi])
     return t

@@ -58,7 +58,7 @@ def s_curve(cloud, rho, grid=None, support=None):
     one (:class:`neighbors.SupportPairs`, its strict upper triangle with the
     diagonal implicit) the sum is truncated to it, which distorts the
     large-eps saturation and can shift eps*. The support must hold raw r^2:
-    one that ``neighbors.scale_support`` has scaled raises ``ValueError``.
+    one built with a bandwidth raises ``ValueError``.
     Each unordered pair is summed once, and a pass stops where its kernel
     underflows to exactly zero.
 

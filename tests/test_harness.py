@@ -357,8 +357,9 @@ def test_outlier_study_scales_its_grid_and_takes_bandwidth_settings(tmp_path):
 
 def test_small_cloud_with_k_support_truncates_the_kde():
     config = harness.ExperimentConfig(experiment="ou1d_nice", N=300, k_support=10)
-    _, cloud, profile, support = harness.setup(config)
+    _, cloud, profile, support, kept = harness.setup(config)
     assert support is not None
+    np.testing.assert_array_equal(kept, np.arange(300))
     # oracle: per-point sums over the symmetrized 10-nearest-neighbor sets
     graph = neighbors.knn(cloud, 10)
     sets = [set(row) for row in graph.indices.tolist()]
@@ -378,8 +379,8 @@ def test_k_support_above_n_is_clamped_to_the_whole_cloud(monkeypatch, tmp_path):
     build = neighbors.symmetrized_support
     calls = []
 
-    def spy(cloud, k):
-        support = build(cloud, k)
+    def spy(cloud, k, bandwidth=None):
+        support = build(cloud, k, bandwidth=bandwidth)
         calls.append((cloud.n_points, k, support.nnz))
         return support
 
@@ -517,21 +518,48 @@ def test_circle_operator_check_honours_alpha_and_k_support(tmp_path):
 def test_only_symmetric_operator_runs_scale_their_support(
         tmp_path, monkeypatch, formulation):
     # left and right put the bandwidth on one side only: their kernel reads
-    # raw r^2, which a scaled support no longer holds
-    seen = []
-    apply = kernel.apply_generator
+    # raw r^2, so only the symmetric run builds its support with rho
+    built, seen = [], []
+    build, apply = neighbors.symmetrized_support, kernel.apply_generator
 
-    def spy(*args, support=None):
+    def build_spy(cloud, k, **bandwidth):
+        built.append(bandwidth)
+        return build(cloud, k, **bandwidth)
+
+    def apply_spy(*args, support=None):
         seen.append(support)
         return apply(*args, support=support)
-    monkeypatch.setattr(kernel, "apply_generator", spy)
+    monkeypatch.setattr(neighbors, "symmetrized_support", build_spy)
+    monkeypatch.setattr(kernel, "apply_generator", apply_spy)
     table = harness.run_experiment(harness.ExperimentConfig(
         experiment="torus_operator", N=900, k_support=60,
         formulation=formulation, output_dir=str(tmp_path)))
     assert table.rows.shape[0] == 3
-    assert len(seen) == 3
-    assert all((s.bandwidth is not None) == (formulation == "symmetric")
-               for s in seen)
+    assert len(built) == 1 and len(seen) == 3
+    assert ("bandwidth" in built[0]) == (formulation == "symmetric")
+    assert all(s is seen[0] for s in seen)
+    assert (seen[0].bandwidth is not None) == (formulation == "symmetric")
+
+
+def test_operator_run_on_a_scaled_support_matches_a_raw_support_bitwise(
+        tmp_path):
+    # at dyadic eps, 4 eps is a power of two: the scaled support's
+    # (r2 / (rho_i rho_j)) / (-4 eps) is the raw support's
+    # r2 / ((-4 eps rho_i) rho_j), so every estimate is the same double
+    eps = [2.0**-7, 2.0**-5]
+    harness.run_experiment(harness.ExperimentConfig(
+        experiment="torus_operator", N=900, k_support=60, eps=eps,
+        output_dir=str(tmp_path)))
+    cloud = pointcloud.gen_torus_grid(30)
+    theta = cloud.latent[:, 0]
+    rho = np.exp(analytic.CHECK_G(theta))
+    raw = neighbors.symmetrized_support(cloud, 60)
+    for e in eps:
+        want = kernel.apply_generator(cloud, rho, e, 0.0, "symmetric",
+                                      analytic.CHECK_F(theta), support=raw)
+        got = np.loadtxt(tmp_path / f"operator_{e:.6g}.csv", delimiter=",",
+                         skiprows=1, usecols=3)
+        assert got.tobytes() == want.tobytes(), e
 
 
 def test_outlier_study_records_its_width_and_whether_its_best_sits_at_a_grid_end(
@@ -571,7 +599,7 @@ def test_outlier_study_records_its_width_and_whether_its_best_sits_at_a_grid_end
 def test_trim_keeps_all_but_the_lowest_density_points_on_a_rebuilt_support():
     config = harness.ExperimentConfig(experiment="outlier_study", N=1000,
                                       k_support=40)
-    config, cloud, profile, support = harness.setup(config)
+    config, cloud, profile, support, kept = harness.setup(config)
     # oracle: the density stage alone on the whole cloud, at the same width
     full = pointcloud.gen_gaussian_nice_1d(1000)
     whole = density.bandwidth_profile(
@@ -581,6 +609,7 @@ def test_trim_keeps_all_but_the_lowest_density_points_on_a_rebuilt_support():
     keep = np.setdiff1d(np.arange(1000), lowest)
     assert whole.q0[lowest].max() <= whole.q0[keep].min()
     assert (config.N, config.k_support, cloud.n_points) == (1000, 40, 969)
+    np.testing.assert_array_equal(kept, keep)
     np.testing.assert_array_equal(cloud.points, full.points[keep])
     np.testing.assert_array_equal(cloud.latent, full.latent[keep])
     for name in ("rho0", "q0", "rho"):
@@ -592,6 +621,33 @@ def test_trim_keeps_all_but_the_lowest_density_points_on_a_rebuilt_support():
     for name in ("indptr", "indices", "r2"):
         np.testing.assert_array_equal(getattr(support, name), getattr(want, name))
     assert support.bandwidth is None
+
+
+def test_density_command_numbers_a_trimmed_cloud_by_its_generated_points(
+        tmp_path):
+    # bandwidth.csv's i is each kept point's row in cloud.csv, and meta.txt
+    # records the points the trim removed, as a trimmed eigen run does
+    sets = ["--set", "experiment=outlier_study", "--set", "N=1000"]
+    for command in ("generate", "density"):
+        assert cli.main([command, *sets, "--set",
+                         f"output_dir={tmp_path / command}"]) == 0
+    rows = np.loadtxt(tmp_path / "density" / "bandwidth.csv", delimiter=",",
+                      skiprows=1)
+    index = rows[:, 0].astype(int)
+    assert index.size == 969 and np.all(np.diff(index) > 0)
+    assert 0 <= index[0] and index[-1] <= 999
+    _, cloud, profile, _, kept = harness.setup(
+        harness.ExperimentConfig(experiment="outlier_study", N=1000))
+    np.testing.assert_array_equal(index, kept)
+    assert rows[:, 1].tobytes() == profile.rho0.tobytes()
+    assert rows[:, 2].tobytes() == profile.q0.tobytes()
+    whole = np.loadtxt(tmp_path / "generate" / "cloud.csv", delimiter=",",
+                       skiprows=1)
+    assert whole.shape[0] == 1000
+    np.testing.assert_array_equal(whole[index, 0], cloud.points[:, 0])
+    meta = dict(line.split(" = ", 1) for line in
+                (tmp_path / "density" / "meta.txt").read_text().splitlines())
+    assert (meta["N"], meta["removed"]) == ("1000", "31")
 
 
 def test_outlier_study_scores_each_size_as_its_own_pipeline_did(tmp_path):

@@ -95,8 +95,7 @@ def _scaled_twins(n=600, k=12, seed=9):
     cloud = PointCloud(points=rng.standard_normal((n, 3)), intrinsic_dim=3)
     rho = rng.uniform(0.5, 2.0, n)
     raw = neighbors.symmetrized_support(cloud, k)
-    scaled = neighbors.scale_support(
-        neighbors.symmetrized_support(cloud, k), rho)
+    scaled = neighbors.symmetrized_support(cloud, k, bandwidth=rho)
     return cloud, rho, raw, scaled
 
 

@@ -13,7 +13,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,15 +89,23 @@ def _keys_and_extras(cloud, k, got):
     return keys, np.diff(got.indptr) - np.count_nonzero(graph.indices > rows, axis=1)
 
 
-def test_support_builder_holds_no_neighbor_graph(cloud):
+def _traced_build(cloud, **bandwidth):
+    """A support of the cloud, the traced bytes it keeps and its traced peak."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        got = neighbors.symmetrized_support(cloud, _K)
+        got = neighbors.symmetrized_support(cloud, _K, **bandwidth)
         kept, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
+    return got, kept, peak
+
+
+def _builder_bound(cloud, got):
+    """What the support builder may hold at once (see
+    test_support_builder_holds_no_neighbor_graph), and the column store
+    with a whole neighbor graph's distances beside it."""
     output = _pairs_bytes(got)
     # every row lists k - 1 points other than itself: the column store has
     # room for all of them, though only the upper ones are written; beside it
@@ -124,14 +131,44 @@ def test_support_builder_holds_no_neighbor_graph(cloud):
     d = cloud.points.shape[1]
     pair = _largest_block(got) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
     # one phase after another: the store with one query block; the store and
-    # one block of the merge; the output and one block of pair distances
+    # one block of the merge; the output and one block of pair distances,
+    # the block's distances freed before its bandwidth products (two 8-byte
+    # arrays, fewer than 2 d + 1) on a scaled build
     bound = max(stream, merge, output + pair)
+    return bound, listed * 4 + _N * _K * 8
+
+
+def test_support_builder_holds_no_neighbor_graph(cloud):
+    got, kept, peak = _traced_build(cloud)
+    bound, graph = _builder_bound(cloud, got)
     assert peak <= bound + _SLACK, (peak, bound)
     # the n x k distances of a whole neighbor graph, filled in alongside the
     # column store, do not fit
-    assert listed * 4 + _N * _K * 8 > bound + _SLACK
+    assert graph > bound + _SLACK
     # the output owns right-sized arrays: nothing of the column store is kept
-    assert kept <= output + _SLACK, (kept, output)
+    assert kept <= _pairs_bytes(got) + _SLACK, (kept, _pairs_bytes(got))
+
+
+def test_scaled_support_build_holds_one_row_block_and_the_bandwidth(cloud, pairs):
+    x = 1.0 + 0.1 * cloud.points[:, 0] ** 2
+    got, kept, peak = _traced_build(cloud, bandwidth=x)
+    assert got.bandwidth is not None
+    # the raw build's phases, beside them the copy of the bandwidth that the
+    # support records; the output owns that copy and right-sized arrays
+    bound = _builder_bound(cloud, got)[0] + _N * 8
+    assert peak <= bound + _SLACK, (peak, bound)
+    assert kept <= _pairs_bytes(got) + _N * 8 + _SLACK, kept
+    # its last phase: the pair values, and per block the distances, freed
+    # before the block's products, one gathered value beside the intp copy
+    # of the block's int32 columns or the repeated row values. Scaled pairs
+    # in a second whole-support array do not fit
+    r2, peak = _traced_peak(lambda: neighbors._sq_dists(
+        cloud.points, pairs.indptr, pairs.indices, got.bandwidth))
+    assert r2.tobytes() == got.r2.tobytes()
+    d = cloud.points.shape[1]
+    block = _largest_block(pairs) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
+    assert pairs.nnz * 8 > block + _SLACK
+    assert peak <= r2.nbytes + block + _SLACK, (peak, r2.nbytes)
 
 
 _STATUS = Path("/proc/self/status")
@@ -205,28 +242,34 @@ def test_scaled_pairs_hold_one_row_block(cloud, pairs):
     assert peak <= got.nbytes + block + _SLACK, (peak, got.nbytes)
 
 
-def test_scale_support_holds_one_row_block(cloud, pairs):
-    x = 1.0 + 0.1 * cloud.points[:, 0] ** 2
-    twin = replace(pairs, r2=pairs.r2.copy())
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        got = neighbors.scale_support(twin, x)
-        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-    assert got is twin
-    # the support's r2 is divided in place; per block, the products: their
-    # gathered column values beside either the intp copy of the block's
-    # int32 columns or the repeated row values, and one count per row;
-    # beside them the copy of the bandwidth that the support records. A
-    # second whole-support array does not fit
+def test_sparse_kernel_holds_its_data_and_one_row_block(cloud, pairs):
+    rho = 1.0 + 0.1 * cloud.points[:, 0] ** 2
+    got, peak = _traced_peak(lambda: kernel.kernel_matrix(cloud, rho, 0.01,
+                                                          support=pairs))
+    # the CSR shares the support's read-only index arrays
+    assert np.shares_memory(got.indices, pairs.indices)
+    assert np.shares_memory(got.indptr, pairs.indptr)
+    # the CSR's data, into which each block's column bandwidths are
+    # gathered; per block, first the intp copy of its int32 columns that
+    # np.take makes, then the repeated row bandwidths, and per row its
+    # scaled bandwidth and count. A whole-pattern intp copy or repeat does
+    # not fit
+    block = _largest_block(pairs) * 8 + 2 * neighbors._SUPPORT_BLOCK * 8
+    assert pairs.nnz * 8 > block + _SLACK
+    assert peak <= got.data.nbytes + block + _SLACK, (peak, got.data.nbytes)
+
+
+def test_sparse_scaling_holds_one_row_block(cloud, pairs):
+    w = 1.0 + 0.1 * cloud.points[:, 0] ** 2
+    mat = kernel.kernel_matrix(cloud, w, 0.01, support=pairs)
+    got, peak = _traced_peak(lambda: kernel._scaled(mat, w))
+    assert got is mat
+    # the data is scaled in place; per block, the repeated row weights, or
+    # the gathered column weights beside the intp copy of the block's int32
+    # columns, and one count per row. A whole-pattern temporary does not fit
     block = 2 * _largest_block(pairs) * 8 + neighbors._SUPPORT_BLOCK * 8
-    bound = block + _N * 8
-    assert pairs.nnz * 8 > bound + _SLACK
-    assert peak <= bound + _SLACK, (peak, bound)
-    assert kept <= _N * 8 + _SLACK, kept
+    assert pairs.nnz * 8 > block + _SLACK
+    assert peak <= block + _SLACK, peak
 
 
 def _apply_vectors():
@@ -254,7 +297,7 @@ def test_apply_generator_on_a_scaled_support_holds_one_block_of_values(
         cloud, pairs, monkeypatch):
     rho = 1.0 + 0.1 * cloud.points[:, 0] ** 2
     f = np.sin(cloud.points[:, 0])
-    scaled = neighbors.scale_support(replace(pairs, r2=pairs.r2.copy()), rho)
+    scaled = neighbors.symmetrized_support(cloud, _K, bandwidth=rho)
     # blocks wide enough that one more block-sized array exceeds the slack
     monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", 4096)
     _, peak = _traced_peak(lambda: kernel.apply_generator(

@@ -249,28 +249,52 @@ def test_support_scaled_pairs_match_each_pair_bitwise():
     assert got.tobytes() == np.array(want).tobytes()
 
 
-def test_scale_support_divides_its_pairs_in_place():
-    # the scaled_pairs quotient of every pair, written over the input's r2;
-    # the input itself records the bandwidth, so no handle reads as raw r^2
+def test_support_built_with_a_bandwidth_holds_its_scaled_pairs():
+    # the scaled_pairs quotient of every pair, bit for bit, on a support that
+    # records a read-only copy of the bandwidth; a raw build of the same
+    # cloud is left as it was
     rng = np.random.default_rng(12)
     cloud = pointcloud.PointCloud(rng.standard_normal((600, 3)))
     x = rng.uniform(0.5, 2.0, 600)
     raw = neighbors.symmetrized_support(cloud, 12)
+    before = [a.tobytes() for a in (raw.indptr, raw.indices, raw.r2)]
     want = neighbors.scaled_pairs(cloud, x, raw)
-    support = neighbors.symmetrized_support(cloud, 12)
-    r2 = support.r2
-    assert neighbors.scale_support(support, x) is support
-    assert support.r2 is r2
-    assert support.r2.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(support.bandwidth, x)
+    support = neighbors.symmetrized_support(cloud, 12, bandwidth=x)
+    assert [a.tobytes() for a in (raw.indptr, raw.indices, raw.r2)] == before
     assert raw.bandwidth is None
-    # a second scaling, or scaled pairs of the scaled values, would divide
-    # each pair twice
-    with pytest.raises(ValueError, match="already scaled"):
-        neighbors.scale_support(support, x)
-    with pytest.raises(ValueError, match="already scaled"):
-        neighbors.scaled_pairs(cloud, x, support)
+    assert support.indptr.tobytes() == raw.indptr.tobytes()
+    assert support.indices.tobytes() == raw.indices.tobytes()
     assert support.r2.tobytes() == want.tobytes()
+    assert support.bandwidth is not x and not support.bandwidth.flags.writeable
+    x[:] = 1.0  # the caller's array stays the caller's
+    assert support.bandwidth.tobytes() != x.tobytes()
+    # scaled pairs of the scaled values would divide each pair twice
+    with pytest.raises(ValueError, match="already scaled"):
+        neighbors.scaled_pairs(cloud, support.bandwidth, support)
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["raw", "scaled"])
+def test_support_arrays_are_read_only(scaled):
+    # kernel matrices share the support's index arrays, and every kernel on
+    # it reads r2 and the bandwidth: numpy refuses any write into them
+    rng = np.random.default_rng(13)
+    cloud = pointcloud.PointCloud(rng.standard_normal((200, 2)))
+    x = rng.uniform(0.5, 2.0, 200) if scaled else None
+    support = neighbors.symmetrized_support(cloud, 8, bandwidth=x)
+    arrays = [support.indptr, support.indices, support.r2]
+    assert (support.bandwidth is not None) == scaled
+    if scaled:
+        arrays.append(support.bandwidth)
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+        with pytest.raises(ValueError, match="read-only"):
+            arr[1:3] *= 2
+    # construction marks the caller's arrays, and copies none of them
+    indptr = support.indptr.copy()
+    built = neighbors.SupportPairs(indptr=indptr, indices=support.indices,
+                                   r2=support.r2)
+    assert built.indptr is indptr and not indptr.flags.writeable
 
 
 @pytest.mark.parametrize("cloud, k", [
