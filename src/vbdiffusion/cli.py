@@ -89,14 +89,16 @@ def _generator(config):
     (eps,), _ = harness.epsilons(config, cloud, profile.rho, support)
     gm = kernel.build_generator(cloud, profile.rho, eps, config.alpha,
                                 support=support)
-    return config, cloud, eps, gm, _record(config, kept)
+    return config, cloud, eps, gm, _record(config, kept, support)
 
 
-def _record(config, kept):
+def _record(config, kept, support):
     """What a stage command's ``meta.txt`` opens with: the resolved config
-    and, as an eigen run records it, the count of points a trim removed."""
+    and, as an eigen run records them, the count of points a trim removed
+    and the support's pairs."""
     trim = harness.EXPERIMENTS[config.experiment].trim
-    return vars(config) | ({"removed": config.N - kept.size} if trim else {})
+    return (vars(config) | ({"removed": config.N - kept.size} if trim else {})
+            | harness.support_record(support))
 
 
 def _cmd_generate(config):
@@ -114,7 +116,7 @@ def _cmd_density(config):
     config, cloud, profile, support, kept = harness.setup(config)
     out = harness.ensure_dir(config.output_dir)
     density.save_csv(profile, out / "bandwidth.csv", index=kept)
-    harness.write_meta(out / "meta.txt", _record(config, kept))
+    harness.write_meta(out / "meta.txt", _record(config, kept, support))
     print(f"wrote {out / 'bandwidth.csv'}")
     return 0
 
@@ -150,7 +152,7 @@ def _cmd_tune(config):
     out = harness.ensure_dir(config.output_dir)
     curve = tuning.s_curve(cloud, profile.rho, support=support)
     tuning.save_csv(curve, out / "tuning.csv")
-    harness.write_meta(out / "meta.txt", _record(config, kept) | {
+    harness.write_meta(out / "meta.txt", _record(config, kept, support) | {
         "eps_star": curve.eps_star, "a_max": curve.a_max, "d_hat": curve.d_hat})
     print(f"wrote {out / 'tuning.csv'}")
     print(f"eps_star={curve.eps_star:.6g} a_max={curve.a_max:.4f} "

@@ -230,6 +230,12 @@ def _support(cloud, k, bandwidth=None):
     return neighbors.symmetrized_support(cloud, min(cloud.n_points, k), **scale)
 
 
+def support_record(support):
+    """What ``meta.txt`` records of a support: its count of pairs i < j,
+    which shows the pairs that whole last shells add; nothing on all pairs."""
+    return {} if support is None else {"support_pairs": support.nnz}
+
+
 def setup(config):
     """What the epsilons of an eigen run, or of a stage command, share.
 
@@ -323,6 +329,7 @@ def _eigen_experiment(config, spec):
     config, cloud, profile, support, _ = setup(config)
     # a trimmed run's N is the points it kept
     record = {"removed": config.N - cloud.n_points} if spec.trim else {}
+    record |= support_record(support)
     out = ensure_dir(config.output_dir)
     sweep, curve = epsilons(config, cloud, profile.rho, support, out)
     targets = spec.targets(config.eigenfunctions)
@@ -369,7 +376,7 @@ def _operator_experiment(config, spec):
         return spectral.mse(est, ref), 0.0
 
     return _sweep(config, cloud, epsilons(config, cloud, rho, support)[0], None,
-                  out, one_eps)
+                  out, one_eps, support_record(support))
 
 
 def _rows(sweep, one_eps):
@@ -419,7 +426,9 @@ def _over_sizes(config, spec):
         grid = meta["eps_list"]
         eps_list += grid
         per_size[n] = {"removed": meta["removed"], "remaining": meta["N"],
-                       "k_support": meta["k_support"], "eps_grid": grid}
+                       "k_support": meta["k_support"],
+                       "support_pairs": meta.get("support_pairs"),
+                       "eps_grid": grid}
         if table.rows.shape[0]:
             best = table.rows[np.argmin(table.rows[:, 1])]
             rows.append(best)

@@ -4,35 +4,49 @@ Rows of a :class:`NeighborGraph` start with the point itself at distance
 zero, then order the rest by (distance, index); when more points tie at the
 k-th distance than fit in a row, the kd-tree picks which ones it keeps.
 Every query goes to one kd-tree (``scipy.spatial.cKDTree``), exact in any
-dimension, a block of rows at a time. A support,
-``symmetrized_support(cloud, k)``, is symmetric and stored once, as its
-strict upper triangle with the diagonal implicit; it streams the query
-blocks and holds each pair once from the moment its block arrives, never
-n*k distances, and its pair distances and scaled pairs run over blocks of
-rows. Where a run's bandwidth rho is fixed before its kernels, the support
-is built with it: each block of pair distances is divided by rho_i rho_j as
-it is computed, so that every kernel evaluation reads t_ij = r_ij^2 /
-(rho_i rho_j) and never gathers the bandwidth. A support's arrays are
-read-only.
+dimension, a block of rows at a time.
+
+A support, ``symmetrized_support(cloud, k)``, holds every pair within
+either point's k-th smallest distance, whole last shells included, so it
+is a function of the point set: renumbering the points renumbers its pairs
+and leaves their r^2 as they were. It is symmetric and stored once, as its
+strict upper triangle with the diagonal implicit. It is built over cells of
+the kd-tree, never from a neighbor query: each cell's rows get their
+squared distances to a superset of their last shells in one ``cdist``
+block, the arithmetic of ``pdist``, and each pair is written once, its r^2
+straight from that block. Where a run's bandwidth rho is fixed before its
+kernels, the support is built with it: each block of pair distances is
+divided by rho_i rho_j as it is written, so that every kernel evaluation
+reads t_ij = r_ij^2 / (rho_i rho_j) and never gathers the bandwidth. A
+support's arrays are read-only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import KTooLarge
 
-# rows per block of the kNN queries, and of the support behind the pair
-# distances and of the matrix-free kernel products (support or all pairs);
-# support blocks are small because their pass is memory-bound and runs
-# faster in cache. A query block holds at most _QUERY_ENTRIES neighbors,
-# as glibc may keep a freed block's arrays resident (at k = 500, 4096-row
-# blocks left up to 26 MB more); large-k queries run as fast in fewer rows
+# rows per block of the kNN queries, and per block of the support's merge
+# and of the matrix-free kernel products (support or all pairs); support
+# blocks are small because their pass is memory-bound and runs faster in
+# cache. A query block holds at most _QUERY_ENTRIES neighbors, as glibc may
+# keep a freed block's arrays resident (at k = 500, 4096-row blocks left up
+# to 26 MB more); large-k queries run as fast in fewer rows
 _QUERY_BLOCK = 4096
 _QUERY_ENTRIES = 1 << 19
 _SUPPORT_BLOCK = 256
+# points per cell of the support build, at most (a subtree of the kd-tree
+# holds between half and all of them), and cells per query of their
+# candidates, whose Python lists a query holds at once. Smaller cells have
+# fewer candidates per row, larger ones fewer numpy calls per point: on the
+# 250^2 torus grid at k = 500, cells of 16 points built the support 20%
+# slower than cells of 32, and cells of 48 or 64 no faster, with larger
+# blocks
+_CELL = 32
+_CELL_QUERY = 32
 
 
 @dataclass(frozen=True)
@@ -55,10 +69,10 @@ def _blocks(n, size):
     return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
-def _query_blocks(cloud, k, size=None):
+def _query_blocks(cloud, k):
     """(start, stop, dist, idx, is_self) of each block of rows' exact k
     nearest neighbors from one kd-tree; every row lists its own point.
-    Blocks are query blocks, or ``size`` rows of one. Callers check k <= n."""
+    Callers check k <= n."""
     pts = cloud.points
     tree = cKDTree(pts)
     block = min(_QUERY_BLOCK, max(1, _QUERY_ENTRIES // k))
@@ -74,8 +88,7 @@ def _query_blocks(cloud, k, size=None):
         idx[missing, -1] = rows[missing]
         dist[missing, -1] = 0.0
         is_self[missing, -1] = True
-        for lo, hi in _blocks(stop - start, size or block):
-            yield start + lo, start + hi, dist[lo:hi], idx[lo:hi], is_self[lo:hi]
+        yield start, stop, dist, idx, is_self
         del dist, idx, is_self  # before the next block's query
 
 
@@ -111,79 +124,162 @@ def knn(cloud, k):
 
 
 def symmetrized_support(cloud, k, bandwidth=None):
-    """Support pairs (i, j), i < j, where either point is among the other's k
-    nearest neighbors (as :func:`knn` finds them), without a NeighborGraph.
-    With a ``bandwidth`` x the pairs hold r_ij^2 / (x_i x_j), and the support
-    records a copy of x.
+    """Support pairs (i, j), i < j, with r_ij^2 <= max(R_i^2, R_j^2), where
+    R_i^2 is the k-th smallest squared distance from point i, itself at zero
+    included: every point's k nearest neighbors and all the points tied with
+    the k-th, joined. With a ``bandwidth`` x the pairs hold
+    r_ij^2 / (x_i x_j), and the support records a copy of x.
 
-    Row i's neighbors above it go, sorted, straight into one packed int32
-    column store as their query block arrives. A neighbor i below row j at
-    distance d adds (i, j) only if row i did not list j: (i, j) and (j, i)
-    get the same distance bit for bit, and every point closer than row i's
-    k-th distance R_i is among its k nearest, so d < R_i is stored already,
-    d > R_i is an extra pair and only d == R_i is looked up in row i's
-    columns. The few extras are inserted in place at the end.
+    Rows go a kd-tree cell at a time (:func:`_cells`), against candidates
+    that hold every row's last shell, and each cell's squared distances come
+    from one ``cdist`` block, so (i, j) and (j, i) get the bits of ``pdist``.
+    Pass A finds each R_i^2, and counts each row's pairs above it within
+    R_i^2 and the extras: pairs (j, i), j < i, that R_i reaches and R_j does
+    not. Pass B writes each row's upper columns, sorted, and their r^2
+    straight into place, and collects the extras, which are inserted in
+    place at the end.
     """
     n = cloud.n_points
-    if k > n:  # before the column store is allocated
+    if k > n:  # before the cells are built
         raise KTooLarge(k, n)
-    # row i's upper columns are cols[indptr[i]:indptr[i + 1]]; they fill a
-    # prefix of the buffer, whose untouched pages are never resident
-    cols = np.empty(n * (k - 1), dtype=np.int32)
-    # int32 row pointers where they fit, as scipy gives a CSR of this size
-    indptr = np.zeros(n + 1, dtype=np.int32 if cols.size < 2**31 else np.int64)
-    # rows not yet queried have no neighbor at or beyond their k-th distance
-    radius = np.full(n, np.inf)
-    # i * n + j of the pairs (i, j) that row j lists beyond or at R_i
-    beyond, ties = [], []
-    # each query block in blocks of support rows, so that what is derived
-    # from them stays small
-    for start, stop, dist, idx, _ in _query_blocks(cloud, k, _SUPPORT_BLOCK):
-        radius[start:stop] = dist[:, -1]
-        mid = np.arange(start, stop, dtype=np.int32)[:, None]
-        row = idx.astype(np.int32)
-        row.sort(axis=1)
-        above = row > mid
-        np.cumsum(np.count_nonzero(above, axis=1), out=indptr[start + 1:stop + 1])
-        indptr[start + 1:stop + 1] += indptr[start]
-        np.compress(above.ravel(), row, out=cols[indptr[start]:indptr[stop]])
-        del row, above
-        unsure = dist >= radius[idx]
-        unsure &= idx < mid
-        at = np.flatnonzero(unsure)
-        i = idx.ravel()[at]
-        tie = dist.ravel()[at] == radius[i]
-        key = i * n + at // k + start
-        beyond.append(key[~tie])
-        ties.append(key[tie])
-        del dist, idx, _  # before the next block's query
-    # a pair at R_i is an extra only if row i did not pick it
-    tie = np.concatenate(ties)
-    i, j = np.divmod(tie, n)
-    at = _insertion(cols, indptr, i, j)
-    held = (at < indptr[i + 1]) & (cols[np.minimum(at, cols.size - 1)] == j)
-    key = np.concatenate(beyond + [tie[~held]])
-    del beyond, ties, tie, held
-    key.sort()
+    pts = cloud.points
+    tree, cells, centre, spread, kth = _cells(pts, k)
+    # R_i^2, -inf until row i's cell has passed, and each cell's largest;
+    # row i's upper columns are cols_out[indptr[i]:indptr[i + 1]] before
+    # the extras go in
+    radius = np.full(n, -np.inf)
+    top = np.empty(len(cells))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    extra = 0
+    # every row of a cell has R_i <= R_c + a
+    reach = kth + 2.0 * spread
+    for c, (rows, cols) in enumerate(zip(cells, _candidates(tree, centre, reach))):
+        d = cdist(pts[rows], pts[cols], "sqeuclidean")
+        # a copy, so that the partitioned block goes at once
+        r2 = np.partition(d, k - 1, axis=1)[:, k - 1].copy()
+        top[c] = r2.max()
+        within = d <= r2[:, None]
+        above = cols > rows[:, None]
+        above &= within
+        indptr[rows + 1] = np.count_nonzero(above, axis=1)
+        # a pair (j, i), j < i, within R_i counts as an extra unless R_j is
+        # known and reaches it; the same pair seen from row j later, within
+        # both radii, takes its count back. Besides the upper pairs, that
+        # count holds each row's own point and the pairs of two rows of this
+        # cell within both radii, which never come back
+        within &= d > radius[cols]
+        own = d[:, np.searchsorted(cols, rows)]
+        both = (own <= r2[:, None]) & (own <= r2) & (rows[:, None] < rows)
+        extra += (np.count_nonzero(within) - np.count_nonzero(above)
+                  - rows.size - np.count_nonzero(both))
+        radius[rows] = r2
+    np.cumsum(indptr, out=indptr)
+    nnz = int(indptr[-1]) + extra
+    cols_out = np.empty(nnz, dtype=np.int32)
+    r2_out = np.empty(nnz)
+    x = None if bandwidth is None else np.array(bandwidth, dtype=float)
+    # pass B, on the candidates within a + max R_i of each cell's centre;
+    # the extras as keys j * n + i and their values
+    key = np.empty(extra, dtype=np.int64)
+    val = np.empty(extra)
+    filled = 0
+    reach = spread + np.sqrt(top)
+    for rows, cols in zip(cells, _candidates(tree, centre, reach)):
+        d = cdist(pts[rows], pts[cols], "sqeuclidean")
+        within = d <= radius[rows, None]
+        above = cols > rows[:, None]
+        up = above & within
+        # the same pairs as pass A counted, from the same bits
+        count = indptr[rows + 1] - indptr[rows]
+        slot = np.repeat(indptr[rows] - (np.cumsum(count) - count), count)
+        slot += np.arange(slot.size)
+        j = np.broadcast_to(cols, d.shape)[up]
+        cols_out[slot] = j
+        r2_out[slot] = _divided(d[up], x, j, np.repeat(rows, count))
+        del up, count, slot, j
+        within &= ~above
+        within &= d > radius[cols]
+        i, at = np.divmod(np.flatnonzero(within), cols.size)
+        end = filled + i.size
+        np.multiply(cols[at], np.int64(n), out=key[filled:end])
+        key[filled:end] += rows[i]
+        val[filled:end] = _divided(d[i, at], x, cols[at], rows[i])
+        filled = end
+    del tree, cells, radius
+    order = np.argsort(key)
+    key = key[order]
+    val = val[order]
+    del order
     # the extras of the rows before each row: how far its columns move
     shift = np.searchsorted(key, np.arange(n + 1) * n)
-    # in place, from the last block back: a block's columns only move up,
-    # over its own old columns and those of blocks already moved
-    for start, stop in reversed(_blocks(n, _QUERY_BLOCK)):
+    # in place, from the last block back: a block's entries only move up,
+    # over its own old entries and those of blocks already moved; blocks
+    # ahead of every extra stay
+    for start, stop in reversed(_blocks(n, _SUPPORT_BLOCK)):
         lo, hi = shift[start], shift[stop]
+        if hi == 0:
+            break
         i, j = np.divmod(key[lo:hi], n)
-        at = _insertion(cols, indptr, i, j) - indptr[start]
-        cols[indptr[start] + lo:indptr[stop] + hi] = np.insert(
-            cols[indptr[start]:indptr[stop]], at, j)
-    del key, i, j, at
+        at = _insertion(cols_out, indptr, i, j) - indptr[start]
+        old = slice(indptr[start], indptr[stop])
+        new = slice(indptr[start] + lo, indptr[stop] + hi)
+        cols_out[new] = np.insert(cols_out[old], at, j)
+        r2_out[new] = np.insert(r2_out[old], at, val[lo:hi])
+    del key, val
     indptr += shift
-    # no view of cols outlives the statement that made it, so the store can
-    # shrink in place; numpy's reference check would also count the copy of
-    # this frame's locals that a tracer or profiler holds, and refuse
-    cols.resize(indptr[-1], refcheck=False)
-    x = None if bandwidth is None else np.array(bandwidth, dtype=float)
-    return SupportPairs(indptr=indptr, indices=cols,
-                        r2=_sq_dists(cloud.points, indptr, cols, x), bandwidth=x)
+    # int32 row pointers where they fit, as scipy gives a CSR of this size
+    if nnz < 2**31:
+        indptr = indptr.astype(np.int32)
+    return SupportPairs(indptr=indptr, indices=cols_out, r2=r2_out, bandwidth=x)
+
+
+def _divided(r2, x, j, i):
+    """r2 / (x_j x_i) (the same double as x_i x_j), in place, for pairs
+    (i, j); r2 itself when x is None."""
+    if x is not None:
+        r2 /= x[j] * x[i]
+    return r2
+
+
+def _cells(pts, k):
+    """The kd-tree of the points and its cells, subtrees of at most _CELL
+    points: each cell's rows, the centre c of their bounding box, their
+    largest distance a from c, and the distance R_c from c to its k-th
+    nearest point."""
+    tree = cKDTree(pts)
+    order = tree.indices.astype(np.int32)
+    bounds, stack = [], [tree.tree]
+    while stack:
+        node = stack.pop()
+        size = node.end_idx - node.start_idx
+        if node.split_dim == -1 or size <= _CELL:
+            bounds += [(node.start_idx + a, node.start_idx + b)
+                       for a, b in _blocks(size, _CELL)]
+        else:
+            stack += [node.greater, node.lesser]
+    starts = np.array([a for a, _ in bounds])
+    members = pts[order]
+    centre = 0.5 * (np.minimum.reduceat(members, starts)
+                    + np.maximum.reduceat(members, starts))
+    members -= np.repeat(centre, np.diff(starts, append=pts.shape[0]), axis=0)
+    spread = np.maximum.reduceat(
+        np.sqrt(np.einsum("ij,ij->i", members, members)), starts)
+    kth = tree.query(centre, k=[k], workers=-1)[0][:, 0]
+    return tree, [order[a:b] for a, b in bounds], centre, spread, kth
+
+
+def _candidates(tree, centre, reach):
+    """Sorted int32 indices of the points within each cell's reach of its
+    centre, a margin for the rounding of the tree's distances included,
+    queried one chunk of cells at a time."""
+    for lo, hi in _blocks(centre.shape[0], _CELL_QUERY):
+        # numpy sorts them faster than the tree does
+        for ball in tree.query_ball_point(centre[lo:hi],
+                                          reach[lo:hi] * (1.0 + 1e-9),
+                                          return_sorted=False):
+            cols = np.array(ball, dtype=np.int32)
+            cols.sort()
+            yield cols
 
 
 def _insertion(cols, indptr, i, j):
@@ -196,26 +292,6 @@ def _insertion(cols, indptr, i, j):
         lo = np.where(right & (lo < hi), mid + 1, lo)
         hi = np.where(right, hi, mid)
     return lo
-
-
-def _sq_dists(pts, indptr, indices, x=None):
-    """Squared distance of every CSR entry (i, j), a block of rows at a time,
-    divided by x_j x_i (the same double as x_i x_j) when ``x`` is given.
-
-    Each block repeats its own points against the gathered columns and
-    reduces the differences with one ``einsum``; ``np.take`` gathers the
-    same rows several times faster than fancy indexing by int32 columns.
-    """
-    r2 = np.empty(indices.shape[0])
-    for start, stop in _blocks(indptr.shape[0] - 1, _SUPPORT_BLOCK):
-        lo, hi = indptr[start], indptr[stop]
-        diff = np.repeat(pts[start:stop], np.diff(indptr[start:stop + 1]), axis=0)
-        diff -= np.take(pts, indices[lo:hi], axis=0)
-        r2[lo:hi] = np.einsum("ij,ij->i", diff, diff)
-        del diff  # before the block's products
-        if x is not None:
-            r2[lo:hi] /= _pair_products(indptr, indices, x, start, stop)
-    return r2
 
 
 @dataclass(frozen=True)

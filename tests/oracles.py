@@ -3,6 +3,7 @@
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, qr
+from scipy.spatial.distance import pdist, squareform
 
 from vbdiffusion.kernel import GeneratorMatrices
 
@@ -51,13 +52,27 @@ def support_rows(pairs):
 
 
 def pair_sq_dists(points, rows, cols, chunk=4_000_000):
-    """Squared distances ||points[rows] - points[cols]||^2, computed in chunks."""
-    out = np.empty(rows.shape[0])
+    """Squared distances ||points[rows] - points[cols]||^2, computed in
+    chunks with the arithmetic of ``pdist`` and ``cdist``: the squared
+    coordinate differences summed one coordinate at a time, in order."""
+    out = np.zeros(rows.shape[0])
     for start in range(0, rows.shape[0], chunk):
         stop = min(start + chunk, rows.shape[0])
-        diff = points[rows[start:stop]] - points[cols[start:stop]]
-        out[start:stop] = np.einsum("ij,ij->i", diff, diff)
+        for a, b in zip(points[rows[start:stop]].T, points[cols[start:stop]].T):
+            diff = a - b
+            out[start:stop] += diff * diff
     return out
+
+
+def whole_shell_support(points, k):
+    """Rows, columns and squared distances of the pairs i < j with
+    r_ij^2 <= max(R_i^2, R_j^2), R_i^2 the k-th smallest entry of row i of
+    the whole squared distance matrix (its own zero included), by brute
+    force over ``pdist``."""
+    d2 = squareform(pdist(points, "sqeuclidean"))
+    radius = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    rows, cols = np.nonzero(np.triu(d2 <= np.maximum.outer(radius, radius), 1))
+    return rows, cols, d2[rows, cols]
 
 
 def mirrored_spectrum(even, odd, n, seed=0, lo=10.0):

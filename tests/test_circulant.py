@@ -176,10 +176,12 @@ def test_generator_estimate_of_a_fourier_mode_is_its_eigenvalue(n, k, eps):
     25,
     pytest.param(60, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="k = 60 cuts a shell of the 40 x 40 grid, and the kd-tree "
-               "picks which tied points each row keeps, so rows hold "
-               "different offsets and Lhat is not block circulant "
-               "(ROADMAP, 'Make every result a function of the point set')")),
+        reason="k = 60 cuts a shell of the 40 x 40 grid, and the chord "
+               "distance of one grid offset on the R^4 embedding rounds "
+               "differently from row to row, so points tied on the grid are "
+               "not tied in floating point: the last shell, kept whole, "
+               "holds different offsets in different rows (5 distinct "
+               "sets), and Lhat is not block circulant")),
 ])
 def test_torus_grid_spectrum_is_the_dft_of_a_kernel_row(k):
     side, eps = 40, 2.0 ** -6

@@ -392,6 +392,31 @@ def test_k_support_above_n_is_clamped_to_the_whole_cloud(monkeypatch, tmp_path):
     assert calls == [(900, 900, 900 * 899 // 2)]
 
 
+def test_support_runs_record_their_pairs(monkeypatch, tmp_path):
+    # meta.txt counts the pairs of the support each run built; a run over
+    # all pairs records none
+    build = neighbors.symmetrized_support
+    built = []
+
+    def spy(cloud, k, bandwidth=None):
+        support = build(cloud, k, bandwidth=bandwidth)
+        built.append(support.nnz)
+        return support
+
+    monkeypatch.setattr(neighbors, "symmetrized_support", spy)
+    for name, extra in (("torus_operator", {"N": 900, "k_support": 60}),
+                        ("ou1d_nice", {"N": 300, "k_support": 40})):
+        out = tmp_path / name
+        table = harness.run_experiment(harness.ExperimentConfig(
+            experiment=name, output_dir=str(out), **extra))
+        assert table.metadata["support_pairs"] == built[0]
+        assert f"support_pairs = {built[0]}\n" in (out / "meta.txt").read_text()
+        built.clear()
+    table = harness.run_experiment(harness.ExperimentConfig(
+        experiment="circle_operator", N=300, output_dir=str(tmp_path / "all")))
+    assert not built and "support_pairs" not in table.metadata
+
+
 # tiny sizes, as in the benchmark self-test (a 500-point support would
 # cover the whole 900-point torus grid)
 _TINY = {"torus_operator": {"N": 900, "k_support": 60},
@@ -415,7 +440,9 @@ def _check_sweep_outputs(out, table, prefix, extra=frozenset()):
                 for line in (out / "meta.txt").read_text().splitlines())
     tuned = {"eps_star", "a_max", "d_hat"} if "eps_star" in table.metadata else set()
     eigen = {"eigensolver"} if prefix == "eigvecs" else set()
-    assert set(meta) == _META_KEYS | tuned | eigen | set(extra) | (
+    # a run on a support counts its pairs
+    pairs = {"support_pairs"} if meta["k_support"] != "None" else set()
+    assert set(meta) == _META_KEYS | tuned | eigen | pairs | set(extra) | (
         {"errors"} if failed else set())
     if eigen:
         # every epsilon with a row names the eigensolver path that ran

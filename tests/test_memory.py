@@ -77,16 +77,36 @@ def test_knn_holds_one_query_block(cloud):
     assert peak <= out + block + tree + _SLACK, (peak, out)
 
 
-def _keys_and_extras(cloud, k, got):
-    """The bytes of the int64 keys that the support builder keeps, one per
-    pair (i, j), i < j, that row j lists at or beyond row i's k-th distance
-    R_i, and per row i the number of its extras: those pairs that row i does
-    not list, inserted into its columns."""
-    graph = neighbors.knn(cloud, k)
-    rows = np.arange(cloud.n_points)[:, None]
-    far = graph.distances >= graph.distances[graph.indices, -1]
-    keys = np.count_nonzero((graph.indices < rows) & far) * 8
-    return keys, np.diff(got.indptr) - np.count_nonzero(graph.indices > rows, axis=1)
+def _extras(got, k):
+    """Per row i, the number of its extras: its pairs (i, j), i < j, beyond
+    its k-th smallest squared distance R_i^2, which only R_j reaches. The
+    support holds every point's last shell, so R_i^2 is the (k - 1)-th
+    smallest r^2 among the pairs of point i."""
+    n = got.n
+    rows = np.repeat(np.arange(n), np.diff(got.indptr))
+    ends = np.concatenate([rows, got.indices])
+    r2 = np.concatenate([got.r2, got.r2])
+    r2 = r2[np.lexsort((r2, ends))]
+    start = np.searchsorted(np.sort(ends), np.arange(n))
+    radius = r2[start + k - 2]
+    beyond = got.r2 > radius[rows]
+    return np.bincount(rows[beyond], minlength=n)
+
+
+def _cell_sizes(cloud, k, got):
+    """Per cell of the support build, its rows times its candidates in pass
+    A (pass B's lie within a smaller reach) and the entries that its rows
+    hold in the output (a bound on their upper pairs); and the most
+    candidates that one query of a chunk of cells returns."""
+    tree, cells, centre, spread, kth = neighbors._cells(cloud.points, k)
+    found = np.array([c.size for c in neighbors._candidates(
+        tree, centre, kth + 2.0 * spread)])
+    size = np.array([rows.size for rows in cells])
+    held = np.diff(got.indptr)
+    upper = np.array([int(held[rows].sum()) for rows in cells])
+    chunk = max(int(found[lo:hi].sum())
+                for lo, hi in neighbors._blocks(found.size, neighbors._CELL_QUERY))
+    return size * found, upper, chunk
 
 
 def _traced_build(cloud, **bandwidth):
@@ -102,73 +122,64 @@ def _traced_build(cloud, **bandwidth):
     return got, kept, peak
 
 
-def _builder_bound(cloud, got):
-    """What the support builder may hold at once (see
-    test_support_builder_holds_no_neighbor_graph), and the column store
-    with a whole neighbor graph's distances beside it."""
-    output = _pairs_bytes(got)
-    # every row lists k - 1 points other than itself: the column store has
-    # room for all of them, though only the upper ones are written; beside it
-    # the row pointers and each row's k-th distance R_i
-    listed = _N * (_K - 1)
-    store = listed * 4 + (_N + 1) * 8 + _N * 8
-    keys, extras = _keys_and_extras(cloud, _K, got)
-    # one query block: the distances, indices and self mask, 17 bytes per
-    # entry; per block of support rows, a sorted int32 copy and a mask, or
-    # the gathered R_i and two masks, at most 10 bytes per entry; the
-    # kd-tree's copy of the points and an index per point
-    rows = _query_rows(_N, _K)
-    tree = _N * (cloud.points.shape[1] + 1) * 8
-    stream = store + keys + rows * _K * 17 + neighbors._SUPPORT_BLOCK * _K * 10 + tree
-    # the keys twice while they are joined; then in place, each row's shift
-    # and per query block of rows its columns with their extras inserted and
-    # np.insert's mask, 5 bytes per entry, and the decoded pairs, binary
-    # search and insert positions, under 128 bytes per extra
-    blocks = neighbors._blocks(_N, neighbors._QUERY_BLOCK)
-    merge = store + 2 * keys + (_N + 1) * 8 + max(
-        int(got.indptr[stop] - got.indptr[start]) * 5
+def _builder_bound(cloud, got, k=_K):
+    """What the support builder may hold at once: the output arrays, which it
+    allocates once at their size, beside one of its phases, plus the
+    length-n vectors."""
+    n, d = cloud.points.shape
+    entries, upper, chunk = _cell_sizes(cloud, k, got)
+    extras = _extras(got, k)
+    # pass A: a cell's distance block and its partitioned copy, or the block
+    # and three masks; pass B: the block and four masks, and per upper pair
+    # its slot and that slot's offset, column, value and repeated row, 32
+    # bytes, and on a scaled build the two gathered bandwidths and their
+    # product, 24 more. Beside them the candidates of one chunk of cells, a
+    # Python int and a list slot each and then an int32, and the extras'
+    # keys and values, 16 bytes each
+    per_pair = 32 if got.bandwidth is None else 56
+    cell = int(np.max(np.maximum(16 * entries, 12 * entries + per_pair * upper)))
+    passes = cell + chunk * 44 + int(extras.sum()) * 16
+    # then the extras sorted: the keys, values, order and one sorted copy;
+    # and per block of the merge, its entries moved (an int32, a double and
+    # np.insert's mask, 13 bytes each) and per extra its decoded pair and
+    # binary search, under 128 bytes
+    blocks = neighbors._blocks(n, neighbors._SUPPORT_BLOCK)
+    merge = int(extras.sum()) * 32 + max(
+        int(got.indptr[stop] - got.indptr[start]) * 13
         + int(extras[start:stop].sum()) * 128 for start, stop in blocks)
-    d = cloud.points.shape[1]
-    pair = _largest_block(got) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
-    # one phase after another: the store with one query block; the store and
-    # one block of the merge; the output and one block of pair distances,
-    # the block's distances freed before its bandwidth products (two 8-byte
-    # arrays, fewer than 2 d + 1) on a scaled build
-    bound = max(stream, merge, output + pair)
-    return bound, listed * 4 + _N * _K * 8
+    # the length-n vectors (each R_i^2, the int64 row pointers, the shifts
+    # and the int32 row pointers), the kd-tree's copy of the points and an
+    # index per point, the tree order, and per cell its centre, radius, R_c,
+    # largest R_i^2 and its rows' view
+    cells = entries.size
+    vectors = 40 * (n + 1) + n * (d + 1) * 8 + 4 * n + cells * ((d + 3) * 8 + 128)
+    return _pairs_bytes(got) + max(passes, merge) + vectors
 
 
 def test_support_builder_holds_no_neighbor_graph(cloud):
     got, kept, peak = _traced_build(cloud)
-    bound, graph = _builder_bound(cloud, got)
+    bound = _builder_bound(cloud, got)
     assert peak <= bound + _SLACK, (peak, bound)
-    # the n x k distances of a whole neighbor graph, filled in alongside the
-    # column store, do not fit
-    assert graph > bound + _SLACK
-    # the output owns right-sized arrays: nothing of the column store is kept
+    # the n x k distances of a neighbor graph do not fit beside the output
+    assert _N * _K * 8 > bound - _pairs_bytes(got) + _SLACK
+    # a second array of the pair distances, as a build that grows them by
+    # copying would hold, does not fit
+    assert got.r2.nbytes > bound - _pairs_bytes(got) + _SLACK
+    # the output owns right-sized arrays: nothing of the build is kept
     assert kept <= _pairs_bytes(got) + _SLACK, (kept, _pairs_bytes(got))
 
 
-def test_scaled_support_build_holds_one_row_block_and_the_bandwidth(cloud, pairs):
+def test_scaled_support_build_holds_one_row_block_and_the_bandwidth(cloud):
     x = 1.0 + 0.1 * cloud.points[:, 0] ** 2
     got, kept, peak = _traced_build(cloud, bandwidth=x)
     assert got.bandwidth is not None
-    # the raw build's phases, beside them the copy of the bandwidth that the
-    # support records; the output owns that copy and right-sized arrays
-    bound = _builder_bound(cloud, got)[0] + _N * 8
+    # the raw build's phases, each upper pair's bandwidth products beside
+    # it, and the copy of the bandwidth that the support records; the output
+    # owns that copy and right-sized arrays
+    bound = _builder_bound(cloud, got) + _N * 8
     assert peak <= bound + _SLACK, (peak, bound)
+    assert got.r2.nbytes > bound - _pairs_bytes(got) - _N * 8 + _SLACK
     assert kept <= _pairs_bytes(got) + _N * 8 + _SLACK, kept
-    # its last phase: the pair values, and per block the distances, freed
-    # before the block's products, one gathered value beside the intp copy
-    # of the block's int32 columns or the repeated row values. Scaled pairs
-    # in a second whole-support array do not fit
-    r2, peak = _traced_peak(lambda: neighbors._sq_dists(
-        cloud.points, pairs.indptr, pairs.indices, got.bandwidth))
-    assert r2.tobytes() == got.r2.tobytes()
-    d = cloud.points.shape[1]
-    block = _largest_block(pairs) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
-    assert pairs.nnz * 8 > block + _SLACK
-    assert peak <= r2.nbytes + block + _SLACK, (peak, r2.nbytes)
 
 
 _STATUS = Path("/proc/self/status")
@@ -176,10 +187,9 @@ _STATUS = Path("/proc/self/status")
 
 @pytest.mark.skipif(not _STATUS.exists(), reason="no /proc/self/status")
 def test_support_builder_resident_peak():
-    # a grid ties many pairs at the k-th distance; the high-water mark of
-    # resident pages counts what the allocator keeps of freed blocks, which
-    # tracemalloc does not see. A small build first starts the kd-tree's
-    # query threads, whose allocator arenas stay
+    # a grid at a large k; the high-water mark of resident pages counts what
+    # the allocator keeps of freed blocks, which tracemalloc does not see. A
+    # small build first loads the code the build runs
     n_side, k = 150, 300
     probe = ("import sys\n"
              "from vbdiffusion import neighbors, pointcloud\n"
@@ -199,35 +209,16 @@ def test_support_builder_resident_peak():
     growth = int(out.stdout)
     cloud = pointcloud.gen_torus_grid(n_side)
     got = neighbors.symmetrized_support(cloud, k)
-    n, d = cloud.n_points, cloud.points.shape[1]
-    # the phases of test_support_builder_holds_no_neighbor_graph, but only
-    # the written part of the column store is resident, fewer columns than
-    # the output's: so while the query blocks stream, the columns, row
-    # pointers, k-th distances and keys, one query block (17 bytes per
-    # entry), one block of support rows (10) and the kd-tree; the merge
-    # holds less
-    keys, _ = _keys_and_extras(cloud, k, got)
-    rows = _query_rows(n, k)
-    stream = (got.indices.nbytes + n * 16 + keys + rows * k * 17
-              + neighbors._SUPPORT_BLOCK * k * 10 + n * (d + 1) * 8)
-    pair = _largest_block(got) * (2 * d + 1) * 8
-    # glibc raises its mmap threshold to the largest array freed, a query
-    # block's distances, so later blocks of at most that size come from the
-    # heap, which keeps up to twice the threshold free and resident; and
-    # 1 MiB for interpreter pages
-    kept = 2 * rows * k * 8 + _SLACK
-    bound = max(stream, _pairs_bytes(got) + pair) + kept
-    assert growth <= bound, (growth, bound)
-
-
-def test_support_pairs_hold_one_row_block(cloud, pairs):
-    got, peak = _traced_peak(lambda: neighbors._sq_dists(
-        cloud.points, pairs.indptr, pairs.indices))
-    d = cloud.points.shape[1]
-    # per block: the repeated row points and the gathered column points
-    # (d values per entry each), their einsum, and one count per row
-    block = _largest_block(pairs) * (2 * d + 1) * 8 + neighbors._SUPPORT_BLOCK * 8
-    assert peak <= got.nbytes + block + _SLACK, (peak, got.nbytes)
+    # the phases of test_support_builder_holds_no_neighbor_graph; and
+    # for freed blocks that the allocator keeps resident, twice the largest
+    # cell's distance block (glibc raises its mmap threshold to the largest
+    # array freed and keeps up to twice that free in the heap), and 1 MiB
+    # for interpreter pages. A second array of the pair distances does not
+    # fit
+    bound = _builder_bound(cloud, got, k)
+    kept = 2 * int(np.max(_cell_sizes(cloud, k, got)[0])) * 8 + _SLACK
+    assert got.r2.nbytes > bound - _pairs_bytes(got) + kept
+    assert growth <= bound + kept, (growth, bound + kept)
 
 
 def test_scaled_pairs_hold_one_row_block(cloud, pairs):

@@ -2,11 +2,12 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from vbdiffusion import neighbors, pointcloud
 from vbdiffusion.errors import KTooLarge
 
-from oracles import knn_union, pair_sq_dists, support_rows
+from oracles import knn_union, pair_sq_dists, support_rows, whole_shell_support
 
 
 def _brute_reference(pts, k):
@@ -140,7 +141,8 @@ def test_knn_blocks_do_not_change_the_graph(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [1, 7, 10_000])
 def test_support_pairs_in_row_blocks_match_oracle(monkeypatch, block):
-    monkeypatch.setattr(neighbors, "_SUPPORT_BLOCK", block)
+    # each cell of the build is a block of rows
+    monkeypatch.setattr(neighbors, "_CELL", block)
     for pts, k in ((np.random.default_rng(2).standard_normal((40, 3)), 5),
                    (_coincident_cloud(), 6)):
         cloud = pointcloud.PointCloud(pts)
@@ -149,6 +151,9 @@ def test_support_pairs_in_row_blocks_match_oracle(monkeypatch, block):
         np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, rows, pairs.indices))
         np.testing.assert_allclose(
             pairs.r2, np.sum((pts[rows] - pts[pairs.indices]) ** 2, axis=1), atol=1e-12)
+        want = whole_shell_support(pts, k)
+        np.testing.assert_array_equal(rows, want[0])
+        np.testing.assert_array_equal(pairs.indices, want[1])
 
 
 def _assert_strict_upper(pairs):
@@ -178,20 +183,79 @@ def test_symmetrized_support_is_union_with_diagonal():
 
 @pytest.mark.parametrize("block", [1, 7, 10_000])
 def test_support_query_blocks_do_not_change_the_support(monkeypatch, block):
+    # cells of one point, of seven, or one cell of every point, and as many
+    # cells per query of their candidates: the same support, bit for bit
     clouds = ((_tied_lattice(), 13), (_coincident_cloud(), 6),
               (np.random.default_rng(11).standard_normal((60, 3)), 7))
-    # the oracle reads kNN lists queried in one block (each cloud is below
-    # the default size) and joins them with Python sets
-    unions = [knn_union(neighbors.knn(pointcloud.PointCloud(pts), k).indices)
-              for pts, k in clouds]
-    monkeypatch.setattr(neighbors, "_QUERY_BLOCK", block)
-    for (pts, k), union in zip(clouds, unions):
+    whole = [neighbors.symmetrized_support(pointcloud.PointCloud(pts), k)
+             for pts, k in clouds]
+    monkeypatch.setattr(neighbors, "_CELL", block)
+    monkeypatch.setattr(neighbors, "_CELL_QUERY", block)
+    for (pts, k), want in zip(clouds, whole):
         pairs = neighbors.symmetrized_support(pointcloud.PointCloud(pts), k)
         _assert_strict_upper(pairs)
-        rows = support_rows(pairs)
-        expected = {(i, j) for i, row in enumerate(union) for j in row if j > i}
-        assert set(zip(rows.tolist(), pairs.indices.tolist())) == expected
-        np.testing.assert_array_equal(pairs.r2, pair_sq_dists(pts, rows, pairs.indices))
+        for name in ("indptr", "indices", "r2"):
+            a, b = getattr(pairs, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _shell_clouds():
+    """Clouds with and without exact ties: Gaussian in one to three
+    dimensions, an integer lattice, the 40 x 40 torus grid, and points
+    repeated four times over."""
+    rng = np.random.default_rng(21)
+    lattice = np.stack(np.meshgrid(np.arange(30.0), np.arange(20.0),
+                                   indexing="ij"), axis=-1).reshape(-1, 2)
+    return [rng.standard_normal((300, 1)), rng.standard_normal((300, 2)),
+            rng.standard_normal((300, 3)), lattice,
+            pointcloud.gen_torus_grid(40).points,
+            np.repeat(rng.standard_normal((100, 2)), 4, axis=0)]
+
+
+@pytest.mark.parametrize("cell", [1, 7, 64])
+def test_support_is_every_pair_within_either_kth_distance(monkeypatch, cell):
+    # the brute-force oracle over pdist: r_ij^2 <= max(R_i^2, R_j^2), with
+    # r^2 the same bits and every row sorted
+    monkeypatch.setattr(neighbors, "_CELL", cell)
+    for pts in _shell_clouds():
+        for k in (2, 9, 60):
+            pairs = neighbors.symmetrized_support(pointcloud.PointCloud(pts), k)
+            rows, cols, r2 = whole_shell_support(pts, k)
+            _assert_strict_upper(pairs)
+            np.testing.assert_array_equal(support_rows(pairs), rows)
+            np.testing.assert_array_equal(pairs.indices, cols)
+            assert pairs.r2.tobytes() == r2.tobytes()
+
+
+def test_support_of_every_pair_reads_the_pdist_distances():
+    # with k = n the support holds every pair i < j, in pdist's order, and
+    # the support path and the all-pairs path read one r^2
+    for pts in (pointcloud.gen_torus_grid(20).points,
+                np.random.default_rng(22).standard_normal((150, 3))):
+        n = pts.shape[0]
+        pairs = neighbors.symmetrized_support(pointcloud.PointCloud(pts), n)
+        assert pairs.nnz == n * (n - 1) // 2
+        assert pairs.r2.tobytes() == pdist(pts, "sqeuclidean").tobytes()
+
+
+@pytest.mark.parametrize("pts, k", [
+    (np.random.default_rng(23).standard_normal((400, 2)), 12),
+    (np.stack(np.meshgrid(np.arange(30.0), np.arange(20.0), indexing="ij"),
+              axis=-1).reshape(-1, 2), 9),
+    (pointcloud.gen_torus_grid(40).points, 60),
+], ids=["random", "lattice", "torus_grid"])
+def test_support_is_a_function_of_the_point_set(pts, k):
+    # the support of the points renumbered, with its pairs numbered back,
+    # is the support of the points: the same pairs and the same r^2 bits
+    perm = np.random.default_rng(24).permutation(pts.shape[0])
+    want = neighbors.symmetrized_support(pointcloud.PointCloud(pts), k)
+    got = neighbors.symmetrized_support(pointcloud.PointCloud(pts[perm]), k)
+    a, b = perm[support_rows(got)], perm[got.indices]
+    rows, cols = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((cols, rows))
+    np.testing.assert_array_equal(rows[order], support_rows(want))
+    np.testing.assert_array_equal(cols[order], want.indices)
+    assert got.r2[order].tobytes() == want.r2.tobytes()
 
 
 @pytest.mark.parametrize("hook, current", [(sys.setprofile, sys.getprofile),
@@ -224,14 +288,13 @@ def test_support_pairs_follow_csr_order():
 
 
 def test_support_pairs_on_a_torus_grid_match_each_pair_bitwise():
-    # 4-D points gathered by int32 columns; every r2 is the einsum of its own
-    # pair's difference, taken one pair at a time
+    # every r2 is pdist's entry for its own pair, which sums the squared
+    # coordinate differences of the 4-D points one coordinate at a time
     cloud = pointcloud.gen_torus_grid(50)
-    pts = cloud.points
+    n = cloud.n_points
     pairs = neighbors.symmetrized_support(cloud, 60)
-    diff = np.array([pts[i] - pts[j] for i, j in
-                     zip(support_rows(pairs).tolist(), pairs.indices.tolist())])
-    want = np.einsum("ij,ij->i", diff, diff)
+    i, j = support_rows(pairs), pairs.indices.astype(np.int64)
+    want = pdist(cloud.points, "sqeuclidean")[n * i - i * (i + 1) // 2 + j - i - 1]
     assert pairs.r2.tobytes() == want.tobytes()
 
 
@@ -302,20 +365,15 @@ def test_support_arrays_are_read_only(scaled):
     (pointcloud.PointCloud(_tied_lattice()), 13),
 ], ids=["torus_grid", "lattice"])
 def test_support_decides_pairs_at_the_kth_distance(cloud, k):
-    # a pair whose distance equals row i's k-th distance R_i may or may not
-    # be among row i's picks: the distance alone cannot tell
+    # on these grids more points lie at some row's k-th distance R_i than
+    # fit in its kNN row, and the kd-tree picks among them; the support
+    # holds them all, so it is the kNN union and more
     g = neighbors.knn(cloud, k)
-    radius = g.distances[:, -1]
-    lists = [set(row.tolist()) for row in g.indices]
-    both = one = 0
-    for j, (row, dist) in enumerate(zip(g.indices, g.distances)):
-        at_radius = (row < j) & (dist == radius[row])
-        both += sum(j in lists[i] for i in row[at_radius])
-        one += sum(j not in lists[i] for i in row[at_radius])
-    # so both outcomes must occur on these grids to pin the support
-    assert both > 0 and one > 0, (both, one)
+    union = {(i, j) for i, row in enumerate(knn_union(g.indices))
+             for j in row if j > i}
     pairs = neighbors.symmetrized_support(cloud, k)
     _assert_strict_upper(pairs)
-    expected = {(i, j) for i, row in enumerate(knn_union(g.indices))
-                for j in row if j > i}
-    assert set(zip(support_rows(pairs).tolist(), pairs.indices.tolist())) == expected
+    got = set(zip(support_rows(pairs).tolist(), pairs.indices.tolist()))
+    assert union < got, (len(union), len(got))
+    rows, cols, _ = whole_shell_support(cloud.points, k)
+    assert got == set(zip(rows.tolist(), cols.tolist()))
